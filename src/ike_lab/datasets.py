@@ -121,9 +121,6 @@ class DatasetBundle:
     def input_dim(self) -> int:
         return self.cameras[0].X.shape[1]
 
-    def global_tables(self) -> list[np.ndarray | None]:
-        return [cam.label_to_global for cam in self.cameras]
-
     def distinct_global_count(self) -> int:
         seen: set[int] = set()
         for cam in self.cameras:

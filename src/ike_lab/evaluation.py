@@ -2,7 +2,9 @@
 
 Evaluation is strict cross-camera retrieval by default: a query's gallery is
 every test image from other cameras, relevance is same global identity, and
-queries with no relevant item are skipped rather than scored zero.
+queries with no relevant item are skipped rather than scored zero. Ranks are
+counted, not sorted: a relevant item's rank is the number of gallery items
+that score above it, plus those that tie with it at a lower gallery index.
 """
 
 from __future__ import annotations
@@ -22,28 +24,28 @@ if TYPE_CHECKING:
 GALLERY_RULES = ("camera", "camera-id", "none")
 
 
+def _ap_at_ranks(ranks: np.ndarray, length: int, n_relevant: int) -> float:
+    """AP of a ranked list of the given length whose relevant items sit at
+    the 0-based positions in ranks: the mean over the k-th relevant item of
+    k / (rank_k + 1), normalized by n_relevant.
+
+    The terms are written into a zero vector at their ranks and summed with
+    numpy's pairwise sum, so the result depends only on the positions, bit
+    for bit, however the ranks were found.
+    """
+    ranks = np.sort(ranks)
+    terms = np.zeros(length)
+    terms[ranks] = np.arange(1, ranks.shape[0] + 1) / (ranks + 1)
+    return float(terms.sum() / n_relevant)
+
+
 def average_precision(relevance: np.ndarray, n_relevant: int) -> float:
     """AP of a ranked 0/1 relevance list: mean of precision@k over the ranks
     k holding relevant items, normalized by n_relevant."""
     if n_relevant < 1:
         raise NoRelevant("average precision needs at least one relevant item")
-    relevance = np.asarray(relevance, dtype=np.float64)
-    hits = np.cumsum(relevance)
-    ranks = np.arange(1, relevance.shape[0] + 1)
-    precision_at = hits / ranks
-    return float((precision_at * relevance).sum() / n_relevant)
-
-
-def _query_ap(
-    scores: np.ndarray, relevant: np.ndarray
-) -> float | None:
-    """AP for one query given gallery scores; None when nothing is relevant.
-    Ties break toward the lower gallery index (stable sort on -score)."""
-    n_rel = int(relevant.sum())
-    if n_rel == 0:
-        return None
-    order = np.argsort(-scores, kind="stable")
-    return average_precision(relevant[order], n_rel)
+    relevance = np.asarray(relevance)
+    return _ap_at_ranks(np.flatnonzero(relevance), relevance.shape[0], n_relevant)
 
 
 def evaluate_map(
@@ -56,6 +58,12 @@ def evaluate_map(
     (junk-style handling), keeping same-camera distractors; "none" keeps
     everything but the query itself, which is the only meaningful choice
     for single-camera splits.
+
+    No gallery is sorted. The rank of a relevant item i is the number of
+    gallery items scoring above it plus the number scoring the same at a
+    lower gallery index: the order a stable sort on -score gives, so ties
+    break toward the lower index. Each query costs O(n_relevant x gallery)
+    comparisons and memory.
     """
     if gallery_rule not in GALLERY_RULES:
         raise ConfigError(f"gallery_rule must be one of {GALLERY_RULES}")
@@ -77,12 +85,16 @@ def evaluate_map(
         else:
             mask = np.ones(N, dtype=bool)
             mask[q] = False
-        gallery = np.nonzero(mask)[0]
-        if gallery.size == 0:
+        gallery = np.flatnonzero(mask)
+        relevant = np.flatnonzero(test.global_ids[gallery] == test.global_ids[q])
+        if relevant.size == 0:
             continue
-        ap = _query_ap(sims[q, gallery], test.global_ids[gallery] == test.global_ids[q])
-        if ap is not None:
-            aps.append(ap)
+        scores = sims[q, gallery]
+        s_rel = scores[relevant, None]
+        ranks = (scores > s_rel).sum(axis=1) + (
+            (scores == s_rel) & (np.arange(gallery.size) < relevant[:, None])
+        ).sum(axis=1)
+        aps.append(_ap_at_ranks(ranks, gallery.size, relevant.size))
     if not aps:
         raise EmptyGallery("no query had a nonempty gallery with relevant items")
     return float(np.mean(aps))

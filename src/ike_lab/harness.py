@@ -465,11 +465,12 @@ def make_loss_closure(
         raise ConfigError(f"unknown loss term {term!r}")
     gates = (y_hist != -1).astype(np.float64)
     out_h = forward_batch(hist_params, X)
+    hist_feats = (out_h.embeddings, *out_h.middles)
 
     def closure(params: EncoderParams):
         if term == "ikd":
             breakdown, grads, _ = batch_loss_and_grads(
-                Variant.IKE, params, hist_params, X, y, y_hist, cur_memory, hist_memory, hyper
+                Variant.IKE, params, hist_feats, X, y, y_hist, cur_memory, hist_memory, hyper
             )
             return breakdown.total, grads
         out_c = forward_batch(params, X)

@@ -1,6 +1,10 @@
 """Identity memory: one unit-norm embedding row per identity, plus the rules
 that score, build, and evolve it (momentum blending, rotation into a new
-model's space, and merge/expansion)."""
+model's space, and merge/expansion).
+
+Momentum blending takes a whole batch at once and applies it in order of
+occurrence, so the memory after a batch is bitwise the one the per-sample
+rule would leave."""
 
 from __future__ import annotations
 
@@ -123,24 +127,47 @@ def init_memory(params: "EncoderParams", dataset: "CameraDataset") -> IdentityMe
 
 
 def momentum_update(
-    memory: IdentityMemory, idx: int, f: np.ndarray, omega: float
+    memory: IdentityMemory, idx, f: np.ndarray, omega: float
 ) -> IdentityMemory:
-    """In-place blend of one row toward a fresh feature:
+    """In-place blend of rows toward fresh features, one per index:
 
-        row <- normalize(omega * row + (1 - omega) * f)
+        row[idx[s]] <- normalize(omega * row[idx[s]] + (1 - omega) * f[s])
 
-    omega is the fraction of the old row kept. All other rows untouched.
+    idx is one identity index with f of shape (dim,), or a 1-D index array
+    with f of shape (len(idx), dim). omega is the fraction of the old row
+    kept. The updates apply in order of occurrence: an identity that occurs
+    several times is blended once per occurrence, each time from the row the
+    previous occurrence left. Each round updates the next pending occurrence
+    of every identity at once, so the result equals the one-row-at-a-time
+    loop bit for bit; row norms are BLAS dot products, as in np.linalg.norm
+    of a single row. All other rows are untouched.
     """
-    if not 0 <= idx < len(memory):
-        raise IndexOutOfRange(f"identity index {idx} outside [0, {len(memory)})")
+    single = np.ndim(idx) == 0
+    idx = np.atleast_1d(np.asarray(idx))
+    if idx.ndim != 1:
+        raise ShapeMismatch(f"identity indices must be 1-D, got shape {idx.shape}")
+    outside = (idx < 0) | (idx >= len(memory))
+    if outside.any():
+        raise IndexOutOfRange(f"identity index {idx[outside][0]} outside [0, {len(memory)})")
     f = np.asarray(f, dtype=np.float64)
-    if f.shape != (memory.dim,):
-        raise ShapeMismatch(f"feature shape {f.shape} vs memory dim {memory.dim}")
-    blended = omega * memory.rows[idx] + (1.0 - omega) * f
-    norm = float(np.linalg.norm(blended))
-    if norm < DEGENERATE_NORM:
-        raise DegenerateMean(f"momentum blend for identity {idx} collapsed to norm {norm:g}")
-    memory.rows[idx] = blended / norm
+    want = (memory.dim,) if single else (idx.shape[0], memory.dim)
+    if f.shape != want:
+        raise ShapeMismatch(f"feature shape {f.shape} vs expected {want}")
+    f = f.reshape(idx.shape[0], memory.dim)
+    pending = np.arange(idx.shape[0])
+    while pending.size:
+        _, first = np.unique(idx[pending], return_index=True)
+        take = pending[first]
+        pending = np.delete(pending, first)
+        rows = idx[take]
+        blended = omega * memory.rows[rows] + (1.0 - omega) * f[take]
+        norms = np.sqrt((blended[:, None, :] @ blended[:, :, None])[:, 0, 0])
+        low = norms < DEGENERATE_NORM
+        if low.any():
+            raise DegenerateMean(
+                f"momentum blend for identity {rows[low][0]} collapsed to norm {norms[low][0]:g}"
+            )
+        memory.rows[rows] = blended / norms[:, None]
     return memory
 
 
@@ -154,6 +181,11 @@ def iku_merge(
     cur are appended in ascending j. Blends always read the original hist
     row, so a duplicated target (possible with non-mutual association maps)
     resolves to the last j deterministically.
+
+    Provenance follows the heavier input of each blend: a matched row takes
+    cur's tag for j when lam < 0.5 and keeps hist's tag for t otherwise, so
+    a wrong match at small lam is tagged with the identity the row now
+    mostly holds. Appended rows keep cur's tags.
     """
     matches = np.asarray(getattr(assoc, "matches", assoc), dtype=np.int64)
     if hist.dim != cur.dim:
@@ -163,6 +195,9 @@ def iku_merge(
             f"association length {matches.shape} vs current identity count {len(cur)}"
         )
     rows = hist.rows.copy()
+    prov = None
+    if hist.provenance is not None and cur.provenance is not None:
+        prov = list(hist.provenance)
     unmatched: list[int] = []
     for j in range(len(cur)):
         t = int(matches[j])
@@ -176,11 +211,12 @@ def iku_merge(
         if norm < DEGENERATE_NORM:
             raise DegenerateMean(f"merge of identity {j} into row {t} collapsed")
         rows[t] = blended / norm
+        if prov is not None and lam < 0.5:
+            prov[t] = cur.provenance[j]
     if unmatched:
         rows = np.concatenate([rows, cur.rows[unmatched]], axis=0)
-    prov = None
-    if hist.provenance is not None and cur.provenance is not None:
-        prov = list(hist.provenance) + [cur.provenance[j] for j in unmatched]
+    if prov is not None:
+        prov += [cur.provenance[j] for j in unmatched]
     return IdentityMemory(rows, prov)
 
 

@@ -2,8 +2,9 @@
 
 These deliberately avoid the production code paths: matching is an
 exhaustive scan instead of vectorized argmax, ranking metrics walk a
-python-sorted list, memory rules are recomputed entry by entry, and
-gradients come from central finite differences. Keep them dumb.
+python-sorted list, and memory rules are recomputed entry by entry.
+Gradients are checked by encoder.grad_check's central differences. Keep
+them dumb.
 """
 
 from __future__ import annotations
@@ -73,19 +74,28 @@ def ap_oracle(scores, relevance) -> float | None:
     return acc / n_rel
 
 
-def map_oracle(embeddings: np.ndarray, global_ids, camera_ids) -> float:
-    """Cross-camera retrieval mAP with per-pair dot products and python
-    sorting; queries with no relevant gallery item are skipped."""
+def map_oracle(embeddings: np.ndarray, global_ids, camera_ids, gallery_rule: str = "camera") -> float:
+    """Retrieval mAP with per-pair dot products and python sorting; queries
+    with no relevant gallery item are skipped.
+
+    The gallery of query q is every other item g that the rule admits:
+    "camera" drops items from q's camera, "camera-id" drops items from q's
+    camera with q's identity, and "none" keeps them all.
+    """
     N = embeddings.shape[0]
     aps = []
     for q in range(N):
         scores = []
         relevance = []
         for g in range(N):
-            if camera_ids[g] == camera_ids[q]:
+            same_camera = camera_ids[g] == camera_ids[q]
+            same_id = global_ids[g] == global_ids[q]
+            if g == q or (gallery_rule == "camera" and same_camera) or (
+                gallery_rule == "camera-id" and same_camera and same_id
+            ):
                 continue
             scores.append(float(np.dot(embeddings[q], embeddings[g])))
-            relevance.append(global_ids[g] == global_ids[q])
+            relevance.append(same_id)
         if not scores:
             continue
         ap = ap_oracle(scores, relevance)
@@ -133,22 +143,3 @@ def iku_oracle(hist_rows: np.ndarray, cur_rows: np.ndarray, matches, lam: float)
             out.append(list(map(float, cur_rows[j])))
     return np.array(out).reshape(len(out), hist_rows.shape[1])
 
-
-def central_difference_grads(value_fn, params, step: float = 1e-5):
-    """Numeric parameter gradients of value_fn(params) via central
-    differences; returns arrays shaped like params.arrays()."""
-    grads = []
-    for arr in params.arrays():
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + step
-            fp = value_fn(params)
-            flat[k] = orig - step
-            fm = value_fn(params)
-            flat[k] = orig
-            gflat[k] = (fp - fm) / (2.0 * step)
-        grads.append(g)
-    return grads

@@ -12,6 +12,7 @@ rule, which loss terms run, and how the memory evolves.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,10 @@ class Hyperparams:
     batch_size: int = 64
 
     def validate(self) -> None:
+        # NaN fails every comparison below, so finiteness is checked first.
+        for key in ("tau", "lr", "weight_decay"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)!r}")
         if self.tau <= 0:
             raise ConfigError("tau must be positive")
         if not 0.0 <= self.omega <= 1.0:
@@ -196,7 +201,7 @@ def _mean_breakdown(items: list[LossBreakdown]) -> LossBreakdown:
 def batch_loss_and_grads(
     variant: Variant,
     cur_params: EncoderParams,
-    hist_params: EncoderParams,
+    hist_feats: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
     Xb: np.ndarray,
     yb: np.ndarray,
     yhb: np.ndarray,
@@ -206,8 +211,11 @@ def batch_loss_and_grads(
 ):
     """Variant-gated loss terms on one batch plus parameter gradients.
 
+    hist_feats holds the historical model's features of the rows of Xb:
+    (embeddings, tap-2 output, tap-3 output). It is read only when history
+    is live and some distillation gate is open, and may be None otherwise.
     Returns (breakdown, param_grads, current embeddings). The historical
-    encoder and both memories are constants for the gradient.
+    features and both memories are constants for the gradient.
     """
     from .encoder import backward
 
@@ -223,11 +231,11 @@ def batch_loss_and_grads(
         if variant.forces_distill_gates:
             gates = np.ones_like(gates)
         if gates.any():
-            out_h = forward_batch(hist_params, Xb)
-            kd_val, gF_kd = loss_kd(out_c.embeddings, out_h.embeddings, gates)
+            emb_h, mid2_h, mid3_h = hist_feats
+            kd_val, gF_kd = loss_kd(out_c.embeddings, emb_h, gates)
             gF = gF + gF_kd
             if variant.uses_mkd:
-                mkd_val, (g2, g3) = loss_mkd(out_c.middles, out_h.middles, gates)
+                mkd_val, (g2, g3) = loss_mkd(out_c.middles, (mid2_h, mid3_h), gates)
     breakdown = loss_total(id_val, idh_val, kd_val, mkd_val)
     grads = backward(cur_params, out_c.cache, gF, g2, g3)
     return breakdown, grads, out_c.embeddings
@@ -260,6 +268,13 @@ def train_camera(
     X = dataset.X
     y = dataset.labels
     y_hist = np.array([s.hist_label for s in augmented], dtype=np.int64)
+    # The historical model is frozen for the whole camera: forward it once
+    # and hand each batch its rows.
+    hist_feats = None
+    if variant.uses_history and len(hist_memory) > 0:
+        out_h = forward_batch(hist_params, X)
+        hist_feats = (out_h.embeddings, *out_h.middles)
+        del out_h
 
     opt = Adam(cur_params, lr=hyper.lr, weight_decay=hyper.weight_decay)
     epoch_means: list[LossBreakdown] = []
@@ -272,12 +287,12 @@ def train_camera(
         for b, start in enumerate(range(0, N, hyper.batch_size)):
             sel = perm[start : start + hyper.batch_size]
             breakdown, grads, emb = batch_loss_and_grads(
-                variant, cur_params, hist_params, X[sel], y[sel], y_hist[sel],
-                cur_memory, hist_memory, hyper,
+                variant, cur_params,
+                None if hist_feats is None else tuple(a[sel] for a in hist_feats),
+                X[sel], y[sel], y_hist[sel], cur_memory, hist_memory, hyper,
             )
             opt.step(cur_params, grads, lr)
-            for s in range(sel.shape[0]):
-                momentum_update(cur_memory, int(y[sel[s]]), emb[s], hyper.omega)
+            momentum_update(cur_memory, y[sel], emb, hyper.omega)
             batch_logs.append(breakdown)
             if recorder is not None:
                 recorder.on_batch(state.camera_index, epoch, b, breakdown)

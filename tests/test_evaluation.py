@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ike_lab import oracles
 from ike_lab.datasets import TestSplit
-from ike_lab.encoder import forward_batch, init_encoder
+from ike_lab.encoder import EncoderParams, forward_batch, init_encoder
 from ike_lab.errors import ConfigError, EmptyGallery, NoRelevant, ShapeMismatch
 from ike_lab.evaluation import (
+    GALLERY_RULES,
     MetricsReport,
     average_precision,
     evaluate_map,
@@ -34,6 +37,16 @@ class TestAveragePrecision:
         with pytest.raises(NoRelevant):
             average_precision(np.array([0, 0]), 0)
 
+    @given(st.lists(st.booleans(), min_size=1, max_size=300))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_precision_at_k_sum_bitwise(self, flags):
+        # The textbook form: precision@k at every rank, masked to the
+        # relevant ranks, summed over the whole list.
+        rel = np.array(flags, dtype=np.float64)
+        n_rel = max(int(rel.sum()), 1)
+        want = float((np.cumsum(rel) / np.arange(1, rel.size + 1) * rel).sum() / n_rel)
+        assert average_precision(rel, n_rel) == want
+
 
 class TestEvaluateMap:
     def test_perfect_encoder_gives_one(self):
@@ -52,13 +65,41 @@ class TestEvaluateMap:
             cams[max(2, n // 3) :] = rng.integers(1, 3, size=n - max(2, n // 3))
             split = TestSplit(X, gids, cams)
             emb = forward_batch(params, X).embeddings
+            for rule in GALLERY_RULES:
+                try:
+                    want = oracles.map_oracle(emb, gids.tolist(), cams.tolist(), rule)
+                except ValueError:
+                    with pytest.raises(EmptyGallery):
+                        evaluate_map(params, split, rule)
+                    continue
+                assert evaluate_map(params, split, rule) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("rule", GALLERY_RULES)
+    def test_matches_oracle_under_every_rule_with_ties(self, rng, rule):
+        # Saturated tanh layers make this encoder map x to 0.5 * sign(x[:4])
+        # exactly, so scores are sums of +-0.25 terms, exact in any order:
+        # equal embeddings tie exactly, and ties must break toward the lower
+        # gallery index. Identity 9 has one image, so its query has nothing
+        # relevant under any rule.
+        params = EncoderParams(
+            [100.0 * np.eye(6, 5), 100.0 * np.eye(6), np.eye(4, 6)],
+            [np.zeros(6), np.zeros(6), np.zeros(4)],
+        )
+        for trial in range(20):
+            n = int(rng.integers(6, 30))
+            X = rng.choice([-1.0, 1.0], size=(n, 5))
+            gids = np.append(rng.integers(4, size=n - 1), 9)
+            cams = rng.integers(3, size=n)
+            split = TestSplit(X, gids, cams)
+            emb = forward_batch(params, X).embeddings
+            assert (emb == 0.5 * X[:, :4]).all()
             try:
-                want = oracles.map_oracle(emb, gids.tolist(), cams.tolist())
+                want = oracles.map_oracle(emb, gids.tolist(), cams.tolist(), rule)
             except ValueError:
                 with pytest.raises(EmptyGallery):
-                    evaluate_map(params, split)
+                    evaluate_map(params, split, rule)
                 continue
-            assert evaluate_map(params, split) == pytest.approx(want, abs=1e-12)
+            assert evaluate_map(params, split, rule) == pytest.approx(want, abs=1e-12)
 
     def test_rank_only_dependence(self, rng):
         # Any strictly monotone transform of scores leaves AP unchanged;

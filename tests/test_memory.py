@@ -141,6 +141,40 @@ class TestMomentumUpdate:
         assert np.max(np.abs(mem.rows[2] - want)) <= 1e-12
         assert mem.max_unit_error() <= 1e-9
 
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0), st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_sequential_rule(self, seed, omega, batch):
+        # Few identities and up to 40 rows, so labels repeat within a batch.
+        r = np.random.default_rng(seed)
+        n, dim = int(r.integers(1, 7)), int(r.integers(2, 9))
+        start = unit_rows(r, n, dim)
+        labels = r.integers(n, size=batch)
+        feats = unit_rows(r, batch, dim) if batch else np.zeros((0, dim))
+        seq = start.copy()
+        want = start.copy()
+        for y, f in zip(labels, feats):
+            blended = omega * seq[y] + (1.0 - omega) * f
+            seq[y] = blended / float(np.linalg.norm(blended))
+            want[y] = oracles.momentum_oracle(want[y], f, omega)
+        mem = IdentityMemory(start.copy())
+        momentum_update(mem, labels, feats, omega)
+        assert (mem.rows == seq).all()
+        assert np.max(np.abs(mem.rows - want), initial=0.0) <= 1e-12
+
+    def test_batch_checks(self, rng):
+        mem = IdentityMemory(unit_rows(rng, 3, 4))
+        with pytest.raises(IndexOutOfRange, match="index -1"):
+            momentum_update(mem, np.array([0, -1]), unit_rows(rng, 2, 4), omega=0.1)
+        with pytest.raises(ShapeMismatch):
+            momentum_update(mem, np.array([0, 1]), unit_rows(rng, 3, 4), omega=0.1)
+        with pytest.raises(ShapeMismatch):
+            momentum_update(mem, np.array([[0, 1]]), unit_rows(rng, 2, 4), omega=0.1)
+        # The second occurrence of identity 2 cancels the first one's row.
+        mem = IdentityMemory(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(DegenerateMean, match="identity 2"):
+            momentum_update(mem, np.array([0, 2, 2]), np.array(
+                [[0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]]), omega=0.5)
+
 
 class TestIkuMerge:
     def test_lambda_one_keeps_history(self, rng):
@@ -178,6 +212,14 @@ class TestIkuMerge:
         cur = IdentityMemory(unit_rows(rng, 2, 4))
         with pytest.raises(ShapeMismatch):
             iku_merge(hist, cur, np.array([-1, -1]), lam=0.25)
+
+    @pytest.mark.parametrize("lam, tag", [(0.25, 9), (0.5, 1), (1.0, 1)])
+    def test_wrong_match_tagged_by_heavier_input(self, rng, lam, tag):
+        # Current identity 9 is wrongly matched to historical row 1 (tag 1).
+        hist = IdentityMemory(unit_rows(rng, 3, 5), [0, 1, 2])
+        cur = IdentityMemory(unit_rows(rng, 2, 5), [9, 7])
+        merged = iku_merge(hist, cur, np.array([1, -1]), lam=lam)
+        assert merged.provenance == [0, tag, 2, 7]
 
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
     @settings(max_examples=50, deadline=None)

@@ -1,13 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from ike_lab.association import cycle_match
 from ike_lab.datasets import DatasetBundle, TestSplit
+from ike_lab.encoder import forward_batch, init_encoder
 from ike_lab.errors import ConfigError
-from ike_lab.memory import init_memory
+from ike_lab.memory import NO_MATCH, init_memory
 from ike_lab.trainer import (
     Hyperparams,
     RunRecorder,
     Variant,
+    batch_loss_and_grads,
     init_state,
     merge_cameras_with_global_labels,
     run_sequence,
@@ -49,6 +56,12 @@ class TestHyperparams:
     def test_validation(self, bad):
         with pytest.raises(ConfigError):
             Hyperparams(**bad).validate()
+
+    @given(st.sampled_from(["tau", "lr", "weight_decay"]),
+           st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_rejected_by_name(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            Hyperparams(**{key: value}).validate()
 
 
 class TestTrainCamera:
@@ -129,6 +142,43 @@ class TestTrainCamera:
         state = init_state(6, [8, 8, 8], 8, FAST, seed=0)
         with pytest.raises(ConfigError):
             train_camera(state, cam, Variant.IKE)
+
+
+class TestBatchLossAndGrads:
+    @pytest.mark.parametrize("variant", [Variant.IKE, Variant.IKE_D, Variant.IKE_STAR])
+    def test_camera_slices_equal_batch_forward(self, rng, variant):
+        # The trainer forwards the frozen historical model once per camera
+        # and slices each batch's rows; that must be bitwise the per-batch
+        # forward of the same rows.
+        bundle = tiny_bundle()
+        state = init_state(bundle.input_dim, [8, 8, 8], 8, FAST, seed=0)
+        train_camera(state, bundle.cameras[0], Variant.IKE)
+        cam = bundle.cameras[1]
+        hist_params, hist_memory = state.encoder, state.memory
+        cur_memory = init_memory(hist_params, cam)
+        y_hist = cycle_match(cur_memory, hist_memory).matches[cam.labels]
+        assert (y_hist != NO_MATCH).any()
+        cur_params = init_encoder(hist_params.widths, rng)
+        whole = forward_batch(hist_params, cam.X)
+        for _ in range(5):
+            perm = rng.permutation(len(cam))
+            for start in range(0, len(cam), FAST.batch_size):
+                sel = perm[start : start + FAST.batch_size]
+                per_batch = forward_batch(hist_params, cam.X[sel])
+                results = [
+                    batch_loss_and_grads(
+                        variant, cur_params, feats, cam.X[sel], cam.labels[sel], y_hist[sel],
+                        cur_memory, hist_memory, FAST,
+                    )
+                    for feats in (
+                        (whole.embeddings[sel], whole.middles[0][sel], whole.middles[1][sel]),
+                        (per_batch.embeddings, *per_batch.middles),
+                    )
+                ]
+                (b1, g1, e1), (b2, g2, e2) = results
+                assert b1 == b2
+                assert all((a == b).all() for a, b in zip(g1.arrays(), g2.arrays()))
+                assert (e1 == e2).all()
 
 
 class TestFirstCameraEquivalence:
