@@ -7,30 +7,25 @@ finite differences for every loss term, composed through the encoder.
 
 import numpy as np
 
-from ike_lab import IdentityMemory, forward, grad_check, init_encoder
+from ike_lab import IdentityMemory, forward_batch, grad_check, init_encoder, unit_rows
 from ike_lab.harness import GRAD_TERMS, make_loss_closure
 from ike_lab.trainer import Hyperparams
 
 rng = np.random.default_rng(7)
 
-
-def unit_rows(n, d):
-    M = rng.normal(size=(n, d))
-    return M / np.linalg.norm(M, axis=1, keepdims=True)
-
-
 params = init_encoder([6, 8, 8, 6], rng)
-pack = forward(params, rng.normal(size=6))
-print(f"embedding dim {pack.embedding.shape[0]}, norm {np.linalg.norm(pack.embedding):.15f}")
-print(f"middle taps: {pack.middle_2.shape[0]} and {pack.middle_3.shape[0]} units")
+out = forward_batch(params, rng.normal(size=(1, 6)))
+embedding = out.embeddings[0]
+print(f"embedding dim {embedding.shape[0]}, norm {np.linalg.norm(embedding):.15f}")
+print(f"middle taps: {out.middles[0].shape[1]} and {out.middles[1].shape[1]} units")
 
 # A training-like batch: current labels, some matched historical labels.
 hist_params = init_encoder([6, 8, 8, 6], rng)
 X = rng.normal(size=(5, 6))
 y = rng.integers(7, size=5)
 y_hist = np.array([0, -1, 3, -1, 1])
-cur_mem = IdentityMemory(unit_rows(7, 6))
-hist_mem = IdentityMemory(unit_rows(4, 6))
+cur_mem = IdentityMemory(unit_rows(rng, 7, 6))
+hist_mem = IdentityMemory(unit_rows(rng, 4, 6))
 hyper = Hyperparams()
 
 print("\nmax relative error, analytic vs central finite differences (step 1e-5):")

@@ -9,7 +9,6 @@ camera boundary. Retrieval quality is tracked as cross-camera mAP.
 from .association import (
     AssociationMap,
     AssociationPrecision,
-    AugmentedSample,
     all_unmatched,
     association_precision,
     augment_dataset,
@@ -28,10 +27,8 @@ from .datasets import (
 from .encoder import (
     Adam,
     EncoderParams,
-    FeaturePack,
     ParamGrads,
     backward,
-    forward,
     forward_batch,
     grad_check,
     init_encoder,
@@ -71,7 +68,7 @@ from .harness import (
     run,
     selftest,
 )
-from .losses import LossBreakdown, loss_id, loss_id_hist, loss_kd, loss_mkd, loss_total
+from .losses import LossBreakdown, loss_id, loss_id_hist, loss_kd, loss_mkd
 from .memory import (
     NO_MATCH,
     IdentityMemory,
@@ -82,6 +79,7 @@ from .memory import (
     load_memory,
     momentum_update,
     save_memory,
+    unit_rows,
 )
 from .trainer import (
     Hyperparams,

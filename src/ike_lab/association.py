@@ -31,20 +31,6 @@ class AssociationMap:
     def __len__(self) -> int:
         return self.matches.shape[0]
 
-    def gates(self) -> np.ndarray:
-        """Per-identity 0/1 gate: 0 iff unmatched."""
-        return (self.matches != NO_MATCH).astype(np.float64)
-
-    def matched_count(self) -> int:
-        return int(np.count_nonzero(self.matches != NO_MATCH))
-
-    def to_json_dict(self) -> dict:
-        return {"matches": [None if m == NO_MATCH else int(m) for m in self.matches]}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "AssociationMap":
-        return cls(np.array([NO_MATCH if m is None else int(m) for m in doc["matches"]]))
-
 
 def all_unmatched(n_current: int) -> AssociationMap:
     return AssociationMap(np.full(n_current, NO_MATCH, dtype=np.int64))
@@ -56,16 +42,13 @@ def _score_matrix(cur: IdentityMemory, hist: IdentityMemory) -> np.ndarray:
     return cur.rows @ hist.rows.T
 
 
-def cycle_match(
-    cur: IdentityMemory, hist: IdentityMemory, min_score: float | None = None
-) -> AssociationMap:
+def cycle_match(cur: IdentityMemory, hist: IdentityMemory) -> AssociationMap:
     """Mutual-argmax matching between the two memories.
 
     matches[i] = j iff row j is the best historical match of cur[i] AND
     row i is the best current match of hist[j]; otherwise NO_MATCH. Ties
     break toward the lowest index on both sides. An empty history yields
-    all NO_MATCH. min_score, when set, additionally rejects pairs whose
-    best score falls below it (off by default; experimentation knob).
+    all NO_MATCH.
     """
     if len(cur) == 0:
         raise EmptyMemory("cycle_match requires a nonempty current memory")
@@ -75,11 +58,7 @@ def cycle_match(
     fwd = scores.argmax(axis=1)
     bwd = scores.argmax(axis=0)
     mutual = bwd[fwd] == np.arange(len(cur))
-    matches = np.where(mutual, fwd, NO_MATCH).astype(np.int64)
-    if min_score is not None:
-        best = scores[np.arange(len(cur)), fwd]
-        matches[best < min_score] = NO_MATCH
-    return AssociationMap(matches)
+    return AssociationMap(np.where(mutual, fwd, NO_MATCH).astype(np.int64))
 
 
 def one_way_match(cur: IdentityMemory, hist: IdentityMemory) -> AssociationMap:
@@ -94,30 +73,15 @@ def one_way_match(cur: IdentityMemory, hist: IdentityMemory) -> AssociationMap:
     return AssociationMap(scores.argmax(axis=1).astype(np.int64))
 
 
-@dataclass
-class AugmentedSample:
-    """One image carrying both its local label and the matched historical
-    label (NO_MATCH when the identity is unmatched)."""
-
-    input: np.ndarray
-    local_label: int
-    hist_label: int
-    global_id: int | None = None
-
-
-def augment_dataset(dataset: "CameraDataset", assoc: AssociationMap) -> list[AugmentedSample]:
-    """Attach per-sample historical labels via the association map."""
+def augment_dataset(dataset: "CameraDataset", assoc: AssociationMap) -> np.ndarray:
+    """Per-sample historical labels: the match of each image's identity, or
+    NO_MATCH, as an int64 array aligned with dataset.labels."""
     labels = np.asarray(dataset.labels)
     if labels.size and (labels.min() < 0 or labels.max() >= len(assoc)):
         raise LabelOutOfRange(
             f"labels span [{labels.min()}, {labels.max()}] but association has {len(assoc)} entries"
         )
-    out = []
-    for i in range(dataset.X.shape[0]):
-        y = int(labels[i])
-        g = None if dataset.global_ids is None else int(dataset.global_ids[i])
-        out.append(AugmentedSample(dataset.X[i], y, int(assoc.matches[y]), g))
-    return out
+    return assoc.matches[labels]
 
 
 @dataclass

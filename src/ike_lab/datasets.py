@@ -10,6 +10,7 @@ whole point of the task.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -295,7 +296,10 @@ def save_dataset(bundle: DatasetBundle, out_dir: str | Path) -> Path:
     return mpath
 
 
-def _parse_feature_csv(path: Path, dim_hint: int | None) -> tuple[list, int]:
+def _parse_feature_csv(path: Path, dim_hint: int | None, normalize: bool) -> tuple[list, int]:
+    """Rows (camera, local_id, global_id, features) of one feature CSV, and
+    its dimension. Every feature must be finite, and with normalize every
+    row must have a norm that can be divided out."""
     rows = []
     dim = dim_hint
     with path.open() as fh:
@@ -324,6 +328,10 @@ def _parse_feature_csv(path: Path, dim_hint: int | None) -> tuple[list, int]:
                 feats = [float(v) for v in parts[3:]]
             except ValueError as exc:
                 raise ParseError(f"{path.name}:{lineno}: {exc}") from exc
+            if not all(math.isfinite(v) for v in feats):
+                raise ParseError(f"{path.name}:{lineno}: feature values must be finite")
+            if normalize and not 0.0 < math.fsum(v * v for v in feats) < math.inf:
+                raise ParseError(f"{path.name}:{lineno}: feature row cannot be normalized")
             rows.append((camera, local, gid, feats))
     return rows, dim
 
@@ -409,7 +417,7 @@ def load_dataset(path: str | Path) -> DatasetBundle:
         raise ParseError(f"feature file not found: {train_path}")
     normalize = bool(manifest.get("normalize", False))
     dim_hint = int(manifest["dim"]) if "dim" in manifest else None
-    train_rows, dim = _parse_feature_csv(train_path, dim_hint)
+    train_rows, dim = _parse_feature_csv(train_path, dim_hint, normalize)
     if not train_rows:
         raise ParseError(f"{train_path.name}: no samples")
     cameras = _build_cameras(train_rows, dim, normalize)
@@ -418,7 +426,7 @@ def load_dataset(path: str | Path) -> DatasetBundle:
             f"manifest lists {manifest['cameras']} cameras, file has {len(cameras)}"
         )
     if test_path is not None:
-        test_rows, _ = _parse_feature_csv(test_path, dim)
+        test_rows, _ = _parse_feature_csv(test_path, dim, normalize)
         test = _build_test(test_rows, dim, normalize)
     else:
         test = TestSplit(np.zeros((0, dim)), np.zeros(0, np.int64), np.zeros(0, np.int64))

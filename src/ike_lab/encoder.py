@@ -11,7 +11,7 @@ whole model serializable as JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -120,13 +120,6 @@ class BatchFeatures:
     cache: ForwardCache
 
 
-@dataclass
-class FeaturePack:
-    middle_2: np.ndarray
-    middle_3: np.ndarray
-    embedding: np.ndarray
-
-
 def _tap_output(cache: ForwardCache, tap: int) -> np.ndarray:
     # Tap L is the pre-normalization affine output; earlier taps are tanh outputs.
     if tap == cache.params.n_blocks:
@@ -151,15 +144,6 @@ def forward_batch(params: EncoderParams, X: np.ndarray) -> BatchFeatures:
     cache = ForwardCache(params, hs, z, znorm, emb)
     middles = (_tap_output(cache, MIDDLE_TAPS[0]), _tap_output(cache, MIDDLE_TAPS[1]))
     return BatchFeatures(middles, emb, cache)
-
-
-def forward(params: EncoderParams, x: np.ndarray) -> FeaturePack:
-    """Single-sample convenience wrapper around forward_batch."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeMismatch(f"expected a single input vector, got shape {x.shape}")
-    out = forward_batch(params, x[None, :])
-    return FeaturePack(out.middles[0][0], out.middles[1][0], out.embeddings[0])
 
 
 def backward(

@@ -11,22 +11,23 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .datasets import DatasetBundle, SyntheticSpec, generate, load_dataset
+from .association import cycle_match
+from .datasets import DatasetBundle, SyntheticSpec, TestSplit, generate, load_dataset
 from .encoder import EncoderParams, backward, forward_batch, grad_check, init_encoder, save_encoder
 from .errors import ConfigError, LabError
-from .evaluation import GALLERY_RULES, MetricsReport
+from .evaluation import GALLERY_RULES, MetricsReport, evaluate_map
 from .losses import loss_id, loss_id_hist, loss_kd, loss_mkd
-from .memory import IdentityMemory, save_memory
+from .memory import IdentityMemory, iku_merge, momentum_update, save_memory, unit_rows
 from . import oracles
 from .trainer import (
     Hyperparams,
-    LossBreakdown,
     RunRecorder,
     Variant,
     VARIANT_NAMES,
@@ -221,18 +222,24 @@ class RunSpec:
 
 
 def enumerate_runs(config: ExperimentConfig, n_cameras: int) -> list[RunSpec]:
-    sweep_points: list[tuple[tuple[str, float], ...]] = [()]
-    if config.sweep:
-        sweep_points = [()]
-        for axis in sorted(config.sweep):
-            sweep_points = [
-                pt + ((axis, float(v)),) for pt in sweep_points for v in config.sweep[axis]
-            ]
+    """Every run of the grid, all checked before any run starts. Each sweep
+    value must be a number that Hyperparams.validate accepts on its axis;
+    otherwise ConfigError names the axis and the value."""
+    points: list[tuple[tuple[str, float], ...]] = [()]
+    for axis in sorted(config.sweep or {}):
+        for v in config.sweep[axis]:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ConfigError(f"sweep axis {axis!r}: value {v!r} is not a number")
+            try:
+                config.hyper.replace(**{SWEEP_AXES[axis]: float(v)}).validate()
+            except ConfigError as exc:
+                raise ConfigError(f"sweep axis {axis!r}: value {v!r} rejected: {exc}") from exc
+        points = [pt + ((axis, float(v)),) for pt in points for v in config.sweep[axis]]
     specs = []
     for entry in config.orders:
         order_name, order = resolve_order(entry, n_cameras)
         for variant in config.variants:
-            for point in sweep_points:
+            for point in points:
                 for seed in config.seeds:
                     specs.append(RunSpec(variant, order_name, tuple(order), seed, point))
     return specs
@@ -324,19 +331,10 @@ def _metrics_csv(spec: RunSpec, report: MetricsReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _pool_run(payload: tuple[dict, dict, str | None]) -> dict:
-    cfg_doc, spec_doc, run_dir = payload
-    config = ExperimentConfig.from_dict(cfg_doc)
-    spec = RunSpec(
-        variant=spec_doc["variant"],
-        order_name=spec_doc["order_name"],
-        order=tuple(spec_doc["order"]),
-        seed=spec_doc["seed"],
-        sweep=tuple((a, v) for a, v in spec_doc["sweep"]),
-    )
-    bundle = fetch_bundle(config.dataset)
-    report = execute_run(config, spec, bundle, None if run_dir is None else Path(run_dir))
-    return report.to_dict()
+def _run_one(payload: tuple[ExperimentConfig, RunSpec, Path | None]) -> MetricsReport:
+    """One run; the unit of work of the serial loop and of a --jobs worker."""
+    config, spec, run_dir = payload
+    return execute_run(config, spec, fetch_bundle(config.dataset), run_dir)
 
 
 def _job_cap(jobs: int) -> int:
@@ -363,26 +361,18 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None, jobs: int =
     bundle = fetch_bundle(config.dataset)
     specs = enumerate_runs(config, bundle.n_cameras)
     jobs = _job_cap(jobs)
-    reports: dict[str, MetricsReport] = {}
+    payloads = [
+        (config, spec, None if out_path is None else out_path / "runs" / spec.run_id)
+        for spec in specs
+    ]
     if jobs > 1 and len(specs) > 1:
         import multiprocessing as mp
 
-        payloads = []
-        for spec in specs:
-            run_dir = None if out_path is None else str(out_path / "runs" / spec.run_id)
-            payloads.append((
-                config.to_dict(),
-                {"variant": spec.variant, "order_name": spec.order_name,
-                 "order": list(spec.order), "seed": spec.seed, "sweep": list(spec.sweep)},
-                run_dir,
-            ))
         with mp.Pool(processes=min(jobs, len(specs))) as pool:
-            for spec, doc in zip(specs, pool.map(_pool_run, payloads)):
-                reports[spec.run_id] = MetricsReport.from_dict(doc)
+            results = pool.map(_run_one, payloads)
     else:
-        for spec in specs:
-            run_dir = None if out_path is None else out_path / "runs" / spec.run_id
-            reports[spec.run_id] = execute_run(config, spec, bundle, run_dir)
+        results = [_run_one(p) for p in payloads]
+    reports = {spec.run_id: report for spec, report in zip(specs, results)}
     summary_rows = summarize(specs, reports)
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
@@ -491,17 +481,13 @@ def make_loss_closure(
 
 def _random_grad_fixture(rng: np.random.Generator, input_dim=6, hidden=(8, 8, 8), embed=6,
                          batch=5, n_cur=7, n_hist=5):
-    def unit_rows(n, d):
-        M = rng.normal(size=(n, d))
-        return M / np.linalg.norm(M, axis=1, keepdims=True)
-
     params = init_encoder([input_dim, *hidden, embed], rng)
     hist_params = init_encoder([input_dim, *hidden, embed], rng)
     X = rng.normal(size=(batch, input_dim))
     y = rng.integers(n_cur, size=batch)
     y_hist = np.where(rng.random(batch) < 0.5, rng.integers(n_hist, size=batch), -1)
-    cur_memory = IdentityMemory(unit_rows(n_cur, embed))
-    hist_memory = IdentityMemory(unit_rows(n_hist, embed))
+    cur_memory = IdentityMemory(unit_rows(rng, n_cur, embed))
+    hist_memory = IdentityMemory(unit_rows(rng, n_hist, embed))
     return params, hist_params, X, y, y_hist, cur_memory, hist_memory
 
 
@@ -532,16 +518,8 @@ def selftest(fault: str | None = None, seed: int = 2024) -> SelftestReport:
     fault names a loss term whose analytic gradient is perturbed before
     checking; used as a negative control in tests.
     """
-    from .association import cycle_match
-    from .evaluation import evaluate_map as _  # noqa: F401 (import sanity)
-    from .memory import iku_merge, momentum_update
-
     report = SelftestReport()
     rng = np.random.default_rng(seed)
-
-    def unit_rows(n, d):
-        M = rng.normal(size=(n, d))
-        return M / np.linalg.norm(M, axis=1, keepdims=True)
 
     # cycle matching vs exhaustive scan
     mismatches = 0
@@ -549,8 +527,8 @@ def selftest(fault: str | None = None, seed: int = 2024) -> SelftestReport:
         n_c = int(rng.integers(1, 40))
         n_h = int(rng.integers(0, 40))
         d = int(rng.choice([8, 16]))
-        cur = IdentityMemory(unit_rows(n_c, d))
-        hist = IdentityMemory(unit_rows(n_h, d)) if n_h else IdentityMemory(np.zeros((0, d)))
+        cur = IdentityMemory(unit_rows(rng, n_c, d))
+        hist = IdentityMemory(unit_rows(rng, n_h, d)) if n_h else IdentityMemory(np.zeros((0, d)))
         got = cycle_match(cur, hist).matches.tolist()
         want = oracles.mutual_argmax_oracle(cur.rows, hist.rows)
         if got != want:
@@ -561,8 +539,8 @@ def selftest(fault: str | None = None, seed: int = 2024) -> SelftestReport:
     max_err = 0.0
     for _t in range(100):
         d = int(rng.integers(2, 12))
-        mem = IdentityMemory(unit_rows(int(rng.integers(1, 10)), d))
-        f = unit_rows(1, d)[0]
+        mem = IdentityMemory(unit_rows(rng, int(rng.integers(1, 10)), d))
+        f = unit_rows(rng, 1, d)[0]
         idx = int(rng.integers(len(mem)))
         omega = float(rng.choice([0.0, 0.1, 0.5, 1.0]))
         want = oracles.momentum_oracle(mem.rows[idx].copy(), f, omega)
@@ -570,8 +548,8 @@ def selftest(fault: str | None = None, seed: int = 2024) -> SelftestReport:
         max_err = max(max_err, float(np.max(np.abs(mem.rows[idx] - want))))
         n_h = int(rng.integers(1, 8))
         n_c = int(rng.integers(1, 8))
-        hist = IdentityMemory(unit_rows(n_h, d))
-        cur = IdentityMemory(unit_rows(n_c, d))
+        hist = IdentityMemory(unit_rows(rng, n_h, d))
+        cur = IdentityMemory(unit_rows(rng, n_c, d))
         matches = np.array([
             int(rng.integers(n_h)) if rng.random() < 0.5 else -1 for _ in range(n_c)
         ])
@@ -585,8 +563,6 @@ def selftest(fault: str | None = None, seed: int = 2024) -> SelftestReport:
     report.add("memory-algebra", "max-abs-err", max_err, 1e-12)
 
     # retrieval mAP vs python-sorted oracle
-    from .evaluation import evaluate_map
-    from .datasets import TestSplit
     max_err = 0.0
     for _t in range(40):
         n = int(rng.integers(6, 30))

@@ -146,10 +146,3 @@ def loss_mkd(
         value += float((gates * (diff * diff).sum(axis=1)).sum() / (2.0 * B))
         grads.append(gates[:, None] * diff / B)
     return value, tuple(grads)
-
-
-def loss_total(
-    id: float, id_hist: float = 0.0, kd: float = 0.0, mkd: float = 0.0
-) -> LossBreakdown:
-    """Unweighted sum of the four terms."""
-    return LossBreakdown.of(id, id_hist, kd, mkd)

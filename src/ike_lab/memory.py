@@ -81,9 +81,16 @@ class IdentityMemory:
         return float(np.max(np.abs(np.linalg.norm(self.rows, axis=1) - 1.0)))
 
 
-def empty_memory(dim: int, track_provenance: bool = True) -> IdentityMemory:
+def empty_memory(dim: int) -> IdentityMemory:
     """Memory with zero identities, e.g. the history before the first camera."""
-    return IdentityMemory(np.zeros((0, dim)), [] if track_provenance else None)
+    return IdentityMemory(np.zeros((0, dim)), [])
+
+
+def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """n random unit rows of width dim (normalized Gaussian draws), the
+    fixture for memories and features in checks and examples."""
+    M = rng.normal(size=(n, dim))
+    return M / np.linalg.norm(M, axis=1, keepdims=True)
 
 
 def cosine_scores(f: np.ndarray, memory: IdentityMemory) -> np.ndarray:

@@ -5,8 +5,12 @@ Each camera is trained with a copy of the historical model while the
 historical model and memory stay frozen; at the camera boundary the memory
 is rebuilt from the trained model, the history is rotated into the trained
 model's embedding space, the two are matched and merged, and the model
-itself becomes the new history. Ablation variants switch the association
-rule, which loss terms run, and how the memory evolves.
+itself becomes the new history.
+
+Variants differ only by their row in POLICIES: the matcher (used both for
+the loss labels and at the boundary), merge or replace at the boundary,
+middle-layer distillation on or off, and whether the distillation gates are
+forced open.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .datasets import CameraDataset, DatasetBundle
 from .encoder import Adam, EncoderParams, forward_batch, init_encoder
 from .errors import ConfigError, MissingProvenance
 from .evaluation import MetricsReport, evaluate_map
-from .losses import LossBreakdown, loss_id, loss_id_hist, loss_kd, loss_mkd, loss_total
+from .losses import LossBreakdown, loss_id, loss_id_hist, loss_kd, loss_mkd
 from .memory import (
     NO_MATCH,
     IdentityMemory,
@@ -42,19 +46,9 @@ from .memory import (
 
 
 class Variant(enum.Enum):
-    """Ablation switches.
-
-    BASELINE   fine-tune with the contrastive term only; the history memory
-               still grows by plain expansion so all runs share plumbing.
-    IKE_D      full method minus middle-layer distillation.
-    IKE_A      one-directional argmax association (no cycle check) replaces
-               cycle matching, both for the loss labels and the merge.
-    IKE_U      no merge at the camera boundary; the history memory is
-               replaced by the current camera's memory.
-    IKE_STAR   distillation gates forced to 1, so unmatched samples are
-               distilled too.
-    IKE        everything on.
-    """
+    """Ablation switches. Each variant's rules are its row in POLICIES.
+    BASELINE fine-tunes with the contrastive term only, IKE is the full
+    method, and each IKE_* ablation changes one of IKE's rules."""
 
     BASELINE = "BASELINE"
     IKE_D = "IKE_D"
@@ -63,20 +57,36 @@ class Variant(enum.Enum):
     IKE_STAR = "IKE_STAR"
     IKE = "IKE"
 
-    @property
-    def uses_history(self) -> bool:
-        return self is not Variant.BASELINE
-
-    @property
-    def uses_mkd(self) -> bool:
-        return self.uses_history and self is not Variant.IKE_D
-
-    @property
-    def forces_distill_gates(self) -> bool:
-        return self is Variant.IKE_STAR
-
 
 VARIANT_NAMES = [v.value for v in Variant]
+
+
+@dataclass(frozen=True)
+class Policy:
+    """One variant's rules.
+
+    matcher is "cycle" (cycle_match), "one_way" (one_way_match), or None:
+    no association, so the history takes no part in training. It is a name,
+    looked up in this module at call time. merge=False replaces the history
+    at the boundary instead of merging into it; mkd runs middle-layer
+    distillation; force_gates distils unmatched samples too.
+    """
+
+    matcher: str | None
+    merge: bool
+    mkd: bool
+    force_gates: bool
+
+
+POLICIES = {
+    #                         matcher    merge  mkd    force_gates
+    Variant.BASELINE: Policy(None,      True,  False, False),
+    Variant.IKE_D:    Policy("cycle",   True,  False, False),
+    Variant.IKE_A:    Policy("one_way", True,  True,  False),
+    Variant.IKE_U:    Policy("cycle",   False, True,  False),
+    Variant.IKE_STAR: Policy("cycle",   True,  True,  True),
+    Variant.IKE:      Policy("cycle",   True,  True,  False),
+}
 
 
 @dataclass
@@ -166,22 +176,12 @@ class CameraResult:
     nh_after: int
 
 
-def _associate(variant: Variant, cur: IdentityMemory, hist: IdentityMemory) -> AssociationMap:
-    """Association used to assign historical labels for the losses."""
-    if not variant.uses_history or len(hist) == 0:
+def _associate(policy: Policy, cur: IdentityMemory, hist: IdentityMemory) -> AssociationMap:
+    """The variant's association, used both for the loss labels and for the
+    merge at the boundary."""
+    if policy.matcher is None or len(hist) == 0:
         return all_unmatched(len(cur))
-    if variant is Variant.IKE_A:
-        return one_way_match(cur, hist)
-    return cycle_match(cur, hist)
-
-
-def _merge_assoc(variant: Variant, cur: IdentityMemory, hist: IdentityMemory) -> AssociationMap:
-    """Association used for the memory merge. The one-way ablation replaces
-    cycle matching here too, so its memory can only update, never expand;
-    the baseline expands without matching at all."""
-    if variant is Variant.BASELINE or len(hist) == 0:
-        return all_unmatched(len(cur))
-    if variant is Variant.IKE_A:
+    if policy.matcher == "one_way":
         return one_way_match(cur, hist)
     return cycle_match(cur, hist)
 
@@ -219,24 +219,24 @@ def batch_loss_and_grads(
     """
     from .encoder import backward
 
+    policy = POLICIES[variant]
     out_c = forward_batch(cur_params, Xb)
     id_val, gF = loss_id(out_c.embeddings, yb, cur_memory, hyper.tau)
     idh_val = kd_val = mkd_val = 0.0
     g2 = g3 = None
-    history_live = variant.uses_history and len(hist_memory) > 0
-    if history_live:
+    if policy.matcher is not None and len(hist_memory) > 0:
         idh_val, gF_idh = loss_id_hist(out_c.embeddings, yhb, hist_memory, hyper.tau)
         gF = gF + gF_idh
         gates = (yhb != NO_MATCH).astype(np.float64)
-        if variant.forces_distill_gates:
+        if policy.force_gates:
             gates = np.ones_like(gates)
         if gates.any():
             emb_h, mid2_h, mid3_h = hist_feats
             kd_val, gF_kd = loss_kd(out_c.embeddings, emb_h, gates)
             gF = gF + gF_kd
-            if variant.uses_mkd:
+            if policy.mkd:
                 mkd_val, (g2, g3) = loss_mkd(out_c.middles, (mid2_h, mid3_h), gates)
-    breakdown = loss_total(id_val, idh_val, kd_val, mkd_val)
+    breakdown = LossBreakdown.of(id_val, idh_val, kd_val, mkd_val)
     grads = backward(cur_params, out_c.cache, gF, g2, g3)
     return breakdown, grads, out_c.embeddings
 
@@ -253,25 +253,25 @@ def train_camera(
     hyper.validate()
     if len(dataset) == 0:
         raise ConfigError("cannot train on an empty camera dataset")
+    policy = POLICIES[variant]
     hist_params = state.encoder
     hist_memory = state.memory
     cur_params = hist_params.copy()
     cur_memory = init_memory(hist_params, dataset)
 
-    assoc = _associate(variant, cur_memory, hist_memory)
+    assoc = _associate(policy, cur_memory, hist_memory)
     prec: float | None = None
     if dataset.label_to_global is not None and hist_memory.provenance is not None:
         prec = association_precision(
             assoc, dataset.label_to_global, hist_memory.provenance
         ).precision
-    augmented = augment_dataset(dataset, assoc)
     X = dataset.X
     y = dataset.labels
-    y_hist = np.array([s.hist_label for s in augmented], dtype=np.int64)
+    y_hist = augment_dataset(dataset, assoc)
     # The historical model is frozen for the whole camera: forward it once
     # and hand each batch its rows.
     hist_feats = None
-    if variant.uses_history and len(hist_memory) > 0:
+    if policy.matcher is not None and len(hist_memory) > 0:
         out_h = forward_batch(hist_params, X)
         hist_feats = (out_h.embeddings, *out_h.middles)
         del out_h
@@ -302,15 +302,15 @@ def train_camera(
             recorder.on_epoch(state.camera_index, dataset.camera_id, epoch, epoch_means[-1], lr)
 
     final_memory = init_memory(cur_params, dataset)
-    if variant is Variant.IKE_U:
-        new_hist = final_memory.copy()
-    else:
+    if policy.merge:
         # The history was embedded by earlier models: rotate it into the
         # trained model's space through the identities trained as common,
         # then match again in that one space and merge.
         aligned = align_memory(hist_memory, final_memory, assoc)
-        final_assoc = _merge_assoc(variant, final_memory, aligned)
+        final_assoc = _associate(policy, final_memory, aligned)
         new_hist = iku_merge(aligned, final_memory, final_assoc, hyper.lam)
+    else:
+        new_hist = final_memory.copy()
     state.encoder = cur_params
     state.memory = new_hist
     state.camera_index += 1

@@ -3,15 +3,10 @@ import pytest
 
 from ike_lab.datasets import CameraDataset, DatasetBundle, SyntheticSpec, TestSplit, generate
 from ike_lab.encoder import EncoderParams, init_encoder
-from ike_lab.memory import IdentityMemory
+from ike_lab.memory import unit_rows
 
 # Not a test class despite the name.
 TestSplit.__test__ = False
-
-
-def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    M = rng.normal(size=(n, dim))
-    return M / np.linalg.norm(M, axis=1, keepdims=True)
 
 
 @pytest.fixture

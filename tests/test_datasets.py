@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,26 @@ class TestSaveLoad:
         csv.write_text("camera,local_id,global_id,f0,f1\n0,0,1,abc,0.0\n")
         with pytest.raises(ParseError, match=r"train\.csv:2"):
             load_dataset(csv)
+
+    @pytest.mark.parametrize("bad_file", ["train.csv", "test.csv"])
+    @pytest.mark.parametrize("values, normalize", [
+        ("nan,0.5", False), ("inf,0.5", False), ("0.5,-inf", False),
+        ("nan,0.5", True), ("inf,0.5", True), ("0.5,-inf", True), ("0.0,0.0", True),
+    ])
+    def test_unusable_feature_values_name_file_and_line(self, tmp_path, bad_file, values, normalize):
+        header = "camera,local_id,global_id,f0,f1\n"
+        for name in ("train.csv", "test.csv"):
+            row = values if name == bad_file else "0.6,0.8"
+            (tmp_path / name).write_text(header + "0,0,1,1.0,0.0\n" + f"0,1,2,{row}\n")
+        manifest = {"dim": 2, "normalize": normalize, "train": "train.csv", "test": "test.csv"}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ParseError, match=rf"{bad_file.replace('.', '[.]')}:3:"):
+            load_dataset(tmp_path)
+
+    def test_zero_row_loads_without_normalize(self, tmp_path):
+        csv = tmp_path / "feat.csv"
+        csv.write_text("camera,local_id,global_id,f0,f1\n0,0,1,0.0,0.0\n")
+        assert (load_dataset(csv).cameras[0].X == 0).all()
 
     def test_dimension_mismatch_against_manifest(self, tmp_path):
         csv = tmp_path / "feat.csv"

@@ -8,7 +8,6 @@ from ike_lab.encoder import (
     Adam,
     EncoderParams,
     backward,
-    forward,
     forward_batch,
     grad_check,
     init_encoder,
@@ -39,9 +38,9 @@ class TestForward:
             [np.zeros((3, 4)), np.zeros((3, 3)), np.zeros((2, 3))],
             [np.zeros(3), np.zeros(3), np.array([3.0, 4.0])],
         )
-        pack = forward(params, np.ones(4))
-        assert pack.embedding == pytest.approx([0.6, 0.8], abs=1e-15)
-        assert (pack.middle_2 == 0).all()
+        out = forward_batch(params, np.ones(4)[None])
+        assert out.embeddings[0] == pytest.approx([0.6, 0.8], abs=1e-15)
+        assert (out.middles[0] == 0).all()
 
     def test_unit_norm_invariant(self, rng):
         params = init_encoder([4, 4, 4, 2], rng)
@@ -58,11 +57,11 @@ class TestForward:
             acts.append(h)
         z = params.weights[-1] @ h + params.biases[-1]
         want = z / np.linalg.norm(z)
-        pack = forward(params, x)
-        assert np.max(np.abs(pack.embedding - want)) <= 1e-12
-        assert np.max(np.abs(pack.middle_2 - acts[2])) <= 1e-12
+        out = forward_batch(params, x[None])
+        assert np.max(np.abs(out.embeddings[0] - want)) <= 1e-12
+        assert np.max(np.abs(out.middles[0][0] - acts[2])) <= 1e-12
         # L = 3 here, so the third tap is the pre-normalization output.
-        assert np.max(np.abs(pack.middle_3 - z)) <= 1e-12
+        assert np.max(np.abs(out.middles[1][0] - z)) <= 1e-12
 
     def test_middle_taps_for_four_blocks(self, rng):
         params = init_encoder([4, 8, 8, 8, 6], rng)
@@ -77,7 +76,7 @@ class TestForward:
             [np.zeros(3), np.zeros(3), np.zeros(2)],
         )
         with pytest.raises(DegenerateEmbedding):
-            forward(params, np.ones(4))
+            forward_batch(params, np.ones(4)[None])
 
     def test_too_few_blocks_rejected(self):
         with pytest.raises(ConfigError):
@@ -141,13 +140,14 @@ class TestBackward:
         # Numeric directional derivative of the embedding along itself (via
         # the final bias) must be orthogonal to the embedding.
         x = rng.normal(size=4)
-        f = forward(small_encoder, x).embedding
+        f = forward_batch(small_encoder, x[None]).embeddings[0]
         h = 1e-6
         params_p = small_encoder.copy()
         params_p.biases[-1] = params_p.biases[-1] + h * f
         params_m = small_encoder.copy()
         params_m.biases[-1] = params_m.biases[-1] - h * f
-        deriv = (forward(params_p, x).embedding - forward(params_m, x).embedding) / (2 * h)
+        deriv = (forward_batch(params_p, x[None]).embeddings[0]
+                 - forward_batch(params_m, x[None]).embeddings[0]) / (2 * h)
         assert abs(float(deriv @ f)) <= 1e-9
 
 

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import math
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ike_lab.cli as cli
 from ike_lab.errors import ConfigError
@@ -278,6 +285,36 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config()))
         assert cli.main(["sweep", "--config", str(cfg_path), "--axis", "gamma=1"]) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), through_sweep_command=st.booleans())
+    def test_bad_sweep_point_exit_2_before_any_work(self, data, through_sweep_command):
+        # A valid point comes first, so a grid checked run by run would
+        # train it and write its artifacts before reaching the bad one.
+        axis, good = data.draw(st.sampled_from([("lambda", 0.5), ("omega", 0.1), ("tau", 0.05)]))
+        if axis == "tau":
+            out_of_range = st.floats().filter(lambda v: not (v > 0 and math.isfinite(v)))
+        else:
+            out_of_range = st.floats().filter(lambda v: not 0.0 <= v <= 1.0)
+        non_numeric = st.one_of(st.text(max_size=5), st.none(), st.booleans(),
+                                st.lists(st.integers(), max_size=2))
+        bad = data.draw(out_of_range if through_sweep_command else st.one_of(out_of_range, non_numeric))
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "cfg.json"
+            out = Path(tmp) / "out"
+            if through_sweep_command:
+                cfg_path.write_text(json.dumps(tiny_config()))
+                argv = ["sweep", "--config", str(cfg_path), "--out", str(out),
+                        "--axis", f"{axis}={good!r},{bad!r}"]
+            else:
+                cfg_path.write_text(json.dumps(tiny_config(sweep={axis: [good, bad]})))
+                argv = ["run", "--config", str(cfg_path), "--out", str(out)]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = cli.main(argv)
+            assert rc == 2
+            assert f"sweep axis {axis!r}: value {bad!r}" in err.getvalue()
+            assert not out.exists() or not any(out.iterdir())
 
     def test_orders_subcommand(self, tmp_path):
         doc = tiny_config()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ike_lab.errors import EmptyBatch, EmptyMemory, LabelOutOfRange, ShapeMismatch
-from ike_lab.losses import LossBreakdown, loss_id, loss_id_hist, loss_kd, loss_mkd, loss_total
+from ike_lab.losses import LossBreakdown, loss_id, loss_id_hist, loss_kd, loss_mkd
 from ike_lab.memory import NO_MATCH, IdentityMemory, empty_memory
 
 from conftest import unit_rows
@@ -186,16 +186,16 @@ class TestLossMkd:
 
 class TestLossTotal:
     def test_baseline_gating(self):
-        b = loss_total(1.25)
+        b = LossBreakdown.of(1.25)
         assert (b.id, b.id_hist, b.kd, b.mkd) == (1.25, 0.0, 0.0, 0.0)
         assert b.total == 1.25
 
     def test_zero_inputs(self):
-        assert loss_total(0.0, 0.0, 0.0, 0.0).total == 0.0
+        assert LossBreakdown.of(0.0, 0.0, 0.0, 0.0).total == 0.0
 
     def test_total_is_resummable(self, rng):
         vals = rng.random(4)
-        b = loss_total(*vals)
+        b = LossBreakdown.of(*vals)
         assert abs(b.total - float(vals.sum())) <= 1e-12
 
     def test_breakdown_row(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ike_lab import oracles
 from ike_lab.datasets import CameraDataset
-from ike_lab.encoder import forward, init_encoder
+from ike_lab.encoder import forward_batch, init_encoder
 from ike_lab.errors import (
     DegenerateMean,
     DimensionMismatch,
@@ -67,7 +67,7 @@ class TestInitMemory:
         cam = manual_camera(rng, n_ids=3, per_id=1, dim=4)
         mem = init_memory(small_encoder, cam)
         for y in range(3):
-            want = forward(small_encoder, cam.X[y]).embedding
+            want = forward_batch(small_encoder, cam.X[y][None]).embeddings[0]
             assert np.allclose(mem.rows[y], want, atol=1e-12)
 
     def test_cancellation_degenerates(self, rng):
@@ -81,8 +81,6 @@ class TestInitMemory:
     def test_matches_group_mean_oracle(self, rng, small_encoder):
         cam = manual_camera(rng, n_ids=10, per_id=5, dim=4)
         mem = init_memory(small_encoder, cam)
-        from ike_lab.encoder import forward_batch
-
         feats = forward_batch(small_encoder, cam.X).embeddings
         want = oracles.group_mean_rows_oracle(feats, cam.labels.tolist())
         assert np.max(np.abs(mem.rows - want)) <= 1e-12

@@ -72,3 +72,30 @@ def test_traced_run_counts_batches_and_forward_rows(perf):
     )
     assert metrics["evaluation.evaluate_map.calls"] == len(order)
     assert np.isfinite(list(metrics.values())).all()
+
+
+# Matcher and merge calls of a 3-camera run per variant. Camera 0 has no
+# history, so it runs no matcher; each later camera matches once for the
+# loss labels and, when the variant merges, once more at the boundary.
+MATCH_AND_MERGE_CALLS = {
+    #                 cycle_match  one_way_match  iku_merge
+    Variant.IKE:      (4, 0, 3),
+    Variant.IKE_A:    (0, 4, 3),
+    Variant.IKE_U:    (2, 0, 0),
+    Variant.BASELINE: (0, 0, 3),
+}
+
+
+@pytest.mark.parametrize("variant", list(MATCH_AND_MERGE_CALLS), ids=lambda v: v.value)
+def test_traced_run_counts_matchers_and_merges(perf, variant):
+    """The tracer wraps the matchers in ike_lab.trainer's namespace, so the
+    trainer must look them up there on every call."""
+    tracer_mod, layers = perf
+    hyper = Hyperparams(epochs=1, batch_size=32)
+    with layers.install(tracer_mod.Tracer()) as tracer:
+        run_sequence(tiny_bundle(), [0, 1, 2], variant, hyper, [8, 8, 8], 8, seed=0)
+    layers.check_restored()
+    metrics = layers.span_metrics(tracer.stats(), tracer.counts)
+    got = tuple(metrics[f"{name}.calls"] for name in
+                ("association.cycle_match", "association.one_way_match", "memory.iku_merge"))
+    assert got == MATCH_AND_MERGE_CALLS[variant]
