@@ -49,6 +49,7 @@ from .errors import (
     MissingLabel,
     MissingProvenance,
     NoRelevant,
+    NonFiniteLoss,
     ParseError,
     ShapeMismatch,
     StaleCache,

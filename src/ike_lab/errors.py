@@ -57,6 +57,11 @@ class DimensionMismatch(LabError):
     """Feature dimensionality disagrees between file, manifest, or arrays."""
 
 
+class NonFiniteLoss(LabError):
+    """A training loss term averaged to NaN or infinity over an epoch; the
+    message names the camera and the epoch."""
+
+
 class EmptyGallery(LabError):
     """Retrieval evaluation found no scorable query."""
 

@@ -31,7 +31,7 @@ from .association import (
 )
 from .datasets import CameraDataset, DatasetBundle
 from .encoder import Adam, EncoderParams, forward_batch, init_encoder
-from .errors import ConfigError, MissingProvenance
+from .errors import ConfigError, MissingProvenance, NonFiniteLoss
 from .evaluation import MetricsReport, evaluate_map
 from .losses import LossBreakdown, loss_id, loss_id_hist, loss_kd, loss_mkd
 from .memory import (
@@ -198,6 +198,16 @@ def _mean_breakdown(items: list[LossBreakdown]) -> LossBreakdown:
     )
 
 
+def _check_finite(mean: LossBreakdown, camera_id: int, epoch: int) -> None:
+    """A diverged run stops here, before its losses, memory or metrics are
+    recorded."""
+    for term, value in zip(("id", "id_hist", "kd", "mkd", "total"), mean.as_row()):
+        if not math.isfinite(value):
+            raise NonFiniteLoss(
+                f"camera {camera_id}, epoch {epoch}: mean loss term {term} is {value!r}"
+            )
+
+
 def batch_loss_and_grads(
     variant: Variant,
     cur_params: EncoderParams,
@@ -297,6 +307,7 @@ def train_camera(
             if recorder is not None:
                 recorder.on_batch(state.camera_index, epoch, b, breakdown)
         epoch_means.append(_mean_breakdown(batch_logs))
+        _check_finite(epoch_means[-1], dataset.camera_id, epoch)
         lrs.append(lr)
         if recorder is not None:
             recorder.on_epoch(state.camera_index, dataset.camera_id, epoch, epoch_means[-1], lr)

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ike_lab import oracles
+from ike_lab import evaluation, oracles
 from ike_lab.datasets import TestSplit
 from ike_lab.encoder import EncoderParams, forward_batch, init_encoder
 from ike_lab.errors import ConfigError, EmptyGallery, NoRelevant, ShapeMismatch
@@ -100,6 +102,98 @@ class TestEvaluateMap:
                     evaluate_map(params, split, rule)
                 continue
             assert evaluate_map(params, split, rule) == pytest.approx(want, abs=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 40), n_copies=st.integers(1, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_duplicated_images_tie_exactly_under_every_rule(self, seed, n, n_copies):
+        # Copies of test images, under other identities, have the same
+        # embedding as their originals, so they score the same against any
+        # query: the copies must tie exactly and break toward the lower
+        # gallery index, as in the oracle, whatever BLAS kernel scored them.
+        rng = np.random.default_rng(seed)
+        params = init_encoder([5, 12, 12, 32], rng)
+        originals = rng.integers(n, size=n_copies)
+        X = rng.normal(size=(n, 5))[np.append(np.arange(n), originals)]
+        gids = rng.integers(6, size=X.shape[0])
+        cams = rng.integers(6, size=X.shape[0])
+        split = TestSplit(X, gids, cams)
+        emb = forward_batch(params, X).embeddings
+        for rule in GALLERY_RULES:
+            try:
+                want = oracles.map_oracle(emb, gids.tolist(), cams.tolist(), rule)
+            except ValueError:
+                with pytest.raises(EmptyGallery):
+                    evaluate_map(params, split, rule)
+                continue
+            assert evaluate_map(params, split, rule) == pytest.approx(want, abs=1e-12), rule
+
+    @pytest.mark.parametrize("block_elements", [1, 500, evaluation._BLOCK_ELEMENTS])
+    @pytest.mark.parametrize("rule", GALLERY_RULES)
+    def test_bitwise_equal_to_per_query_loop(self, monkeypatch, rng, rule, block_elements):
+        # The reference ranks each query's own gallery with a stable argsort
+        # and scores it with average_precision. Random embeddings leave no
+        # near-ties, so the ranks, and with them the AP bits, must agree for
+        # every chunk size: one query row per chunk, a few, or whole blocks.
+        # "camera-id" galleries differ in length from row to row.
+        monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", block_elements)
+        n = 400
+        params = init_encoder([5, 8, 8, 16], np.random.default_rng(1))
+        X = rng.normal(size=(n, 5))
+        gids = rng.integers(12, size=n)
+        cams = rng.integers(4, size=n)
+        emb = forward_batch(params, X).embeddings
+        aps = []
+        for q in range(n):
+            if rule == "camera":
+                keep = cams != cams[q]
+            elif rule == "camera-id":
+                keep = (cams != cams[q]) | (gids != gids[q])
+            else:
+                keep = np.arange(n) != q
+            gallery = np.flatnonzero(keep)
+            order = np.argsort(-(emb[gallery] @ emb[q]), kind="stable")
+            relevance = gids[gallery][order] == gids[q]
+            if relevance.any():
+                aps.append(average_precision(relevance, int(relevance.sum())))
+        assert evaluate_map(params, TestSplit(X, gids, cams), rule) == float(np.mean(aps))
+
+    def test_block_rows_bitwise_equal_to_average_precision(self, rng):
+        # Each row of a block, ranked with its excluded columns dropped, is
+        # the AP of its own gallery bit for bit: same ranks, ties toward the
+        # lower index, and a sum over a zero vector of the row's own gallery
+        # length. Scores on a 0.05 grid tie often; about a quarter of the
+        # columns are relevant, so a row's terms spread over its whole length.
+        for trial in range(20):
+            R, L = 12, int(rng.integers(150, 600))
+            scores = np.round(rng.uniform(-1, 1, size=(R, L)) * 20) / 20
+            same_id = rng.random((R, L)) < 0.25
+            excluded = None if trial % 2 else rng.random((R, L)) < 0.2
+            same_id[0] = False  # a row with nothing relevant
+            keep = np.ones((R, L), dtype=bool) if excluded is None else ~excluded
+            want = np.full(R, np.nan)
+            for r in range(R):
+                order = np.argsort(-scores[r, keep[r]], kind="stable")
+                relevance = same_id[r, keep[r]][order]
+                if relevance.any():
+                    want[r] = average_precision(relevance, int(relevance.sum()))
+            got = evaluation._block_aps(scores.copy(), same_id, excluded)
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("rule", GALLERY_RULES)
+    def test_peak_allocation_below_a_square_score_matrix(self, rule):
+        # A balanced 6-camera split of N = 2,400 images. An N x N float64
+        # score matrix alone would take N^2 * 8 bytes (46 MB).
+        rng = np.random.default_rng(0)
+        N = 2400
+        params = init_encoder([8, 16, 16, 32], rng)
+        split = TestSplit(rng.normal(size=(N, 8)), rng.integers(400, size=N), np.arange(N) % 6)
+        tracemalloc.start()
+        try:
+            evaluate_map(params, split, rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < N * N * 8
 
     def test_rank_only_dependence(self, rng):
         # Any strictly monotone transform of scores leaves AP unchanged;

@@ -286,6 +286,23 @@ class TestCli:
         cfg_path.write_text(json.dumps(tiny_config()))
         assert cli.main(["sweep", "--config", str(cfg_path), "--axis", "gamma=1"]) == 2
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_diverging_run_exit_1_and_no_nan_written(self, tmp_path, capsys, jobs):
+        # lr = 1e300 overflows the encoder after the first step, so every
+        # run's losses turn NaN in camera 0's first epoch.
+        cfg_path = tmp_path / "cfg.json"
+        hyper = {"epochs": 2, "batch_size": 8, "lr": 1e300}
+        cfg_path.write_text(json.dumps(tiny_config(variants=["BASELINE", "IKE"], hyperparams=hyper)))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out), "--jobs", str(jobs)])
+        assert rc == 1
+        assert "camera 0, epoch 0: mean loss term" in capsys.readouterr().err
+        assert not list(out.rglob("metrics.json"))
+        for path in out.rglob("*"):
+            if path.is_file():
+                assert "nan" not in path.read_text().lower(), path
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), through_sweep_command=st.booleans())
     def test_bad_sweep_point_exit_2_before_any_work(self, data, through_sweep_command):

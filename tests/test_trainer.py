@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ike_lab.association import cycle_match
 from ike_lab.datasets import DatasetBundle, TestSplit
 from ike_lab.encoder import forward_batch, init_encoder
-from ike_lab.errors import ConfigError
+from ike_lab.errors import ConfigError, NonFiniteLoss
 from ike_lab.memory import NO_MATCH, init_memory
 from ike_lab.trainer import (
     Hyperparams,
@@ -232,6 +232,26 @@ class TestRunSequence:
         for variant in (Variant.IKE, Variant.IKE_D, Variant.IKE_STAR, Variant.BASELINE):
             rep = run_sequence(bundle, [0, 1, 2], variant, FAST, [8, 8, 8], 8, seed=1)
             assert all(a <= b for a, b in zip(rep.nh_trajectory, rep.nh_trajectory[1:]))
+
+    @given(
+        variant=st.sampled_from(list(Variant)),
+        order=st.permutations([0, 1, 2]),
+        push=st.one_of(
+            st.builds(lambda e: {"tau": 10.0 ** e}, st.floats(-322, -310)),
+            st.builds(lambda e: {"lr": 10.0 ** e}, st.floats(300, 308)),
+        ),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_diverging_run_stops_in_its_first_epoch(self, variant, order, push):
+        # A temperature this small overflows F.M / tau, and a learning rate
+        # this large overflows the encoder after the first step: either way
+        # the losses turn NaN in the first camera's first epoch, and the run
+        # stops there, naming both, before anything is evaluated.
+        hyper = FAST.replace(**push)
+        with np.errstate(all="ignore"), pytest.raises(
+            NonFiniteLoss, match=f"^camera {order[0]}, epoch 0: "
+        ):
+            run_sequence(tiny_bundle(), order, variant, hyper, [8, 8, 8], 8, seed=0)
 
 
 class TestJointUpperbound:
