@@ -5,7 +5,7 @@
     ike-lab sweep --config cfg.json --axis lambda=0,0.25,0.5,0.75,1.0 [...]
     ike-lab orders --config cfg.json --preset T1..T5 [...]
 
-Exit codes: 0 success, 1 runtime failure, 2 invalid configuration.
+Exit codes: 0 success, 1 runtime failure (any failed run), 2 invalid configuration.
 """
 
 from __future__ import annotations
@@ -91,7 +91,9 @@ def main(argv: list[str] | None = None) -> int:
                 f"fmAP {row['fmap_mean']:.4f} +- {row['fmap_std']:.4f}  "
                 f"mean-mAP {row['mean_map_mean']:.4f} +- {row['mean_map_std']:.4f}"
             )
-        return 0
+        for run_id, message in outcome.failures.items():
+            print(f"error: run {run_id} failed: {message}", file=sys.stderr)
+        return 1 if outcome.failures else 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -6,6 +6,11 @@ tapped at blocks 2 and 3 so that internal representations can be distilled,
 not just the output embedding. Everything is plain numpy with explicit
 reverse-mode gradients, which keeps finite-difference checks exact and the
 whole model serializable as JSON.
+
+Parameters and gradients each live in one contiguous float64 vector, with
+per-block weight and bias views laid out once. backward writes into the
+gradient views, Adam updates the whole vector in one elementwise pass, and
+grad_check perturbs it entry by entry, in the block order W_1, b_1, W_2, ...
 """
 
 from __future__ import annotations
@@ -24,68 +29,59 @@ MIDDLE_TAPS = (2, 3)
 DEGENERATE_NORM = 1e-9
 
 
-@dataclass
+def _block_views(flat: np.ndarray, widths: tuple[int, ...]):
+    """Weight and bias views of each block, laid out in flat as
+    W_1, b_1, W_2, b_2, ... with each W row-major."""
+    weights, biases = [], []
+    at = 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        weights.append(flat[at : at + fan_out * fan_in].reshape(fan_out, fan_in))
+        at += fan_out * fan_in
+        biases.append(flat[at : at + fan_out])
+        at += fan_out
+    return tuple(weights), tuple(biases)
+
+
 class EncoderParams:
-    """weights[l] is (d_{l+1}, d_l); biases[l] is (d_{l+1},). L = len(weights)."""
+    """All parameters in one contiguous float64 vector, flat. weights[l]
+    (d_{l+1}, d_l) and biases[l] (d_{l+1},) are views into it, so writing
+    through either shows in the other; the tuples cannot be rebound."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def __post_init__(self) -> None:
-        if len(self.weights) != len(self.biases):
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]) -> None:
+        if len(weights) != len(biases):
             raise ShapeMismatch("weights and biases must pair up")
-        if len(self.weights) < 3:
+        if len(weights) < 3:
             raise ConfigError("encoder needs at least 3 blocks so taps 2 and 3 exist")
-        self.weights = [np.asarray(W, dtype=np.float64) for W in self.weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
-        for l, (W, b) in enumerate(zip(self.weights, self.biases)):
+        weights = [np.asarray(W, dtype=np.float64) for W in weights]
+        biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        for l, (W, b) in enumerate(zip(weights, biases)):
             if W.ndim != 2 or b.shape != (W.shape[0],):
                 raise ShapeMismatch(f"block {l + 1} has inconsistent shapes")
-            if l > 0 and W.shape[1] != self.weights[l - 1].shape[0]:
+            if l > 0 and W.shape[1] != weights[l - 1].shape[0]:
                 raise ShapeMismatch(f"block {l + 1} input dim breaks the chain")
+        self.widths = (weights[0].shape[1], *(W.shape[0] for W in weights))
+        self.flat = np.concatenate([a.ravel() for W, b in zip(weights, biases) for a in (W, b)])
+        self.weights, self.biases = _block_views(self.flat, self.widths)
 
     @property
     def n_blocks(self) -> int:
         return len(self.weights)
 
     @property
-    def widths(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [W.shape[0] for W in self.weights]
-
-    @property
     def input_dim(self) -> int:
         return self.weights[0].shape[1]
 
-    @property
-    def embed_dim(self) -> int:
-        return self.weights[-1].shape[0]
-
     def copy(self) -> "EncoderParams":
-        return EncoderParams([W.copy() for W in self.weights], [b.copy() for b in self.biases])
-
-    def arrays(self) -> list[np.ndarray]:
-        """All parameter arrays in a fixed order (weights then biases per block)."""
-        out: list[np.ndarray] = []
-        for W, b in zip(self.weights, self.biases):
-            out.append(W)
-            out.append(b)
-        return out
+        return EncoderParams(self.weights, self.biases)
 
 
-@dataclass
 class ParamGrads:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    """Zero gradients in the layout of params: flat, with weights[l] and
+    biases[l] views into it."""
 
-    def arrays(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for W, b in zip(self.weights, self.biases):
-            out.append(W)
-            out.append(b)
-        return out
-
-    def max_abs(self) -> float:
-        return max(float(np.max(np.abs(a))) if a.size else 0.0 for a in self.arrays())
+    def __init__(self, params: EncoderParams) -> None:
+        self.flat = np.zeros_like(params.flat)
+        self.weights, self.biases = _block_views(self.flat, params.widths)
 
 
 def init_encoder(widths: list[int], rng: np.random.Generator) -> EncoderParams:
@@ -95,8 +91,7 @@ def init_encoder(widths: list[int], rng: np.random.Generator) -> EncoderParams:
     """
     if len(widths) < 4:
         raise ConfigError(f"widths {widths} would give fewer than 3 blocks")
-    weights = []
-    biases = []
+    weights, biases = [], []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
@@ -153,11 +148,13 @@ def backward(
     grad_middle_2: np.ndarray | None = None,
     grad_middle_3: np.ndarray | None = None,
 ) -> ParamGrads:
-    """Exact reverse-mode parameter gradients for a batch.
+    """Exact reverse-mode parameter gradients for a batch, written into the
+    views of one new ParamGrads.
 
     grad_embedding is dLoss/d(embedding) per sample; middle gradients, when
     given, are injected at taps 2 and 3. The normalization Jacobian
-    (I - f f^T)/|z| is applied row-wise before the affine chain.
+    (I - f f^T)/|z| is applied row-wise before the affine chain. The
+    gradient with respect to the input is never formed.
     """
     if cache.params is not params:
         raise StaleCache("forward cache does not belong to these parameters")
@@ -179,27 +176,20 @@ def backward(
     gz = (gF - np.sum(gF * F, axis=1, keepdims=True) * F) / cache.znorm
     if L in tap_grads:
         gz = gz + tap_grads[L]
-    gW: list[np.ndarray] = [np.empty(0)] * L
-    gb: list[np.ndarray] = [np.empty(0)] * L
-    gW[L - 1] = gz.T @ cache.hs[L - 1]
-    gb[L - 1] = gz.sum(axis=0)
+    grads = ParamGrads(params)
+    np.matmul(gz.T, cache.hs[L - 1], out=grads.weights[L - 1])
+    gz.sum(axis=0, out=grads.biases[L - 1])
     gh = gz @ params.weights[L - 1]
     for l in range(L - 2, -1, -1):
         h = cache.hs[l + 1]
         if (l + 1) in tap_grads:
             gh = gh + tap_grads[l + 1]
         ga = gh * (1.0 - h * h)
-        gW[l] = ga.T @ cache.hs[l]
-        gb[l] = ga.sum(axis=0)
-        gh = ga @ params.weights[l]
-    return ParamGrads(gW, gb)
-
-
-def zero_grads(params: EncoderParams) -> ParamGrads:
-    return ParamGrads(
-        [np.zeros_like(W) for W in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-    )
+        np.matmul(ga.T, cache.hs[l], out=grads.weights[l])
+        ga.sum(axis=0, out=grads.biases[l])
+        if l:
+            gh = ga @ params.weights[l]
+    return grads
 
 
 def grad_check(params: EncoderParams, loss_closure, step: float = 1e-5) -> float:
@@ -209,28 +199,26 @@ def grad_check(params: EncoderParams, loss_closure, step: float = 1e-5) -> float
     loss_closure(params) -> (scalar value, ParamGrads). The error metric per
     entry is |analytic - numeric| / max(1, |numeric|).
     """
-    _, grads = loss_closure(params)
+    flat, gflat = params.flat, loss_closure(params)[1].flat
     max_err = 0.0
-    for arr, g in zip(params.arrays(), grads.arrays()):
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + step
-            fp = loss_closure(params)[0]
-            flat[k] = orig - step
-            fm = loss_closure(params)[0]
-            flat[k] = orig
-            numeric = (fp - fm) / (2.0 * step)
-            err = abs(gflat[k] - numeric) / max(1.0, abs(numeric))
-            if err > max_err:
-                max_err = err
+    for k in range(flat.size):
+        orig = flat[k]
+        flat[k] = orig + step
+        fp = loss_closure(params)[0]
+        flat[k] = orig - step
+        fm = loss_closure(params)[0]
+        flat[k] = orig
+        numeric = (fp - fm) / (2.0 * step)
+        err = abs(gflat[k] - numeric) / max(1.0, abs(numeric))
+        if err > max_err:
+            max_err = err
     return max_err
 
 
 class Adam:
     """Adam with L2 weight decay folded into the gradient; per-call lr allows
-    an external step schedule."""
+    an external step schedule. One elementwise pass over the flat vectors
+    per step, so the result is bitwise that of a pass per array."""
 
     def __init__(
         self,
@@ -246,8 +234,8 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m = [np.zeros_like(a) for a in params.arrays()]
-        self._v = [np.zeros_like(a) for a in params.arrays()]
+        self._m = np.zeros_like(params.flat)
+        self._v = np.zeros_like(params.flat)
         self._t = 0
 
     def step(self, params: EncoderParams, grads: ParamGrads, lr: float | None = None) -> None:
@@ -255,13 +243,13 @@ class Adam:
         self._t += 1
         bc1 = 1.0 - self.beta1 ** self._t
         bc2 = 1.0 - self.beta2 ** self._t
-        for theta, g, m, v in zip(params.arrays(), grads.arrays(), self._m, self._v):
-            g = g + self.weight_decay * theta
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        theta, m, v = params.flat, self._m, self._v
+        g = grads.flat + self.weight_decay * theta
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def save_encoder(params: EncoderParams, path: str | Path) -> None:
@@ -278,8 +266,7 @@ def save_encoder(params: EncoderParams, path: str | Path) -> None:
 def load_encoder(path: str | Path) -> EncoderParams:
     doc = json.loads(Path(path).read_text())
     widths = [int(w) for w in doc["widths"]]
-    weights = []
-    biases = []
+    weights, biases = [], []
     for l, block in enumerate(doc["blocks"]):
         W = np.array(block["W"], dtype=np.float64)
         b = np.array(block["b"], dtype=np.float64)

@@ -331,10 +331,14 @@ def _metrics_csv(spec: RunSpec, report: MetricsReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_one(payload: tuple[ExperimentConfig, RunSpec, Path | None]) -> MetricsReport:
-    """One run; the unit of work of the serial loop and of a --jobs worker."""
+def _run_one(payload: tuple[ExperimentConfig, RunSpec, Path | None]) -> MetricsReport | str:
+    """One run; the unit of work of the serial loop and of a --jobs worker.
+    A run that raises LabError returns its message, so the others go on."""
     config, spec, run_dir = payload
-    return execute_run(config, spec, fetch_bundle(config.dataset), run_dir)
+    try:
+        return execute_run(config, spec, fetch_bundle(config.dataset), run_dir)
+    except LabError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _job_cap(jobs: int) -> int:
@@ -350,12 +354,14 @@ def _job_cap(jobs: int) -> int:
 @dataclass
 class RunOutcome:
     out_dir: Path | None
-    reports: dict[str, MetricsReport]
+    reports: dict[str, MetricsReport]                        # the runs that finished
     summary_rows: list[dict]
+    failures: dict[str, str] = field(default_factory=dict)   # run id -> error message
 
 
 def run(config: ExperimentConfig, out_dir: str | Path | None = None, jobs: int = 1) -> RunOutcome:
-    """Execute every (seed, variant, order, sweep point) combination."""
+    """Execute every (seed, variant, order, sweep point) combination. A failed
+    run does not stop the others; the manifest gives each run's status."""
     out = out_dir if out_dir is not None else config.out
     out_path = Path(out) if out is not None else None
     bundle = fetch_bundle(config.dataset)
@@ -372,8 +378,9 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None, jobs: int =
             results = pool.map(_run_one, payloads)
     else:
         results = [_run_one(p) for p in payloads]
-    reports = {spec.run_id: report for spec, report in zip(specs, results)}
-    summary_rows = summarize(specs, reports)
+    reports = {s.run_id: r for s, r in zip(specs, results) if not isinstance(r, str)}
+    failures = {s.run_id: r for s, r in zip(specs, results) if isinstance(r, str)}
+    summary_rows = summarize([s for s in specs if s.run_id in reports], reports)
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
         _write_atomic(out_path / "summary.csv", _summary_csv(config, summary_rows))
@@ -382,13 +389,14 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None, jobs: int =
             "runs": [
                 {"run_id": s.run_id, "variant": s.variant, "order": s.order_name,
                  "seed": s.seed, "sweep": {a: v for a, v in s.sweep},
-                 "path": f"runs/{s.run_id}"}
+                 "path": f"runs/{s.run_id}", "status": "failed" if s.run_id in failures else "ok",
+                 "error": failures.get(s.run_id)}
                 for s in specs
             ],
             "summary": "summary.csv",
         }
         _write_atomic(out_path / "manifest.json", json.dumps(manifest, indent=2) + "\n")
-    return RunOutcome(out_path, reports, summary_rows)
+    return RunOutcome(out_path, reports, summary_rows, failures)
 
 
 def summarize(specs: list[RunSpec], reports: dict[str, MetricsReport]) -> list[dict]:
@@ -596,7 +604,7 @@ def selftest(fault: str | None = None, seed: int = 2024) -> SelftestReport:
 
             def closure(p, _base=base):
                 value, grads = _base(p)
-                grads.weights[0] = grads.weights[0] + 1e-3
+                grads.weights[0][...] += 1e-3
                 return value, grads
 
         err = grad_check(params, closure, step=1e-5)

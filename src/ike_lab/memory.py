@@ -144,10 +144,10 @@ def momentum_update(
     with f of shape (len(idx), dim). omega is the fraction of the old row
     kept. The updates apply in order of occurrence: an identity that occurs
     several times is blended once per occurrence, each time from the row the
-    previous occurrence left. Each round updates the next pending occurrence
-    of every identity at once, so the result equals the one-row-at-a-time
-    loop bit for bit; row norms are BLAS dot products, as in np.linalg.norm
-    of a single row. All other rows are untouched.
+    previous occurrence left. Round k updates the k-th occurrence of every
+    identity at once, so the result equals the one-row-at-a-time loop bit
+    for bit; row norms are BLAS dot products, as in np.linalg.norm of a
+    single row. All other rows are untouched.
     """
     single = np.ndim(idx) == 0
     idx = np.atleast_1d(np.asarray(idx))
@@ -161,11 +161,11 @@ def momentum_update(
     if f.shape != want:
         raise ShapeMismatch(f"feature shape {f.shape} vs expected {want}")
     f = f.reshape(idx.shape[0], memory.dim)
-    pending = np.arange(idx.shape[0])
-    while pending.size:
-        _, first = np.unique(idx[pending], return_index=True)
-        take = pending[first]
-        pending = np.delete(pending, first)
+    # Occurrence rank of each position; round k takes rank k in identity order.
+    order = np.argsort(idx, kind="stable")
+    rank = np.arange(idx.shape[0]) - np.searchsorted(idx[order], idx[order])
+    for k in range(rank.max(initial=-1) + 1):
+        take = order[rank == k]
         rows = idx[take]
         blended = omega * memory.rows[rows] + (1.0 - omega) * f[take]
         norms = np.sqrt((blended[:, None, :] @ blended[:, :, None])[:, 0, 0])

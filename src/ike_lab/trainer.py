@@ -204,7 +204,7 @@ def _check_finite(mean: LossBreakdown, camera_id: int, epoch: int) -> None:
     for term, value in zip(("id", "id_hist", "kd", "mkd", "total"), mean.as_row()):
         if not math.isfinite(value):
             raise NonFiniteLoss(
-                f"camera {camera_id}, epoch {epoch}: mean loss term {term} is {value!r}"
+                f"camera {camera_id}, epoch {epoch}: mean loss term {term} is not finite"
             )
 
 
@@ -292,17 +292,19 @@ def train_camera(
     N = len(dataset)
     for epoch in range(hyper.epochs):
         lr = hyper.lr_at(epoch)
+        # One gather per epoch; each batch is a slice of the shuffled rows.
         perm = state.rng.permutation(N)
+        Xp, yp, yhp = X[perm], y[perm], y_hist[perm]
+        hp = None if hist_feats is None else tuple(a[perm] for a in hist_feats)
         batch_logs: list[LossBreakdown] = []
         for b, start in enumerate(range(0, N, hyper.batch_size)):
-            sel = perm[start : start + hyper.batch_size]
+            sl = slice(start, start + hyper.batch_size)
             breakdown, grads, emb = batch_loss_and_grads(
-                variant, cur_params,
-                None if hist_feats is None else tuple(a[sel] for a in hist_feats),
-                X[sel], y[sel], y_hist[sel], cur_memory, hist_memory, hyper,
+                variant, cur_params, None if hp is None else tuple(a[sl] for a in hp),
+                Xp[sl], yp[sl], yhp[sl], cur_memory, hist_memory, hyper,
             )
             opt.step(cur_params, grads, lr)
-            momentum_update(cur_memory, y[sel], emb, hyper.omega)
+            momentum_update(cur_memory, yp[sl], emb, hyper.omega)
             batch_logs.append(breakdown)
             if recorder is not None:
                 recorder.on_batch(state.camera_index, epoch, b, breakdown)

@@ -2,18 +2,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ike_lab import oracles
 from ike_lab.encoder import (
     Adam,
     EncoderParams,
+    ParamGrads,
     backward,
     forward_batch,
     grad_check,
     init_encoder,
     load_encoder,
     save_encoder,
-    zero_grads,
 )
 from ike_lab.errors import ConfigError, DegenerateEmbedding, ShapeMismatch, StaleCache
 
@@ -92,7 +94,7 @@ class TestBackward:
         X = rng.normal(size=(4, 4))
         out = forward_batch(small_encoder, X)
         grads = backward(small_encoder, out.cache, np.zeros_like(out.embeddings))
-        assert grads.max_abs() == 0.0
+        assert np.abs(grads.flat).max() == 0.0
 
     def test_quadratic_at_minimum(self, rng, small_encoder):
         X = rng.normal(size=(4, 4))
@@ -100,7 +102,7 @@ class TestBackward:
         closure = quadratic_closure(X, out.embeddings.copy())
         value, grads = closure(small_encoder)
         assert value == 0.0
-        assert grads.max_abs() == 0.0
+        assert np.abs(grads.flat).max() == 0.0
 
     def test_finite_difference_agreement(self, rng):
         params = init_encoder([4, 6, 6, 5], rng)
@@ -143,9 +145,9 @@ class TestBackward:
         f = forward_batch(small_encoder, x[None]).embeddings[0]
         h = 1e-6
         params_p = small_encoder.copy()
-        params_p.biases[-1] = params_p.biases[-1] + h * f
+        params_p.biases[-1][...] += h * f
         params_m = small_encoder.copy()
-        params_m.biases[-1] = params_m.biases[-1] - h * f
+        params_m.biases[-1][...] -= h * f
         deriv = (forward_batch(params_p, x[None]).embeddings[0]
                  - forward_batch(params_m, x[None]).embeddings[0]) / (2 * h)
         assert abs(float(deriv @ f)) <= 1e-9
@@ -154,7 +156,7 @@ class TestBackward:
 class TestGradCheck:
     def test_constant_loss_is_exact(self, rng, small_encoder):
         def closure(params):
-            return 3.5, zero_grads(params)
+            return 3.5, ParamGrads(params)
 
         assert grad_check(small_encoder, closure) == 0.0
 
@@ -163,8 +165,7 @@ class TestDeterminism:
     def test_seeded_init_reproducible(self):
         a = init_encoder([4, 8, 8, 6], np.random.default_rng(99))
         b = init_encoder([4, 8, 8, 6], np.random.default_rng(99))
-        for wa, wb in zip(a.arrays(), b.arrays()):
-            assert (wa == wb).all()
+        assert (a.flat == b.flat).all()
 
     def test_forward_bitwise_reproducible(self, rng, small_encoder):
         X = rng.normal(size=(5, 4))
@@ -188,11 +189,10 @@ class TestAdam:
 
     def test_lr_override(self, rng):
         params = init_encoder([4, 6, 6, 5], rng)
-        before = [a.copy() for a in params.arrays()]
+        before = params.flat.copy()
         opt = Adam(params, lr=0.1, weight_decay=0.0)
-        opt.step(params, zero_grads(params), lr=0.0)
-        for a, b in zip(params.arrays(), before):
-            assert (a == b).all()
+        opt.step(params, ParamGrads(params), lr=0.0)
+        assert (params.flat == before).all()
 
 
 class TestSnapshot:
@@ -201,8 +201,19 @@ class TestSnapshot:
         save_encoder(small_encoder, path)
         loaded = load_encoder(path)
         assert loaded.widths == small_encoder.widths
-        for a, b in zip(loaded.arrays(), small_encoder.arrays()):
-            assert (a == b).all()
+        assert (loaded.flat == small_encoder.flat).all()
+
+    def test_json_bytes_unchanged(self, tmp_path):
+        params = EncoderParams(
+            [np.array([[0.5, -1.0]]), np.array([[2.0]]), np.array([[0.1], [-3.0]])],
+            [np.array([0.0]), np.array([-0.125]), np.array([1.0, 1e-300])],
+        )
+        path = tmp_path / "encoder.json"
+        save_encoder(params, path)
+        assert path.read_text() == (
+            '{"widths": [2, 1, 1, 2], "blocks": [{"W": [[0.5, -1.0]], "b": [0.0]}, '
+            '{"W": [[2.0]], "b": [-0.125]}, {"W": [[0.1], [-3.0]], "b": [1.0, 1e-300]}]}'
+        )
 
     def test_schema_fields(self, tmp_path, small_encoder):
         path = tmp_path / "encoder.json"
@@ -210,3 +221,55 @@ class TestSnapshot:
         doc = json.loads(path.read_text())
         assert set(doc) == {"widths", "blocks"}
         assert set(doc["blocks"][0]) == {"W", "b"}
+
+
+def blocks(p):
+    """Every weight and bias array in the vector's block order."""
+    return [a for W, b in zip(p.weights, p.biases) for a in (W, b)]
+
+
+class TestFlatVector:
+    @given(st.lists(st.integers(1, 7), min_size=4, max_size=6), st.integers(1, 6),
+           st.floats(1e-6, 1.0), st.sampled_from([0.0, 5e-4, 0.1]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_adam_bitwise_equals_per_array_loop(self, widths, steps, lr, wd, seed):
+        rng = np.random.default_rng(seed)
+        params = init_encoder(widths, rng)
+        ref = [a.copy() for a in blocks(params)]
+        m = [np.zeros_like(a) for a in ref]
+        v = [np.zeros_like(a) for a in ref]
+        opt = Adam(params, lr=1.0, weight_decay=wd)
+        for t in range(1, steps + 1):
+            grads = ParamGrads(params)
+            grads.flat[:] = rng.normal(size=grads.flat.size)
+            opt.step(params, grads, lr)
+            bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            for theta, g, mi, vi in zip(ref, blocks(grads), m, v):
+                g = g + wd * theta
+                mi *= 0.9
+                mi += (1.0 - 0.9) * g
+                vi *= 0.999
+                vi += (1.0 - 0.999) * (g * g)
+                theta -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + 1e-8)
+        assert (params.flat == np.concatenate([a.ravel() for a in ref])).all()
+
+    @pytest.mark.parametrize("make", [lambda p: p.copy(), lambda p: ParamGrads(p)],
+                             ids=["params", "grads"])
+    def test_writes_through_flat_and_views(self, small_encoder, make):
+        p = make(small_encoder)
+        p.flat[:] = np.arange(p.flat.size)
+        assert (np.concatenate([a.ravel() for a in blocks(p)]) == p.flat).all()
+        p.biases[1][...] = -1.0
+        at = p.weights[0].size + p.biases[0].size + p.weights[1].size
+        assert (p.flat[at : at + p.biases[1].size] == -1.0).all()
+        assert (p.flat == -1.0).sum() == p.biases[1].size
+        with pytest.raises(TypeError):
+            p.weights[0] = np.zeros_like(p.weights[0])
+
+    def test_copy_shares_no_memory(self, small_encoder):
+        c = small_encoder.copy()
+        assert (c.flat == small_encoder.flat).all()
+        assert all(np.shares_memory(a, c.flat) for a in blocks(c))
+        assert not any(np.shares_memory(a, small_encoder.flat) for a in [c.flat, *blocks(c)])
+        c.flat += 1.0
+        assert not (c.flat == small_encoder.flat).any()

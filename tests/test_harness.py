@@ -13,16 +13,21 @@ from hypothesis import strategies as st
 
 import ike_lab.cli as cli
 from ike_lab.errors import ConfigError
+from ike_lab.encoder import grad_check
 from ike_lab.harness import (
+    GRAD_TERMS,
     ORDER_PRESETS,
     ExperimentConfig,
+    _random_grad_fixture,
     derive_run_seed,
     enumerate_runs,
     expand_presets,
+    make_loss_closure,
     resolve_order,
     run,
     selftest,
 )
+from ike_lab.trainer import Hyperparams
 
 
 def tiny_config(**overrides) -> dict:
@@ -227,14 +232,26 @@ class TestSelftest:
         table = report.format_table()
         assert "PASS" in table
 
-    def test_fault_injection_fails_named_term(self):
-        report = selftest(fault="kd")
+    @pytest.mark.parametrize("term", GRAD_TERMS)
+    def test_fault_injection_fails_named_term(self, term):
+        report = selftest(fault=term)
         assert not report.passed
-        failing = [row for row in report.rows if not row[-1]]
-        assert failing
-        assert any(detail == "kd" for _, detail, *_ in failing)
-        passing_terms = {detail for suite, detail, *_, ok in report.rows if suite == "gradients" and ok}
-        assert "id" in passing_terms
+        failing = {(suite, detail) for suite, detail, *_, ok in report.rows if not ok}
+        assert failing == {("gradients", term)}
+
+    @pytest.mark.parametrize("term", GRAD_TERMS)
+    def test_grad_check_walks_the_whole_vector(self, term):
+        params, *rest = _random_grad_fixture(np.random.default_rng(7))
+        closure = make_loss_closure(term, *rest, Hyperparams(tau=0.05))
+        assert grad_check(params, closure, step=1e-5) <= 1e-6
+        # A fault in the first or the last entry of the vector must show.
+        for k in (0, params.flat.size - 1):
+            def faulty(p, k=k):
+                value, grads = closure(p)
+                grads.flat[k] += 1e-3
+                return value, grads
+
+            assert grad_check(params, faulty, step=1e-5) >= 1e-4
 
     def test_gradient_rows_within_tolerance(self):
         report = selftest()
@@ -302,6 +319,30 @@ class TestCli:
         for path in out.rglob("*"):
             if path.is_file():
                 assert "nan" not in path.read_text().lower(), path
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_sweep_point_recorded_and_other_runs_finish(self, tmp_path, capsys, jobs):
+        # tau = 1e-310 overflows the contrastive logits, so that point stops
+        # with NonFiniteLoss in camera 0's first epoch; tau = 0.05 finishes.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(sweep={"tau": [1e-310, 0.05]})))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out), "--jobs", str(jobs)])
+        assert rc == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        runs = {r["sweep"]["tau"]: r for r in manifest["runs"]}
+        assert set(runs) == {1e-310, 0.05}
+        assert all(r["variant"] == "IKE" for r in runs.values())
+        ok, failed = runs[0.05], runs[1e-310]
+        assert ok["status"] == "ok" and ok["error"] is None
+        assert failed["status"] == "failed"
+        assert failed["error"].startswith("NonFiniteLoss: camera 0, epoch 0: mean loss term")
+        assert (out / ok["path"] / "metrics.json").exists()
+        assert not (out / failed["path"] / "metrics.json").exists()
+        summary = (out / "summary.csv").read_text().strip().splitlines()
+        assert len(summary) == 2 and summary[1].split(",")[2] == "0.05"
+        assert f"error: run {failed['run_id']} failed: NonFiniteLoss" in capsys.readouterr().err
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), through_sweep_command=st.booleans())

@@ -159,6 +159,25 @@ class TestMomentumUpdate:
         assert (mem.rows == seq).all()
         assert np.max(np.abs(mem.rows - want), initial=0.0) <= 1e-12
 
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+           st.integers(1, 128))
+    @settings(max_examples=40, deadline=None)
+    def test_heavy_repetition_equals_sequential_rule(self, seed, omega, batch):
+        # One identity takes about half the rows, so one batch runs up to
+        # ~64 rounds, with the other identities dropping out along the way.
+        r = np.random.default_rng(seed)
+        n, dim = int(r.integers(2, 6)), int(r.choice([3, 8, 64]))
+        start = unit_rows(r, n, dim)
+        labels = np.where(r.random(batch) < 0.5, 0, r.integers(n, size=batch))
+        feats = unit_rows(r, batch, dim)
+        seq = start.copy()
+        for y, f in zip(labels, feats):
+            blended = omega * seq[y] + (1.0 - omega) * f
+            seq[y] = blended / float(np.linalg.norm(blended))
+        mem = IdentityMemory(start.copy())
+        momentum_update(mem, labels, feats, omega)
+        assert (mem.rows == seq).all()
+
     def test_batch_checks(self, rng):
         mem = IdentityMemory(unit_rows(rng, 3, 4))
         with pytest.raises(IndexOutOfRange, match="index -1"):

@@ -69,11 +69,10 @@ class TestTrainCamera:
         cam = manual_camera(rng, n_ids=5, per_id=3, dim=6)
         hyper = Hyperparams(epochs=0)
         state = init_state(6, [8, 8, 8], 8, hyper, seed=0)
-        before = [a.copy() for a in state.encoder.arrays()]
+        before = state.encoder.flat.copy()
         expected_memory = init_memory(state.encoder, cam)
         train_camera(state, cam, Variant.IKE)
-        for a, b in zip(state.encoder.arrays(), before):
-            assert (a == b).all()
+        assert (state.encoder.flat == before).all()
         # memory evolved from the untouched encoder's means (pure expansion)
         assert (state.memory.rows == expected_memory.rows).all()
         assert state.camera_index == 1
@@ -99,7 +98,7 @@ class TestTrainCamera:
         cam2 = manual_camera(rng, 5, 3, 6, camera_id=1, globals_offset=2)
         state = init_state(6, [8, 8, 8], 8, FAST, seed=0)
         train_camera(state, cam1, Variant.IKE)
-        hist_arrays = [a.copy() for a in state.encoder.arrays()]
+        hist_flat = state.encoder.flat.copy()
         hist_rows = state.memory.rows.copy()
 
         class FreezeProbe(RunRecorder):
@@ -109,8 +108,7 @@ class TestTrainCamera:
                 self.checked = 0
 
             def on_epoch(self, *args):
-                for a, b in zip(self.encoder.arrays(), hist_arrays):
-                    assert (a == b).all()
+                assert (self.encoder.flat == hist_flat).all()
                 assert (self.memory.rows == hist_rows).all()
                 self.checked += 1
 
@@ -177,7 +175,7 @@ class TestBatchLossAndGrads:
                 ]
                 (b1, g1, e1), (b2, g2, e2) = results
                 assert b1 == b2
-                assert all((a == b).all() for a, b in zip(g1.arrays(), g2.arrays()))
+                assert (g1.flat == g2.flat).all()
                 assert (e1 == e2).all()
 
 
@@ -268,8 +266,7 @@ class TestJointUpperbound:
         params, ub_map = train_joint_upperbound(bundle, FAST, [8, 8, 8], 8, seed=9)
         state = init_state(6, [8, 8, 8], 8, FAST, seed=9)
         train_camera(state, cam, Variant.BASELINE)
-        for a, b in zip(params.arrays(), state.encoder.arrays()):
-            assert (a == b).all()
+        assert (params.flat == state.encoder.flat).all()
         from ike_lab.evaluation import evaluate_map
 
         assert ub_map == evaluate_map(state.encoder, test)
