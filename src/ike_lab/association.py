@@ -101,21 +101,14 @@ def association_precision(
     """
     if cur_globals is None or hist_globals is None:
         raise MissingProvenance("association precision needs identity tags on both sides")
-    cur_globals = [int(g) for g in cur_globals]
-    hist_globals = [int(g) for g in hist_globals]
-    if len(cur_globals) != len(assoc):
-        raise ShapeMismatch(
-            f"{len(cur_globals)} current tags vs {len(assoc)} association entries"
-        )
-    discovered = 0
-    correct = 0
-    for i, t in enumerate(assoc.matches):
-        if t == NO_MATCH:
-            continue
-        if not 0 <= t < len(hist_globals):
-            raise LabelOutOfRange(f"match target {t} outside historical tags")
-        discovered += 1
-        if cur_globals[i] == hist_globals[t]:
-            correct += 1
-    precision = correct / discovered if discovered else None
-    return AssociationPrecision(precision, discovered, correct)
+    cur = np.asarray(cur_globals, dtype=np.int64)
+    hist = np.asarray(hist_globals, dtype=np.int64)
+    if cur.shape != (len(assoc),):
+        raise ShapeMismatch(f"{cur.size} current tags vs {len(assoc)} association entries")
+    found = np.flatnonzero(assoc.matches != NO_MATCH)
+    targets = assoc.matches[found]
+    outside = (targets < 0) | (targets >= hist.size)
+    if outside.any():
+        raise LabelOutOfRange(f"match target {targets[outside][0]} outside historical tags")
+    correct = int(np.sum(cur[found] == hist[targets]))
+    return AssociationPrecision(correct / found.size if found.size else None, found.size, correct)

@@ -10,13 +10,15 @@ whole point of the task.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, LabelOutOfRange, ParseError
+from .errors import (
+    ConfigError, DimensionMismatch, LabelOutOfRange, MissingProvenance, ParseError,
+    check_field_types, check_kind,
+)
 
 CSV_HEADER_PREFIX = ["camera", "local_id", "global_id"]
 
@@ -45,6 +47,7 @@ class SyntheticSpec:
     max_pair_cos: float = 0.8
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.n_global < 1 or self.n_cameras < 1:
             raise ConfigError("need at least one identity and one camera")
         if self.ids_per_camera < 1 or self.ids_per_camera > self.n_global:
@@ -67,17 +70,18 @@ class SyntheticSpec:
 class CameraDataset:
     """Samples of one camera with contiguous local labels.
 
-    global_ids / label_to_global are hidden ground truth used only for
-    diagnostics and the joint upper bound; no incremental algorithm reads
-    them.
+    label_to_global, one global identity per local label, is the camera's
+    only identity table: hidden ground truth used only for diagnostics and
+    the joint upper bound, which no incremental algorithm reads. None means
+    the camera has no tags. global_ids, each sample's global identity, is
+    read from it.
     """
 
     camera_id: int
     X: np.ndarray                      # (N, obs_dim)
     labels: np.ndarray                 # (N,) int64 in [0, n_ids)
     n_ids: int
-    global_ids: np.ndarray | None = None
-    label_to_global: np.ndarray | None = None
+    label_to_global: np.ndarray | None = None   # (n_ids,) int64
 
     def __post_init__(self) -> None:
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -86,6 +90,15 @@ class CameraDataset:
             raise DimensionMismatch("sample count and label count differ")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.n_ids):
             raise LabelOutOfRange(f"labels must lie in [0, {self.n_ids})")
+        if self.label_to_global is not None:
+            self.label_to_global = np.asarray(self.label_to_global, dtype=np.int64)
+            if self.label_to_global.shape != (self.n_ids,):
+                raise LabelOutOfRange(f"label_to_global needs one entry per label ({self.n_ids})")
+
+    @property
+    def global_ids(self) -> np.ndarray | None:
+        """Each sample's global identity, or None without tags."""
+        return None if self.label_to_global is None else self.label_to_global[self.labels]
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -122,13 +135,15 @@ class DatasetBundle:
     def input_dim(self) -> int:
         return self.cameras[0].X.shape[1]
 
-    def distinct_global_count(self) -> int:
-        seen: set[int] = set()
+    def identity_tables(self) -> list[np.ndarray]:
+        """Every camera's label_to_global; MissingProvenance if one lacks it."""
         for cam in self.cameras:
             if cam.label_to_global is None:
-                raise LabelOutOfRange("camera lacks identity tags")
-            seen.update(int(g) for g in cam.label_to_global)
-        return len(seen)
+                raise MissingProvenance(f"camera {cam.camera_id} lacks identity tags")
+        return [cam.label_to_global for cam in self.cameras]
+
+    def distinct_global_count(self) -> int:
+        return np.unique(np.concatenate(self.identity_tables())).size
 
 
 def _sample_prototypes(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
@@ -164,7 +179,7 @@ def _camera_matrix(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
 
 def _choose_identities(
     spec: SyntheticSpec, seen_counts: np.ndarray, rng: np.random.Generator
-) -> list[int]:
+) -> np.ndarray:
     # Reuse draws favor identities already covered by many cameras
     # (count-squared weighting), mirroring how most real identities cross
     # most cameras; the rest of the picks introduce fresh identities.
@@ -184,28 +199,23 @@ def _choose_identities(
             g = int(pool_new[rng.integers(pool_new.size)])
         taken[g] = True
         chosen.append(g)
-    return chosen
+    return np.array(chosen, dtype=np.int64)
 
 
 def _draw_images(
-    protos: np.ndarray, A: np.ndarray, ids: list[int], per_id: int,
+    protos: np.ndarray, A: np.ndarray, ids: np.ndarray, per_id: int,
     noise: float, rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    obs_dim = A.shape[0]
-    X = np.zeros((len(ids) * per_id, obs_dim))
-    labels = np.zeros(len(ids) * per_id, dtype=np.int64)
-    k = 0
-    for local, g in enumerate(ids):
-        base = A @ protos[g]
-        for _ in range(per_id):
-            x = base + noise * rng.normal(size=obs_dim)
-            norm = np.linalg.norm(x)
-            if norm < 1e-9:
-                raise ConfigError("degenerate sample: noise cancelled the prototype")
-            X[k] = x / norm
-            labels[k] = local
-            k += 1
-    return X, labels
+    """per_id unit images of each identity, in identity order, and their
+    local labels. One noise draw covers the camera, the same stream as one
+    draw per image; row norms are sqrt of per-row BLAS dot products, as
+    np.linalg.norm of one image is."""
+    base = np.repeat([A @ protos[g] for g in ids], per_id, axis=0)
+    X = base + noise * rng.normal(size=base.shape)
+    norms = np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
+    if (norms < 1e-9).any():
+        raise ConfigError("degenerate sample: noise cancelled the prototype")
+    return X / norms[:, None], np.repeat(np.arange(len(ids)), per_id)
 
 
 def generate(spec: SyntheticSpec) -> DatasetBundle:
@@ -215,78 +225,53 @@ def generate(spec: SyntheticSpec) -> DatasetBundle:
     protos = _sample_prototypes(spec, rng)
     seen_counts = np.zeros(spec.n_global, dtype=np.int64)
     cameras: list[CameraDataset] = []
-    test_X: list[np.ndarray] = []
-    test_g: list[int] = []
-    test_c: list[int] = []
-    test_l: list[int] = []
+    test_parts: list[tuple] = []
     for c in range(spec.n_cameras):
         A = _camera_matrix(spec, rng)
         ids = _choose_identities(spec, seen_counts, rng)
         seen_counts[ids] += 1
         X, labels = _draw_images(protos, A, ids, spec.images_per_id, spec.noise, rng)
-        table = np.array(ids, dtype=np.int64)
-        cameras.append(
-            CameraDataset(
-                camera_id=c,
-                X=X,
-                labels=labels,
-                n_ids=len(ids),
-                global_ids=table[labels],
-                label_to_global=table,
-            )
-        )
-        if spec.test_images_per_id > 0:
-            Xt, lt = _draw_images(protos, A, ids, spec.test_images_per_id, spec.noise, rng)
-            test_X.append(Xt)
-            test_g.extend(int(table[y]) for y in lt)
-            test_c.extend([c] * Xt.shape[0])
-            test_l.extend(int(y) for y in lt)
-    if test_X:
-        test = TestSplit(
-            np.concatenate(test_X, axis=0),
-            np.array(test_g, dtype=np.int64),
-            np.array(test_c, dtype=np.int64),
-            np.array(test_l, dtype=np.int64),
-        )
-    else:
-        test = TestSplit(np.zeros((0, spec.obs_dim)), np.zeros(0, np.int64), np.zeros(0, np.int64))
+        cameras.append(CameraDataset(c, X, labels, ids.size, ids))
+        Xt, lt = _draw_images(protos, A, ids, spec.test_images_per_id, spec.noise, rng)
+        test_parts.append((Xt, ids[lt], np.full(lt.shape, c), lt))
+    test = TestSplit(*(np.concatenate(cols) for cols in zip(*test_parts)))
     return DatasetBundle(cameras, test, spec=spec, prototypes=protos)
 
 
 # ---------------------------------------------------------------------------
 # Feature CSV format: header camera,local_id,global_id,f0,...,f{D-1}; one
-# sample per row; global_id may be -1 when unknown. A sidecar JSON manifest
-# records camera count, dimension, the normalize-on-load flag, and the
-# train/test file names.
+# sample per row. A local id has one global id within its camera, and -1 on
+# any row means the camera has no tags. A sidecar JSON manifest records
+# camera count, dimension, the normalize-on-load flag, and the train/test
+# file names.
 # ---------------------------------------------------------------------------
 
 
-def _format_row(camera: int, local: int, gid: int, x: np.ndarray) -> str:
-    return ",".join([str(camera), str(local), str(gid)] + [repr(float(v)) for v in x])
+def _csv_text(tags: np.ndarray, X: np.ndarray) -> str:
+    header = ",".join(CSV_HEADER_PREFIX + [f"f{k}" for k in range(X.shape[1])])
+    rows = (",".join([*map(str, t), *map(repr, x)]) for t, x in zip(tags.tolist(), X.tolist()))
+    return "\n".join([header, *rows]) + "\n"
 
 
 def save_dataset(bundle: DatasetBundle, out_dir: str | Path) -> Path:
     """Write train.csv, test.csv, and manifest.json; returns the manifest path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dim = bundle.input_dim
-    header = ",".join(CSV_HEADER_PREFIX + [f"f{k}" for k in range(dim)])
-    lines = [header]
-    for cam in bundle.cameras:
-        for i in range(len(cam)):
-            gid = -1 if cam.global_ids is None else int(cam.global_ids[i])
-            lines.append(_format_row(cam.camera_id, int(cam.labels[i]), gid, cam.X[i]))
-    (out / "train.csv").write_text("\n".join(lines) + "\n")
-    lines = [header]
+    train_tags = [
+        np.column_stack([np.full(len(cam), cam.camera_id), cam.labels,
+                         np.full(len(cam), -1) if cam.global_ids is None else cam.global_ids])
+        for cam in bundle.cameras
+    ]
+    train_X = np.concatenate([cam.X for cam in bundle.cameras])
+    (out / "train.csv").write_text(_csv_text(np.concatenate(train_tags), train_X))
     t = bundle.test
-    for i in range(len(t)):
-        local = -1 if t.local_ids is None else int(t.local_ids[i])
-        lines.append(_format_row(int(t.camera_ids[i]), local, int(t.global_ids[i]), t.X[i]))
-    (out / "test.csv").write_text("\n".join(lines) + "\n")
+    local = np.full(len(t), -1) if t.local_ids is None else t.local_ids
+    test_tags = np.column_stack([t.camera_ids, local, t.global_ids])
+    (out / "test.csv").write_text(_csv_text(test_tags, t.X))
     manifest = {
         "format": "ike-lab-features-v1",
         "cameras": bundle.n_cameras,
-        "dim": dim,
+        "dim": bundle.input_dim,
         "normalize": False,
         "train": "train.csv",
         "test": "test.csv",
@@ -296,94 +281,98 @@ def save_dataset(bundle: DatasetBundle, out_dir: str | Path) -> Path:
     return mpath
 
 
-def _parse_feature_csv(path: Path, dim_hint: int | None, normalize: bool) -> tuple[list, int]:
-    """Rows (camera, local_id, global_id, features) of one feature CSV, and
-    its dimension. Every feature must be finite, and with normalize every
-    row must have a norm that can be divided out."""
-    rows = []
-    dim = dim_hint
-    with path.open() as fh:
-        header = fh.readline().rstrip("\n")
-        cols = header.split(",")
-        if cols[:3] != CSV_HEADER_PREFIX:
-            raise ParseError(f"{path.name}:1: header must start with {','.join(CSV_HEADER_PREFIX)}")
-        file_dim = len(cols) - 3
-        if file_dim < 1:
-            raise ParseError(f"{path.name}:1: no feature columns")
-        if dim is None:
-            dim = file_dim
-        elif dim != file_dim:
-            raise DimensionMismatch(f"{path.name} has {file_dim} feature columns, expected {dim}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3 + dim:
-                raise ParseError(f"{path.name}:{lineno}: expected {3 + dim} columns, got {len(parts)}")
-            try:
-                camera = int(parts[0])
-                local = int(parts[1])
-                gid = int(parts[2])
-                feats = [float(v) for v in parts[3:]]
-            except ValueError as exc:
-                raise ParseError(f"{path.name}:{lineno}: {exc}") from exc
-            if not all(math.isfinite(v) for v in feats):
-                raise ParseError(f"{path.name}:{lineno}: feature values must be finite")
-            if normalize and not 0.0 < math.fsum(v * v for v in feats) < math.inf:
-                raise ParseError(f"{path.name}:{lineno}: feature row cannot be normalized")
-            rows.append((camera, local, gid, feats))
-    return rows, dim
+def _parse_feature_csv(
+    path: Path, dim_hint: int | None, normalize: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (camera, local_id, global_id) tags, the features and the line
+    number of each sample of one feature CSV. Every feature must be finite,
+    and with normalize every row must have a norm that can be divided out;
+    the features come back normalized."""
+    try:
+        header, *rows = path.read_text().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read feature file {path}: {exc}") from exc
+    cols = header.split(",")
+    if cols[:3] != CSV_HEADER_PREFIX or len(cols) < 4:
+        raise ParseError(f"{path.name}:1: header must be {','.join(CSV_HEADER_PREFIX)},f0,...")
+    dim = len(cols) - 3
+    if dim_hint is not None and dim_hint != dim:
+        raise DimensionMismatch(f"{path.name} has {dim} feature columns, expected {dim_hint}")
+    tags, feats, lines = [], [], []
+    for lineno, line in enumerate(rows, start=2):
+        parts = line.strip().split(",")
+        if parts == [""]:
+            continue
+        if len(parts) != 3 + dim:
+            raise ParseError(f"{path.name}:{lineno}: expected {3 + dim} columns, got {len(parts)}")
+        try:
+            tags.append([int(v) for v in parts[:3]])
+            feats.append([float(v) for v in parts[3:]])
+        except ValueError as exc:
+            raise ParseError(f"{path.name}:{lineno}: {exc}") from exc
+        lines.append(lineno)
+    try:
+        tags = np.array(tags, dtype=np.int64).reshape(len(tags), 3)
+    except OverflowError:
+        big = next(i for i, t in enumerate(tags) if not all(-(2**63) <= v < 2**63 for v in t))
+        raise ParseError(f"{path.name}:{lines[big]}: ids must be 64-bit integers") from None
+    X = np.array(feats, dtype=np.float64).reshape(len(feats), dim)
+
+    def reject(bad: np.ndarray, what: str) -> None:
+        if bad.any():
+            raise ParseError(f"{path.name}:{lines[int(np.argmax(bad))]}: {what}")
+
+    reject(~np.isfinite(X).all(axis=1), "feature values must be finite")
+    if normalize:
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(X, axis=1, keepdims=True)
+        reject(~((norms > 0) & (norms < np.inf))[:, 0], "feature row cannot be normalized")
+        X /= norms
+    return tags, X, np.array(lines)
 
 
-def _build_cameras(rows: list, dim: int, normalize: bool) -> list[CameraDataset]:
-    by_camera: dict[int, list] = {}
-    for camera, local, gid, feats in rows:
-        by_camera.setdefault(camera, []).append((local, gid, feats))
+def _build_cameras(
+    path: Path, tags: np.ndarray, X: np.ndarray, lines: np.ndarray
+) -> list[CameraDataset]:
+    """One dataset per camera id, in increasing order, with local ids
+    relabelled 0, 1, ... in order of first appearance. A camera whose rows
+    all carry a global id (>= 0) gets an identity table, and then each of
+    its local ids must carry one global id."""
     cameras = []
-    for camera in sorted(by_camera):
-        raw = by_camera[camera]
-        remap: dict[int, int] = {}
-        table: list[int] = []
-        X = np.zeros((len(raw), dim))
-        labels = np.zeros(len(raw), dtype=np.int64)
-        gids = np.zeros(len(raw), dtype=np.int64)
-        for i, (local, gid, feats) in enumerate(raw):
-            if local not in remap:
-                remap[local] = len(remap)
-                table.append(gid)
-            labels[i] = remap[local]
-            gids[i] = gid
-            X[i] = feats
-        if normalize:
-            X /= np.linalg.norm(X, axis=1, keepdims=True)
-        has_globals = bool(len(raw)) and all(g >= 0 for _, g, _ in raw)
-        cameras.append(
-            CameraDataset(
-                camera_id=camera,
-                X=X,
-                labels=labels,
-                n_ids=len(remap),
-                global_ids=gids if has_globals else None,
-                label_to_global=np.array(table, dtype=np.int64) if has_globals else None,
-            )
-        )
+    for camera in np.unique(tags[:, 0]):
+        rows = np.flatnonzero(tags[:, 0] == camera)
+        local, gids = tags[rows, 1], tags[rows, 2]
+        _, first, inverse = np.unique(local, return_index=True, return_inverse=True)
+        labels = np.argsort(np.argsort(first))[inverse]
+        table = None
+        if (gids >= 0).all():
+            table = gids[np.sort(first)]
+            clash = np.flatnonzero(table[labels] != gids)
+            if clash.size:
+                k = clash[0]
+                raise ParseError(
+                    f"{path.name}:{lines[rows[k]]}: local id {local[k]} of camera {camera} has "
+                    f"global id {gids[k]}, but {table[labels[k]]} on an earlier line"
+                )
+        cameras.append(CameraDataset(int(camera), X[rows], labels, first.size, table))
     return cameras
 
 
-def _build_test(rows: list, dim: int, normalize: bool) -> TestSplit:
-    X = np.zeros((len(rows), dim))
-    gids = np.zeros(len(rows), dtype=np.int64)
-    cams = np.zeros(len(rows), dtype=np.int64)
-    locals_ = np.zeros(len(rows), dtype=np.int64)
-    for i, (camera, local, gid, feats) in enumerate(rows):
-        X[i] = feats
-        gids[i] = gid
-        cams[i] = camera
-        locals_[i] = local
-    if normalize and len(rows):
-        X /= np.linalg.norm(X, axis=1, keepdims=True)
-    return TestSplit(X, gids, cams, locals_)
+# Manifest entries and their kinds; a null entry counts as absent.
+MANIFEST_KINDS = {"train": "str", "test": "str", "dim": "int", "cameras": "int", "normalize": "bool"}
+
+
+def _read_manifest(path: Path) -> dict:
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"{path.name}: cannot read manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{path.name}: a manifest must be a JSON object")
+    for key, kind in MANIFEST_KINDS.items():
+        if manifest.get(key) is not None:
+            check_kind(f"{path.name}: {key}", manifest[key], kind, ParseError)
+    return manifest
 
 
 def load_dataset(path: str | Path) -> DatasetBundle:
@@ -391,43 +380,31 @@ def load_dataset(path: str | Path) -> DatasetBundle:
 
     Accepts a manifest.json, a directory containing one, or a bare train
     CSV (in which case a sidecar <stem>.manifest.json is honored when
-    present and the test split is empty otherwise).
+    present and the test split is empty otherwise). A manifest that is not
+    a JSON object of the entries in MANIFEST_KINDS raises ParseError.
     """
     path = Path(path)
-    manifest: dict = {}
-    train_path: Path
-    test_path: Path | None = None
     if path.is_dir():
         path = path / "manifest.json"
     if path.suffix == ".json":
-        if not path.exists():
-            raise ParseError(f"manifest not found: {path}")
-        manifest = json.loads(path.read_text())
+        manifest = _read_manifest(path)
+        if manifest.get("train") is None:
+            raise ParseError(f"{path.name}: no train entry")
         train_path = path.parent / manifest["train"]
-        if manifest.get("test"):
-            test_path = path.parent / manifest["test"]
     else:
         train_path = path
         sidecar = path.with_name(path.stem + ".manifest.json")
-        if sidecar.exists():
-            manifest = json.loads(sidecar.read_text())
-            if manifest.get("test"):
-                test_path = path.parent / manifest["test"]
-    if not train_path.exists():
-        raise ParseError(f"feature file not found: {train_path}")
-    normalize = bool(manifest.get("normalize", False))
-    dim_hint = int(manifest["dim"]) if "dim" in manifest else None
-    train_rows, dim = _parse_feature_csv(train_path, dim_hint, normalize)
-    if not train_rows:
+        manifest = _read_manifest(sidecar) if sidecar.exists() else {}
+    normalize = bool(manifest.get("normalize"))
+    tags, X, lines = _parse_feature_csv(train_path, manifest.get("dim"), normalize)
+    if not len(X):
         raise ParseError(f"{train_path.name}: no samples")
-    cameras = _build_cameras(train_rows, dim, normalize)
-    if "cameras" in manifest and int(manifest["cameras"]) != len(cameras):
-        raise DimensionMismatch(
-            f"manifest lists {manifest['cameras']} cameras, file has {len(cameras)}"
-        )
-    if test_path is not None:
-        test_rows, _ = _parse_feature_csv(test_path, dim, normalize)
-        test = _build_test(test_rows, dim, normalize)
+    cameras = _build_cameras(train_path, tags, X, lines)
+    if manifest.get("cameras") not in (None, len(cameras)):
+        raise DimensionMismatch(f"manifest lists {manifest['cameras']} cameras, file has {len(cameras)}")
+    if manifest.get("test"):
+        t, Xt, _ = _parse_feature_csv(path.parent / manifest["test"], X.shape[1], normalize)
+        test = TestSplit(Xt, t[:, 2], t[:, 0], t[:, 1])
     else:
-        test = TestSplit(np.zeros((0, dim)), np.zeros(0, np.int64), np.zeros(0, np.int64))
+        test = TestSplit(np.zeros((0, X.shape[1])), np.zeros(0, np.int64), np.zeros(0, np.int64))
     return DatasetBundle(cameras, test)

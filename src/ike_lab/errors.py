@@ -1,4 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one type rule for
+configuration fields."""
+
+import dataclasses
+import numbers
 
 
 class LabError(Exception):
@@ -68,3 +72,20 @@ class EmptyGallery(LabError):
 
 class NoRelevant(LabError):
     """Average precision is undefined when a query has no relevant items."""
+
+
+_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool}
+
+
+def check_kind(key: str, value, kind: str, error: type[LabError] = ConfigError) -> None:
+    """Raise error naming key unless value is of kind: "int" takes an
+    integer and "float" any real number, neither of them a bool; "str" and
+    "bool" take their own type only."""
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _KINDS[kind]):
+        raise error(f"{key} must be {kind}, got {value!r}")
+
+
+def check_field_types(obj) -> None:
+    """check_kind on every field of a dataclass, by its annotation."""
+    for f in dataclasses.fields(obj):
+        check_kind(f.name, getattr(obj, f.name), getattr(f.type, "__name__", f.type))

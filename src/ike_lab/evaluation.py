@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, EmptyGallery, MissingProvenance, NoRelevant, ShapeMismatch
+from .errors import ConfigError, EmptyGallery, NoRelevant, ShapeMismatch
 from .encoder import EncoderParams, forward_batch
 
 if TYPE_CHECKING:
@@ -260,9 +260,7 @@ def precision_matrix(
     from .trainer import Variant, init_state, train_camera
 
     C = bundle.n_cameras
-    for cam in bundle.cameras:
-        if cam.label_to_global is None:
-            raise MissingProvenance(f"camera {cam.camera_id} lacks identity tags")
+    bundle.identity_tables()  # every camera must carry tags
     P = np.full((C, C), np.nan)
     for i in range(C):
         state = init_state(bundle.input_dim, hidden, embed_dim, hyper, seed)

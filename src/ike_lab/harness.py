@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 from .association import cycle_match
 from .datasets import DatasetBundle, SyntheticSpec, TestSplit, generate, load_dataset
 from .encoder import EncoderParams, backward, forward_batch, grad_check, init_encoder, save_encoder
-from .errors import ConfigError, LabError
+from .errors import ConfigError, LabError, check_kind
 from .evaluation import GALLERY_RULES, MetricsReport, evaluate_map
 from .losses import loss_id, loss_id_hist, loss_kd, loss_mkd
 from .memory import IdentityMemory, iku_merge, momentum_update, save_memory, unit_rows
@@ -69,6 +68,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a config must be a JSON object, got {doc!r}")
         unknown = set(doc) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -80,34 +81,37 @@ class ExperimentConfig:
                 SyntheticSpec(**dataset["synthetic"]).validate()
             except TypeError as exc:
                 raise ConfigError(f"bad synthetic spec: {exc}") from exc
+        if "features" in dataset:
+            check_kind("dataset.features", dataset["features"], "str")
         variants = doc.get("variants", ["IKE"])
         if isinstance(variants, str):
             variants = [variants]
+        if not isinstance(variants, list) or not variants:
+            raise ConfigError("variants must be a nonempty list")
         for v in variants:
             if v not in VARIANT_NAMES:
                 raise ConfigError(f"unknown variant {v!r}; choose from {VARIANT_NAMES}")
-        if not variants:
-            raise ConfigError("variants must be nonempty")
-        seeds = doc.get("seeds", [0])
-        if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
-            raise ConfigError("seeds must be a nonempty list of integers")
+        seeds = _int_list("seeds", doc.get("seeds", [0]))
         if len(set(seeds)) != len(seeds):
             raise ConfigError("seeds must be distinct")
         orders = doc.get("orders", ["T1"])
         if not isinstance(orders, list) or not orders:
             raise ConfigError("orders must be a nonempty list")
+        for entry in orders:
+            if not isinstance(entry, str):
+                _int_list("orders", entry)
         try:
             hyper = Hyperparams(**doc.get("hyperparams", {}))
         except TypeError as exc:
             raise ConfigError(f"bad hyperparams: {exc}") from exc
         hyper.validate()
         enc = doc.get("encoder", {})
-        unknown_enc = set(enc) - {"hidden", "embed_dim"}
-        if unknown_enc:
-            raise ConfigError(f"unknown encoder keys: {sorted(unknown_enc)}")
-        hidden = list(enc.get("hidden", [32, 32, 32]))
-        embed_dim = int(enc.get("embed_dim", 64))
-        if len(hidden) < 2 or any(int(h) < 1 for h in hidden) or embed_dim < 1:
+        if not isinstance(enc, dict) or set(enc) - {"hidden", "embed_dim"}:
+            raise ConfigError(f'encoder must be an object of "hidden" and "embed_dim", got {enc!r}')
+        hidden = _int_list("encoder.hidden", enc.get("hidden", [32, 32, 32]))
+        embed_dim = enc.get("embed_dim", 64)
+        check_kind("encoder.embed_dim", embed_dim, "int")
+        if len(hidden) < 2 or min(hidden) < 1 or embed_dim < 1:
             raise ConfigError("encoder needs >= 2 hidden widths and a positive embed_dim")
         sweep = doc.get("sweep")
         if sweep is not None:
@@ -121,13 +125,15 @@ class ExperimentConfig:
         gallery_rule = doc.get("gallery_rule", "camera")
         if gallery_rule not in GALLERY_RULES:
             raise ConfigError(f"gallery_rule must be one of {GALLERY_RULES}")
+        if doc.get("out") is not None:
+            check_kind("out", doc["out"], "str")
         return cls(
             dataset=dataset,
             orders=orders,
             variants=list(variants),
             seeds=list(seeds),
             hyper=hyper,
-            hidden=[int(h) for h in hidden],
+            hidden=list(hidden),
             embed_dim=embed_dim,
             sweep=sweep,
             gallery_rule=gallery_rule,
@@ -136,13 +142,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+            doc = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(doc)
 
     def to_dict(self) -> dict:
@@ -157,6 +160,14 @@ class ExperimentConfig:
             "gallery_rule": self.gallery_rule,
             "out": self.out,
         }
+
+
+def _int_list(key: str, value) -> list[int]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{key} must be a nonempty list of integers, got {value!r}")
+    for v in value:
+        check_kind(key, v, "int")
+    return value
 
 
 _BUNDLES: dict[str, DatasetBundle] = {}
@@ -182,7 +193,7 @@ def resolve_order(entry, n_cameras: int) -> tuple[str, list[int]]:
         if n_cameras != len(order):
             raise ConfigError(f"preset {entry} is for {len(order)} cameras, dataset has {n_cameras}")
         return entry, list(order)
-    order = [int(i) for i in entry]
+    order = list(entry)
     if sorted(order) != list(range(n_cameras)):
         raise ConfigError(f"order {entry} is not a permutation of 0..{n_cameras - 1}")
     return "o" + "".join(str(i) for i in order), order
@@ -228,10 +239,8 @@ def enumerate_runs(config: ExperimentConfig, n_cameras: int) -> list[RunSpec]:
     points: list[tuple[tuple[str, float], ...]] = [()]
     for axis in sorted(config.sweep or {}):
         for v in config.sweep[axis]:
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ConfigError(f"sweep axis {axis!r}: value {v!r} is not a number")
             try:
-                config.hyper.replace(**{SWEEP_AXES[axis]: float(v)}).validate()
+                config.hyper.replace(**{SWEEP_AXES[axis]: v}).validate()
             except ConfigError as exc:
                 raise ConfigError(f"sweep axis {axis!r}: value {v!r} rejected: {exc}") from exc
         points = [pt + ((axis, float(v)),) for pt in points for v in config.sweep[axis]]

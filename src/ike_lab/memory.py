@@ -127,9 +127,7 @@ def init_memory(params: "EncoderParams", dataset: "CameraDataset") -> IdentityMe
         if norm < DEGENERATE_NORM:
             raise DegenerateMean(f"mean feature of identity {y} has norm {norm:g}")
         rows[y] = mean / norm
-    prov = None
-    if dataset.label_to_global is not None:
-        prov = [int(g) for g in dataset.label_to_global]
+    prov = None if dataset.label_to_global is None else dataset.label_to_global.tolist()
     return IdentityMemory(rows, prov)
 
 

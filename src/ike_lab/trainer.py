@@ -31,7 +31,7 @@ from .association import (
 )
 from .datasets import CameraDataset, DatasetBundle
 from .encoder import Adam, EncoderParams, forward_batch, init_encoder
-from .errors import ConfigError, MissingProvenance, NonFiniteLoss
+from .errors import ConfigError, NonFiniteLoss, check_field_types
 from .evaluation import MetricsReport, evaluate_map
 from .losses import LossBreakdown, loss_id, loss_id_hist, loss_kd, loss_mkd
 from .memory import (
@@ -102,6 +102,7 @@ class Hyperparams:
     batch_size: int = 64
 
     def validate(self) -> None:
+        check_field_types(self)
         # NaN fails every comparison below, so finiteness is checked first.
         for key in ("tau", "lr", "weight_decay"):
             if not math.isfinite(getattr(self, key)):
@@ -376,22 +377,12 @@ def run_sequence(
 
 def merge_cameras_with_global_labels(bundle: DatasetBundle) -> CameraDataset:
     """Union of all cameras relabelled by global identity (contiguous ids)."""
-    for cam in bundle.cameras:
-        if cam.global_ids is None:
-            raise MissingProvenance(f"camera {cam.camera_id} lacks identity tags")
-    all_globals = np.concatenate([cam.global_ids for cam in bundle.cameras])
-    uniq = np.unique(all_globals)
-    remap = {int(g): i for i, g in enumerate(uniq)}
-    labels = np.array([remap[int(g)] for g in all_globals], dtype=np.int64)
-    X = np.concatenate([cam.X for cam in bundle.cameras], axis=0)
-    return CameraDataset(
-        camera_id=-1,
-        X=X,
-        labels=labels,
-        n_ids=len(uniq),
-        global_ids=all_globals,
-        label_to_global=uniq.astype(np.int64),
+    bundle.identity_tables()  # every camera must carry tags
+    uniq, labels = np.unique(
+        np.concatenate([cam.global_ids for cam in bundle.cameras]), return_inverse=True
     )
+    X = np.concatenate([cam.X for cam in bundle.cameras], axis=0)
+    return CameraDataset(-1, X, labels, len(uniq), uniq)
 
 
 def train_joint_upperbound(

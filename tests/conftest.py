@@ -47,6 +47,5 @@ def manual_camera(rng: np.random.Generator, n_ids: int, per_id: int, dim: int,
     labels = np.repeat(np.arange(n_ids), per_id)
     table = np.arange(globals_offset, globals_offset + n_ids)
     return CameraDataset(
-        camera_id=camera_id, X=X, labels=labels, n_ids=n_ids,
-        global_ids=table[labels], label_to_global=table,
+        camera_id=camera_id, X=X, labels=labels, n_ids=n_ids, label_to_global=table,
     )

@@ -148,3 +148,23 @@ class TestAssociationPrecision:
     def test_missing_provenance(self):
         with pytest.raises(MissingProvenance):
             association_precision(all_unmatched(2), None, [1])
+
+    def test_tag_count_and_target_range_checked(self):
+        with pytest.raises(ShapeMismatch):
+            association_precision(all_unmatched(2), [1, 2, 3], [1])
+        with pytest.raises(LabelOutOfRange):
+            association_precision(AssociationMap(np.array([0, 2])), [1, 2], [1, 2])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_equals_per_match_count(self, data):
+        n_cur = data.draw(st.integers(1, 8))
+        n_hist = data.draw(st.integers(0, 6))
+        matches = data.draw(st.lists(st.integers(NO_MATCH, n_hist - 1), min_size=n_cur, max_size=n_cur))
+        cur = data.draw(st.lists(st.integers(0, 4), min_size=n_cur, max_size=n_cur))
+        hist = data.draw(st.lists(st.integers(0, 4), min_size=n_hist, max_size=n_hist))
+        res = association_precision(AssociationMap(np.array(matches)), cur, hist)
+        pairs = [(cur[i], hist[t]) for i, t in enumerate(matches) if t != NO_MATCH]
+        correct = sum(a == b for a, b in pairs)
+        assert (res.discovered, res.correct) == (len(pairs), correct)
+        assert res.precision == (correct / len(pairs) if pairs else None)

@@ -1,10 +1,15 @@
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ike_lab.datasets import SyntheticSpec, generate, load_dataset, save_dataset
-from ike_lab.errors import ConfigError, DimensionMismatch, ParseError
+from ike_lab.datasets import CameraDataset, SyntheticSpec, generate, load_dataset, save_dataset
+from ike_lab.errors import ConfigError, DimensionMismatch, LabelOutOfRange, ParseError
 
 
 def small_spec(**overrides) -> SyntheticSpec:
@@ -79,6 +84,49 @@ class TestGenerate:
             generate(small_spec(overlap_bias=1.5))
         with pytest.raises(ConfigError):
             generate(small_spec(obs_dim=4))
+
+
+def bundle_digest(bundle) -> str:
+    """sha256 over every camera's X, labels and identity table, then the
+    test split's X, global ids, camera ids and local ids."""
+    h = hashlib.sha256()
+    for cam in bundle.cameras:
+        for a in (cam.X, cam.labels, cam.label_to_global):
+            h.update(a.tobytes())
+    t = bundle.test
+    for a in (t.X, t.global_ids, t.camera_ids, t.local_ids):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedData:
+    # Digests of the generator's output as first recorded; every metric of
+    # the repository rests on these bits.
+    def test_default_spec_digest(self):
+        assert bundle_digest(generate(SyntheticSpec())) == (
+            "a056b9bc080c9c9ec5514a1fb21c7c6e8a140b120ee58487ae95294c3ee84555"
+        )
+
+    def test_small_spec_digest(self):
+        assert bundle_digest(generate(small_spec())) == (
+            "49822778198b57f82f58b18dc2537b6c64bd9f4e6a4d9f6b822c3d969a6dd5dd"
+        )
+
+
+class TestCameraDataset:
+    def test_global_ids_read_from_the_table(self):
+        cam = CameraDataset(0, np.eye(3), [1, 0, 1], 2, label_to_global=[7, 4])
+        assert cam.global_ids.tolist() == [4, 7, 4]
+        with pytest.raises(AttributeError):
+            cam.global_ids = np.array([4, 7, 5])
+
+    def test_no_table_no_global_ids(self):
+        assert CameraDataset(0, np.eye(2), [0, 1], 2).global_ids is None
+
+    @pytest.mark.parametrize("table", [[7], [7, 4, 5], [[7, 4]]])
+    def test_table_needs_one_entry_per_label(self, table):
+        with pytest.raises(LabelOutOfRange):
+            CameraDataset(0, np.eye(3), [1, 0, 1], 2, label_to_global=table)
 
 
 class TestSaveLoad:
@@ -194,3 +242,157 @@ class TestSaveLoad:
         csv.write_text("cam,lid,gid,f0\n0,0,1,1.0\n")
         with pytest.raises(ParseError, match=":1"):
             load_dataset(csv)
+
+    def test_inconsistent_tags_name_file_and_line(self, tmp_path):
+        csv = tmp_path / "train.csv"
+        csv.write_text(
+            "camera,local_id,global_id,f0,f1\n"
+            "0,17,5,1.0,0.0\n"
+            "0,42,6,0.0,1.0\n"
+            "\n"
+            "0,17,6,0.6,0.8\n"
+        )
+        with pytest.raises(ParseError, match=r"^train\.csv:5: local id 17 of camera 0 has global id 6"):
+            load_dataset(csv)
+
+    @pytest.mark.parametrize("ids", ["0,9223372036854775808,1", "-9223372036854775809,0,1"])
+    def test_ids_beyond_64_bits_name_file_and_line(self, tmp_path, ids):
+        csv = tmp_path / "train.csv"
+        csv.write_text(f"camera,local_id,global_id,f0\n0,-9223372036854775808,1,1.0\n{ids},1.0\n")
+        with pytest.raises(ParseError, match=r"^train\.csv:3: ids must be 64-bit integers"):
+            load_dataset(csv)
+
+    def test_untagged_row_drops_the_camera_tags_only(self, tmp_path):
+        # A -1 row means the camera has no tags, so its other rows are not
+        # checked against each other; another camera keeps its table.
+        csv = tmp_path / "train.csv"
+        csv.write_text(
+            "camera,local_id,global_id,f0,f1\n"
+            "0,17,5,1.0,0.0\n"
+            "0,17,-1,0.0,1.0\n"
+            "0,17,6,0.6,0.8\n"
+            "1,3,9,1.0,0.0\n"
+        )
+        cam0, cam1 = load_dataset(csv).cameras
+        assert cam0.labels.tolist() == [0, 0, 0]
+        assert cam0.label_to_global is None
+        assert cam1.label_to_global.tolist() == [9]
+
+    @pytest.mark.parametrize("text, match", [
+        ("{nope", "cannot read manifest"),
+        ('{"test": "test.csv"}', "no train entry"),
+        ('{"train": "train.csv", "dim": "x"}', "dim must be int"),
+        ('{"train": "train.csv", "dim": 2.0}', "dim must be int"),
+        ('["train.csv"]', "must be a JSON object"),
+        ('{"train": 5}', "train must be str"),
+        ('{"train": "train.csv", "test": ["test.csv"]}', "test must be str"),
+        ('{"train": "train.csv", "normalize": "false"}', "normalize must be bool"),
+        ('{"train": "train.csv", "cameras": true}', "cameras must be int"),
+    ])
+    def test_bad_manifest_names_the_manifest(self, tmp_path, text, match):
+        (tmp_path / "train.csv").write_text("camera,local_id,global_id,f0,f1\n0,0,1,1.0,0.0\n")
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(ParseError, match=f"manifest\\.json.*{match}"):
+            load_dataset(tmp_path)
+
+    def test_bad_sidecar_names_the_sidecar(self, tmp_path):
+        csv = tmp_path / "feat.csv"
+        csv.write_text("camera,local_id,global_id,f0,f1\n0,0,1,1.0,0.0\n")
+        (tmp_path / "feat.manifest.json").write_text('{"dim": "2"}')
+        with pytest.raises(ParseError, match=r"feat\.manifest\.json: dim must be int"):
+            load_dataset(csv)
+
+    def test_undecodable_file_names_the_file(self, tmp_path):
+        csv = tmp_path / "train.csv"
+        csv.write_bytes(b"camera,local_id,global_id,f0\n0,0,1,1.0\n0,1,2,\xff\n")
+        with pytest.raises(ParseError, match=r"train\.csv"):
+            load_dataset(csv)
+
+    def test_missing_test_file(self, tmp_path):
+        (tmp_path / "train.csv").write_text("camera,local_id,global_id,f0,f1\n0,0,1,1.0,0.0\n")
+        (tmp_path / "manifest.json").write_text('{"train": "train.csv", "test": "test.csv"}')
+        with pytest.raises(ParseError, match="test.csv"):
+            load_dataset(tmp_path)
+
+
+# Zero, or large enough that a row's squared norm cannot underflow.
+_FEATURE = st.one_of(st.just(0.0), st.floats(1e-100, 1e6), st.floats(-1e6, -1e-100))
+
+
+@st.composite
+def feature_files(draw):
+    """Train and test rows (camera, local_id, global_id, features) with
+    arbitrary ids, several cameras in shuffled order, tagged cameras with
+    one global id per local id, and untagged cameras with -1 on some rows."""
+    dim = draw(st.integers(1, 4))
+    row = st.lists(_FEATURE, min_size=dim, max_size=dim).map(
+        lambda x: x if any(x) else [1.0] + x[1:]
+    )
+    train = []
+    for camera in draw(st.lists(st.integers(-5, 10**6), min_size=1, max_size=4, unique=True)):
+        ids = draw(st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=5, unique=True))
+        table = {i: draw(st.integers(0, 40)) for i in ids}
+        tagged = draw(st.booleans())
+        for k in range(draw(st.integers(1, 8))):
+            local = draw(st.sampled_from(ids))
+            gid = table[local] if tagged else draw(st.sampled_from([-1, table[local], 99]))
+            train.append((camera, local, -1 if not tagged and k == 0 else gid, draw(row)))
+    train = draw(st.permutations(train))
+    test = draw(st.lists(
+        st.tuples(st.integers(-5, 50), st.integers(-1, 50), st.integers(-1, 50), row), max_size=6,
+    ))
+    return dim, train, test
+
+
+def _reference_load(train, test, dim, normalize):
+    """Per-row reference: cameras in increasing id order, local ids
+    relabelled in order of first appearance, and a table only when every
+    row of the camera is tagged."""
+    def features(rows):
+        X = np.array([x for *_, x in rows], dtype=np.float64).reshape(len(rows), dim)
+        return X / np.linalg.norm(X, axis=1, keepdims=True) if normalize and len(rows) else X
+
+    cameras = []
+    for camera in sorted({r[0] for r in train}):
+        rows = [r for r in train if r[0] == camera]
+        remap, table = {}, []
+        for _, local, gid, _ in rows:
+            if local not in remap:
+                remap[local] = len(remap)
+                table.append(gid)
+        labels = [remap[r[1]] for r in rows]
+        tagged = all(r[2] >= 0 for r in rows)
+        cameras.append((camera, labels, table if tagged else None, features(rows)))
+    return cameras, features(test)
+
+
+class TestLoaderAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(files=feature_files(), normalize=st.booleans())
+    def test_bitwise_equal_to_per_row_reference(self, files, normalize):
+        dim, train, test = files
+        header = ",".join(["camera", "local_id", "global_id"] + [f"f{k}" for k in range(dim)])
+
+        def text(rows):
+            lines = [",".join([str(c), str(l), str(g)] + [repr(v) for v in x]) for c, l, g, x in rows]
+            return "\n".join([header] + lines) + "\n"
+
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            (d / "train.csv").write_text(text(train))
+            (d / "test.csv").write_text(text(test))
+            manifest = {"dim": dim, "normalize": normalize, "train": "train.csv", "test": "test.csv"}
+            (d / "manifest.json").write_text(json.dumps(manifest))
+            bundle = load_dataset(d)
+        want_cameras, want_test_X = _reference_load(train, test, dim, normalize)
+        assert len(bundle.cameras) == len(want_cameras)
+        for cam, (camera, labels, table, X) in zip(bundle.cameras, want_cameras):
+            assert cam.camera_id == camera
+            assert cam.labels.tolist() == labels
+            assert cam.n_ids == max(labels) + 1
+            assert (None if cam.label_to_global is None else cam.label_to_global.tolist()) == table
+            assert cam.X.tobytes() == X.tobytes()
+        assert bundle.test.X.tobytes() == want_test_X.tobytes()
+        assert bundle.test.camera_ids.tolist() == [r[0] for r in test]
+        assert bundle.test.local_ids.tolist() == [r[1] for r in test]
+        assert bundle.test.global_ids.tolist() == [r[2] for r in test]

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ike_lab.cli as cli
+from ike_lab.datasets import SyntheticSpec
 from ike_lab.errors import ConfigError
 from ike_lab.encoder import grad_check
 from ike_lab.harness import (
@@ -78,6 +80,10 @@ class TestConfigValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file(tmp_path / "none.json")
+
+    def test_directory_is_not_a_config(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config"):
+            ExperimentConfig.from_file(tmp_path)
 
     def test_invalid_json(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -373,6 +379,61 @@ class TestCli:
             assert rc == 2
             assert f"sweep axis {axis!r}: value {bad!r}" in err.getvalue()
             assert not out.exists() or not any(out.iterdir())
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), jobs=st.sampled_from(["1", "2"]))
+    def test_field_of_wrong_kind_exit_2_before_any_work(self, data, jobs):
+        # An int field takes an integer, a float field any real number, and
+        # neither takes a bool; JSON floats such as 2.0 stay floats.
+        wrong = {
+            "int": st.one_of(st.booleans(), st.floats(), st.text(max_size=4), st.none(),
+                             st.lists(st.integers(), max_size=2)),
+            "float": st.one_of(st.booleans(), st.text(max_size=4), st.none(),
+                               st.lists(st.floats(), max_size=2)),
+        }
+        doc = tiny_config()
+        section = data.draw(st.sampled_from(["hyperparams", "synthetic", "seeds"]))
+        if section == "seeds":
+            key, bad = "seeds", data.draw(wrong["int"])
+            doc["seeds"] = [0, bad]
+        else:
+            cls = Hyperparams if section == "hyperparams" else SyntheticSpec
+            field = data.draw(st.sampled_from(dataclasses.fields(cls)))
+            key, bad = field.name, data.draw(wrong[getattr(field.type, "__name__", field.type)])
+            target = doc["hyperparams"] if section == "hyperparams" else doc["dataset"]["synthetic"]
+            target[key] = bad
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "cfg.json"
+            out = Path(tmp) / "out"
+            cfg_path.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out), "--jobs", jobs])
+            assert rc == 2
+            assert f"{key} must be" in err.getvalue()
+            assert not out.exists()
+
+    @pytest.mark.parametrize("doc, key", [
+        (5, "a config must be a JSON object"),
+        (["run"], "a config must be a JSON object"),
+        (tiny_config(orders=[5]), "orders"),
+        (tiny_config(orders=[[0, "1"]]), "orders"),
+        (tiny_config(encoder={"hidden": "ab"}), "encoder.hidden"),
+        (tiny_config(encoder={"hidden": [8, 8.0]}), "encoder.hidden"),
+        (tiny_config(encoder={"embed_dim": "x"}), "encoder.embed_dim"),
+        (tiny_config(encoder=[8, 8]), "encoder"),
+        (tiny_config(variants=5), "variants"),
+        (tiny_config(dataset={"features": 5}), "dataset.features"),
+        (tiny_config(out=5), "out"),
+        (tiny_config(hyperparams=[1]), "hyperparams"),
+    ])
+    def test_config_of_wrong_shape_exit_2(self, tmp_path, capsys, doc, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_orders_subcommand(self, tmp_path):
         doc = tiny_config()
