@@ -46,19 +46,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_axis(text: str) -> tuple[str, list[float]]:
-    if "=" not in text:
+    name, sep, values = text.partition("=")
+    if not sep:
         raise ConfigError(f"bad axis {text!r}; expected NAME=V0,V1,...")
-    name, _, values = text.partition("=")
-    name = name.strip()
-    if name not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {name!r}; choose from {sorted(SWEEP_AXES)}")
     try:
-        parsed = [float(v) for v in values.split(",") if v.strip()]
+        return name.strip(), [float(v) for v in values.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad values in axis {text!r}: {exc}") from exc
-    if not parsed:
-        raise ConfigError(f"axis {name!r} has no values")
-    return name, parsed
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -69,18 +63,15 @@ def main(argv: list[str] | None = None) -> int:
             report = selftest()
             print(report.format_table())
             return 0 if report.passed else 1
-        config = ExperimentConfig.from_file(args.config)
-        if args.command == "run":
-            if args.seed is not None:
-                config.seeds = [args.seed]
+        # Overrides replace config keys before the config is checked.
+        overrides = {}
+        if args.command == "run" and args.seed is not None:
+            overrides["seeds"] = [args.seed]
         elif args.command == "sweep":
-            sweep: dict[str, list[float]] = {}
-            for axis_text in args.axis:
-                name, values = _parse_axis(axis_text)
-                sweep[name] = values
-            config.sweep = sweep
+            overrides["sweep"] = dict(_parse_axis(t) for t in args.axis)
         elif args.command == "orders":
-            config.orders = expand_presets(args.preset)
+            overrides["orders"] = expand_presets(args.preset)
+        config = ExperimentConfig.from_file(args.config, **overrides)
         outcome = run(config, out_dir=args.out, jobs=args.jobs)
         if outcome.out_dir is not None:
             print(f"wrote {len(outcome.reports)} runs under {outcome.out_dir}")

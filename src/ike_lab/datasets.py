@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    ConfigError, DimensionMismatch, LabelOutOfRange, MissingProvenance, ParseError,
-    check_field_types, check_kind,
+    DEGENERATE_NORM, ConfigError, DimensionMismatch, LabelOutOfRange, MissingProvenance,
+    ParseError, check_field_types, check_kind,
 )
 
 CSV_HEADER_PREFIX = ["camera", "local_id", "global_id"]
@@ -152,7 +152,7 @@ def _sample_prototypes(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndar
         for attempt in range(10_000):
             cand = rng.normal(size=spec.latent_dim)
             norm = np.linalg.norm(cand)
-            if norm < 1e-9:
+            if norm < DEGENERATE_NORM:
                 continue
             cand /= norm
             if g == 0 or float(np.max(protos[:g] @ cand)) <= spec.max_pair_cos:
@@ -213,7 +213,7 @@ def _draw_images(
     base = np.repeat([A @ protos[g] for g in ids], per_id, axis=0)
     X = base + noise * rng.normal(size=base.shape)
     norms = np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
-    if (norms < 1e-9).any():
+    if (norms < DEGENERATE_NORM).any():
         raise ConfigError("degenerate sample: noise cancelled the prototype")
     return X / norms[:, None], np.repeat(np.arange(len(ids)), per_id)
 

@@ -21,12 +21,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateEmbedding, DimensionMismatch, ShapeMismatch, StaleCache
+from .errors import (
+    DEGENERATE_NORM, ConfigError, DegenerateEmbedding, DimensionMismatch, ShapeMismatch, StaleCache,
+)
 
 # Blocks whose outputs are exposed as middle features.
 MIDDLE_TAPS = (2, 3)
 
-DEGENERATE_NORM = 1e-9
+# Adam's moment decay rates and denominator guard.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 def _block_views(flat: np.ndarray, widths: tuple[int, ...]):
@@ -216,40 +219,28 @@ def grad_check(params: EncoderParams, loss_closure, step: float = 1e-5) -> float
 
 
 class Adam:
-    """Adam with L2 weight decay folded into the gradient; per-call lr allows
-    an external step schedule. One elementwise pass over the flat vectors
+    """Adam with L2 weight decay folded into the gradient, moment rates
+    BETA1 and BETA2, and EPS in the denominator. Each step takes its lr, so
+    the caller owns the schedule. One elementwise pass over the flat vectors
     per step, so the result is bitwise that of a pass per array."""
 
-    def __init__(
-        self,
-        params: EncoderParams,
-        lr: float = 3.5e-4,
-        weight_decay: float = 5e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
-        self.lr = lr
+    def __init__(self, params: EncoderParams, weight_decay: float) -> None:
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self._m = np.zeros_like(params.flat)
         self._v = np.zeros_like(params.flat)
         self._t = 0
 
-    def step(self, params: EncoderParams, grads: ParamGrads, lr: float | None = None) -> None:
-        lr = self.lr if lr is None else lr
+    def step(self, params: EncoderParams, grads: ParamGrads, lr: float) -> None:
         self._t += 1
-        bc1 = 1.0 - self.beta1 ** self._t
-        bc2 = 1.0 - self.beta2 ** self._t
+        bc1 = 1.0 - BETA1 ** self._t
+        bc2 = 1.0 - BETA2 ** self._t
         theta, m, v = params.flat, self._m, self._v
         g = grads.flat + self.weight_decay * theta
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
-        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 def save_encoder(params: EncoderParams, path: str | Path) -> None:

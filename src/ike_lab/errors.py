@@ -1,8 +1,12 @@
-"""Exception types shared across the library, and the one type rule for
-configuration fields."""
+"""Exception types shared across the library, the degenerate-norm threshold,
+and the one type rule for configuration fields."""
 
 import dataclasses
 import numbers
+import sys
+
+# Norms below this cannot be normalized meaningfully.
+DEGENERATE_NORM = 1e-9
 
 
 class LabError(Exception):
@@ -79,10 +83,12 @@ _KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bo
 
 def check_kind(key: str, value, kind: str, error: type[LabError] = ConfigError) -> None:
     """Raise error naming key unless value is of kind: "int" takes an
-    integer and "float" any real number, neither of them a bool; "str" and
-    "bool" take their own type only."""
-    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _KINDS[kind]):
-        raise error(f"{key} must be {kind}, got {value!r}")
+    integer and "float" a finite real number, neither of them a bool; "str"
+    and "bool" take their own type only. The float range is compared
+    exactly, so NaN, the infinities and integers beyond it fail."""
+    kind_ok = isinstance(value, bool) == (kind == "bool") and isinstance(value, _KINDS[kind])
+    if not kind_ok or kind == "float" and not -sys.float_info.max <= value <= sys.float_info.max:
+        raise error(f"{key} must be {'a finite float' if kind == 'float' else kind}, got {value!r}")
 
 
 def check_field_types(obj) -> None:

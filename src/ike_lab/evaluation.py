@@ -159,11 +159,11 @@ def _block_aps(
 
 @dataclass
 class MetricsReport:
-    """Everything one sequential run produces, with self-consistency checks."""
+    """Everything one sequential run measured. fmap and mean_map are read
+    from per_camera_map, so they cannot disagree with it; from_dict checks
+    a loaded document's copies against it."""
 
     per_camera_map: list[float]
-    fmap: float
-    mean_map: float
     nh_trajectory: list[int]
     assoc_precision: list[float | None]
     seed: int
@@ -178,33 +178,16 @@ class MetricsReport:
             raise ShapeMismatch("report needs at least one camera step")
         if len(self.nh_trajectory) != C or len(self.assoc_precision) != C or len(self.order) != C:
             raise ShapeMismatch("per-camera fields must all have one entry per step")
-        if self.fmap != self.per_camera_map[-1]:
-            raise ShapeMismatch("fmap must equal the final per-camera mAP")
-        if abs(self.mean_map - sum(self.per_camera_map) / C) > 1e-12:
-            raise ShapeMismatch("mean_map must be the arithmetic mean of per-camera mAP")
 
-    @classmethod
-    def build(
-        cls,
-        per_camera_map: list[float],
-        nh_trajectory: list[int],
-        assoc_precision: list[float | None],
-        seed: int,
-        variant: str,
-        order: list[int],
-        meta: dict | None = None,
-    ) -> "MetricsReport":
-        return cls(
-            per_camera_map=list(per_camera_map),
-            fmap=per_camera_map[-1],
-            mean_map=sum(per_camera_map) / len(per_camera_map),
-            nh_trajectory=list(nh_trajectory),
-            assoc_precision=list(assoc_precision),
-            seed=seed,
-            variant=variant,
-            order=list(order),
-            meta=dict(meta or {}),
-        )
+    @property
+    def fmap(self) -> float:
+        """mAP after the last camera."""
+        return self.per_camera_map[-1]
+
+    @property
+    def mean_map(self) -> float:
+        """Arithmetic mean of the per-camera mAPs."""
+        return sum(self.per_camera_map) / len(self.per_camera_map)
 
     def to_dict(self) -> dict:
         return {
@@ -222,10 +205,8 @@ class MetricsReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MetricsReport":
-        return cls(
+        report = cls(
             per_camera_map=list(doc["per_camera_map"]),
-            fmap=doc["fmap"],
-            mean_map=doc["mean_map"],
             nh_trajectory=list(doc["nh_trajectory"]),
             assoc_precision=list(doc["assoc_precision"]),
             seed=doc["seed"],
@@ -234,6 +215,11 @@ class MetricsReport:
             forgetting=doc.get("forgetting"),
             meta=dict(doc.get("meta", {})),
         )
+        if doc["fmap"] != report.fmap:
+            raise ShapeMismatch("fmap must equal the final per-camera mAP")
+        if abs(doc["mean_map"] - report.mean_map) > 1e-12:
+            raise ShapeMismatch("mean_map must be the arithmetic mean of per-camera mAP")
+        return report
 
 
 def forgetting_curve(report: MetricsReport, upperbound_map: float) -> list[float]:

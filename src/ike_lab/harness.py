@@ -141,12 +141,13 @@ class ExperimentConfig:
         )
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "ExperimentConfig":
+    def from_file(cls, path: str | Path, **overrides) -> "ExperimentConfig":
+        """The JSON file's config; overrides replace its keys before any check."""
         try:
             doc = json.loads(Path(path).read_text())
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(doc | overrides if isinstance(doc, dict) else doc)
 
     def to_dict(self) -> dict:
         return {
@@ -306,8 +307,6 @@ def execute_run(
     if run_dir is not None:
         run_dir.mkdir(parents=True, exist_ok=True)
         recorder = DiskRecorder(spec.run_id, run_dir)
-    meta = {"run_id": spec.run_id, "order_name": spec.order_name,
-            "sweep": {a: v for a, v in spec.sweep}}
     report = run_sequence(
         bundle,
         list(spec.order),
@@ -318,9 +317,10 @@ def execute_run(
         derive_run_seed(spec),
         recorder=recorder,
         gallery_rule=config.gallery_rule,
-        meta=meta,
-        report_seed=spec.seed,
     )
+    report.seed = spec.seed  # the grid seed, from which the run's stream derives
+    report.meta = {"run_id": spec.run_id, "order_name": spec.order_name,
+                   "sweep": {a: v for a, v in spec.sweep}}
     if run_dir is not None and recorder is not None:
         recorder.flush()
         _write_atomic(run_dir / "metrics.json", json.dumps(report.to_dict(), indent=2) + "\n")

@@ -36,12 +36,16 @@ class LossBreakdown:
         return (self.id, self.id_hist, self.kd, self.mkd, self.total)
 
 
-def _log_softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise stable log-softmax; returns (logp, p)."""
+def _contrastive(
+    F: np.ndarray, y: np.ndarray, rows: np.ndarray, tau: float, B: int
+) -> tuple[float, np.ndarray]:
+    """Sum over the rows of F of -log softmax_j(F_i . rows_j / tau) at
+    j = y_i, divided by B, and its gradient with respect to F."""
+    logits = (F @ rows.T) / tau
     shifted = logits - logits.max(axis=1, keepdims=True)
-    logsum = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - logsum
-    return logp, np.exp(logp)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    value = float(-logp[np.arange(y.shape[0]), y].sum() / B)
+    return value, (np.exp(logp) @ rows - rows[y]) / (tau * B)
 
 
 def loss_id(
@@ -63,12 +67,7 @@ def loss_id(
         raise ShapeMismatch(f"labels shape {labels.shape} vs batch {B}")
     if labels.min() < 0 or labels.max() >= len(memory):
         raise LabelOutOfRange(f"labels must lie in [0, {len(memory)})")
-    logits = (F @ memory.rows.T) / tau
-    logp, p = _log_softmax(logits)
-    idx = np.arange(B)
-    value = float(-logp[idx, labels].mean())
-    grad = (p @ memory.rows - memory.rows[labels]) / (tau * B)
-    return value, grad
+    return _contrastive(F, labels, memory.rows, tau, B)
 
 
 def loss_id_hist(
@@ -89,12 +88,27 @@ def loss_id_hist(
     y = hist_labels[mask]
     if y.min() < 0 or y.max() >= len(hist):
         raise LabelOutOfRange(f"historical labels must lie in [0, {len(hist)})")
-    logits = (F[mask] @ hist.rows.T) / tau
-    logp, p = _log_softmax(logits)
-    idx = np.arange(y.shape[0])
-    value = float(-logp[idx, y].sum() / B)
-    grad[mask] = (p @ hist.rows - hist.rows[y]) / (tau * B)
+    value, grad[mask] = _contrastive(F[mask], y, hist.rows, tau, B)
     return value, grad
+
+
+def _gated_sq_distance(
+    name: str, what: str, a: np.ndarray, b: np.ndarray, gates: np.ndarray
+) -> tuple[int, float, np.ndarray]:
+    """(B, sum_i gates_i |a_i - b_i|^2, gates[:, None] * (a - b)) for one
+    pair of feature batches; b is constant."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    gates = np.asarray(gates, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ShapeMismatch(f"{what} shapes differ: {a.shape} vs {b.shape}")
+    B = a.shape[0]
+    if B == 0:
+        raise EmptyBatch(f"{name} on an empty batch")
+    if gates.shape != (B,):
+        raise ShapeMismatch(f"gates shape {gates.shape} vs batch {B}")
+    diff = a - b
+    return B, (gates * (diff * diff).sum(axis=1)).sum(), gates[:, None] * diff
 
 
 def loss_kd(
@@ -102,20 +116,8 @@ def loss_kd(
 ) -> tuple[float, np.ndarray]:
     """Gated squared-distance distillation between current and historical
     embeddings; the historical side is constant."""
-    Fc = np.asarray(Fc, dtype=np.float64)
-    Fh = np.asarray(Fh, dtype=np.float64)
-    gates = np.asarray(gates, dtype=np.float64)
-    if Fc.shape != Fh.shape:
-        raise ShapeMismatch(f"feature shapes differ: {Fc.shape} vs {Fh.shape}")
-    B = Fc.shape[0]
-    if B == 0:
-        raise EmptyBatch("loss_kd on an empty batch")
-    if gates.shape != (B,):
-        raise ShapeMismatch(f"gates shape {gates.shape} vs batch {B}")
-    diff = Fc - Fh
-    value = float((gates * (diff * diff).sum(axis=1)).sum() / B)
-    grad = 2.0 * gates[:, None] * diff / B
-    return value, grad
+    B, value, gated_diff = _gated_sq_distance("loss_kd", "feature", Fc, Fh, gates)
+    return float(value / B), 2.0 * gated_diff / B
 
 
 def loss_mkd(
@@ -127,22 +129,10 @@ def loss_mkd(
     distance summed over taps, batch-mean normalized."""
     if len(middles_c) != len(middles_h):
         raise ShapeMismatch("middle feature lists differ in length")
-    gates = np.asarray(gates, dtype=np.float64)
     value = 0.0
     grads = []
-    B = None
     for hc, hh in zip(middles_c, middles_h):
-        hc = np.asarray(hc, dtype=np.float64)
-        hh = np.asarray(hh, dtype=np.float64)
-        if hc.shape != hh.shape:
-            raise ShapeMismatch(f"middle shapes differ: {hc.shape} vs {hh.shape}")
-        if B is None:
-            B = hc.shape[0]
-            if B == 0:
-                raise EmptyBatch("loss_mkd on an empty batch")
-            if gates.shape != (B,):
-                raise ShapeMismatch(f"gates shape {gates.shape} vs batch {B}")
-        diff = hc - hh
-        value += float((gates * (diff * diff).sum(axis=1)).sum() / (2.0 * B))
-        grads.append(gates[:, None] * diff / B)
+        B, tap_value, gated_diff = _gated_sq_distance("loss_mkd", "middle", hc, hh, gates)
+        value += float(tap_value / (2.0 * B))
+        grads.append(gated_diff / B)
     return value, tuple(grads)

@@ -2,9 +2,10 @@
 that score, build, and evolve it (momentum blending, rotation into a new
 model's space, and merge/expansion).
 
-Momentum blending takes a whole batch at once and applies it in order of
-occurrence, so the memory after a batch is bitwise the one the per-sample
-rule would leave."""
+Building, blending and merging all normalize through one rule, _unit. Each
+works on whole arrays and is bitwise the per-identity or per-sample loop
+it replaces: sums and blends apply in order of occurrence, and a merge
+target matched twice takes its last match."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (
+    DEGENERATE_NORM,
     DegenerateMean,
     DimensionMismatch,
     EmptyBatch,
@@ -34,9 +36,6 @@ NO_MATCH = -1
 
 # Rows are kept on the unit sphere to this tolerance.
 UNIT_TOL = 1e-9
-
-# Norms below this cannot be normalized meaningfully.
-DEGENERATE_NORM = 1e-9
 
 
 @dataclass
@@ -109,24 +108,23 @@ def cosine_scores(f: np.ndarray, memory: IdentityMemory) -> np.ndarray:
 
 def init_memory(params: "EncoderParams", dataset: "CameraDataset") -> IdentityMemory:
     """Build a memory from a dataset: row y = normalized mean embedding of
-    all images labelled y. Row order follows the label index."""
+    all images labelled y. Row order follows the label index. Each sum
+    starts from the identity's first row and adds the others in order of
+    occurrence, as feats[labels == y].mean(axis=0) does."""
     from .encoder import forward_batch
 
     if dataset.X.shape[0] == 0:
         raise EmptyBatch("cannot initialize a memory from an empty dataset")
     labels = np.asarray(dataset.labels)
-    n_ids = int(dataset.n_ids)
+    counts = np.bincount(labels, minlength=int(dataset.n_ids))
+    if not counts.all():
+        raise MissingLabel(f"label {np.flatnonzero(counts == 0)[0]} has no images")
     feats = forward_batch(params, dataset.X).embeddings
-    rows = np.zeros((n_ids, feats.shape[1]))
-    for y in range(n_ids):
-        mask = labels == y
-        if not mask.any():
-            raise MissingLabel(f"label {y} has no images")
-        mean = feats[mask].mean(axis=0)
-        norm = float(np.linalg.norm(mean))
-        if norm < DEGENERATE_NORM:
-            raise DegenerateMean(f"mean feature of identity {y} has norm {norm:g}")
-        rows[y] = mean / norm
+    first = np.unique(labels, return_index=True)[1]
+    rest = np.delete(np.arange(labels.size), first)
+    sums = feats[first]
+    np.add.at(sums, labels[rest], feats[rest])
+    rows = _unit(sums / counts[:, None], np.arange(counts.size), "mean feature")
     prov = None if dataset.label_to_global is None else dataset.label_to_global.tolist()
     return IdentityMemory(rows, prov)
 
@@ -144,8 +142,7 @@ def momentum_update(
     several times is blended once per occurrence, each time from the row the
     previous occurrence left. Round k updates the k-th occurrence of every
     identity at once, so the result equals the one-row-at-a-time loop bit
-    for bit; row norms are BLAS dot products, as in np.linalg.norm of a
-    single row. All other rows are untouched.
+    for bit. All other rows are untouched.
     """
     single = np.ndim(idx) == 0
     idx = np.atleast_1d(np.asarray(idx))
@@ -166,13 +163,7 @@ def momentum_update(
         take = order[rank == k]
         rows = idx[take]
         blended = omega * memory.rows[rows] + (1.0 - omega) * f[take]
-        norms = np.sqrt((blended[:, None, :] @ blended[:, :, None])[:, 0, 0])
-        low = norms < DEGENERATE_NORM
-        if low.any():
-            raise DegenerateMean(
-                f"momentum blend for identity {rows[low][0]} collapsed to norm {norms[low][0]:g}"
-            )
-        memory.rows[rows] = blended / norms[:, None]
+        memory.rows[rows] = _unit(blended, rows, "momentum blend")
     return memory
 
 
@@ -185,7 +176,7 @@ def iku_merge(
     becomes normalize(lam * hist[t] + (1 - lam) * cur[j]). Unmatched rows of
     cur are appended in ascending j. Blends always read the original hist
     row, so a duplicated target (possible with non-mutual association maps)
-    resolves to the last j deterministically.
+    resolves to the last j; every blend is checked for degeneracy.
 
     Provenance follows the heavier input of each blend: a matched row takes
     cur's tag for j when lam < 0.5 and keeps hist's tag for t otherwise, so
@@ -199,30 +190,36 @@ def iku_merge(
         raise ShapeMismatch(
             f"association length {matches.shape} vs current identity count {len(cur)}"
         )
-    rows = hist.rows.copy()
+    matched = np.flatnonzero(matches != NO_MATCH)
+    unmatched = np.flatnonzero(matches == NO_MATCH)
+    targets = matches[matched]
+    outside = (targets < 0) | (targets >= len(hist))
+    if outside.any():
+        raise IndexOutOfRange(f"match target {targets[outside][0]} outside historical memory")
+    blended = _unit(lam * hist.rows[targets] + (1.0 - lam) * cur.rows[matched], matched, "merge")
+    # The last j of each target wins: its first position in reversed order.
+    targets, from_end = np.unique(targets[::-1], return_index=True)
+    last = matched.size - 1 - from_end
+    rows = np.concatenate([hist.rows, cur.rows[unmatched]], axis=0)
+    rows[targets] = blended[last]
     prov = None
     if hist.provenance is not None and cur.provenance is not None:
-        prov = list(hist.provenance)
-    unmatched: list[int] = []
-    for j in range(len(cur)):
-        t = int(matches[j])
-        if t == NO_MATCH:
-            unmatched.append(j)
-            continue
-        if not 0 <= t < len(hist):
-            raise IndexOutOfRange(f"match target {t} outside historical memory")
-        blended = lam * hist.rows[t] + (1.0 - lam) * cur.rows[j]
-        norm = float(np.linalg.norm(blended))
-        if norm < DEGENERATE_NORM:
-            raise DegenerateMean(f"merge of identity {j} into row {t} collapsed")
-        rows[t] = blended / norm
-        if prov is not None and lam < 0.5:
-            prov[t] = cur.provenance[j]
-    if unmatched:
-        rows = np.concatenate([rows, cur.rows[unmatched]], axis=0)
-    if prov is not None:
-        prov += [cur.provenance[j] for j in unmatched]
+        cur_tags = np.array(cur.provenance, dtype=np.int64)
+        prov = np.concatenate([np.array(hist.provenance, dtype=np.int64), cur_tags[unmatched]])
+        if lam < 0.5:
+            prov[targets] = cur_tags[matched[last]]
     return IdentityMemory(rows, prov)
+
+
+def _unit(vectors: np.ndarray, ids: np.ndarray, what: str) -> np.ndarray:
+    """vectors with each row divided by its norm, the sqrt of the row's BLAS
+    dot product with itself (as np.linalg.norm of one row). A norm below
+    DEGENERATE_NORM raises DegenerateMean naming the row's entry in ids."""
+    norms = np.sqrt((vectors[:, None, :] @ vectors[:, :, None])[:, 0, 0])
+    low = norms < DEGENERATE_NORM
+    if low.any():
+        raise DegenerateMean(f"{what} of identity {ids[low][0]} collapsed to norm {norms[low][0]:g}")
+    return vectors / norms[:, None]
 
 
 def align_memory(hist: IdentityMemory, cur: IdentityMemory, assoc) -> IdentityMemory:

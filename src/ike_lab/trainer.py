@@ -102,11 +102,7 @@ class Hyperparams:
     batch_size: int = 64
 
     def validate(self) -> None:
-        check_field_types(self)
-        # NaN fails every comparison below, so finiteness is checked first.
-        for key in ("tau", "lr", "weight_decay"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, key)!r}")
+        check_field_types(self)  # every float field finite
         if self.tau <= 0:
             raise ConfigError("tau must be positive")
         if not 0.0 <= self.omega <= 1.0:
@@ -287,7 +283,7 @@ def train_camera(
         hist_feats = (out_h.embeddings, *out_h.middles)
         del out_h
 
-    opt = Adam(cur_params, lr=hyper.lr, weight_decay=hyper.weight_decay)
+    opt = Adam(cur_params, hyper.weight_decay)
     epoch_means: list[LossBreakdown] = []
     lrs: list[float] = []
     N = len(dataset)
@@ -351,11 +347,9 @@ def run_sequence(
     seed: int | np.random.SeedSequence,
     recorder: RunRecorder | None = None,
     gallery_rule: str = "camera",
-    meta: dict | None = None,
-    report_seed: int | None = None,
 ) -> MetricsReport:
     """Train every camera in order, evaluating on the fixed test split after
-    each one."""
+    each one. The report's seed is seed, or -1 for a SeedSequence."""
     C = bundle.n_cameras
     if sorted(order) != list(range(C)):
         raise ConfigError(f"order {order} is not a permutation of 0..{C - 1}")
@@ -368,11 +362,8 @@ def run_sequence(
         maps.append(evaluate_map(state.encoder, bundle.test, gallery_rule))
         nhs.append(result.nh_after)
         precs.append(result.assoc_precision)
-    if report_seed is None:
-        report_seed = seed if isinstance(seed, int) else -1
-    return MetricsReport.build(
-        maps, nhs, precs, report_seed, variant.value, list(order), meta=meta
-    )
+    report_seed = seed if isinstance(seed, int) else -1
+    return MetricsReport(maps, nhs, precs, report_seed, variant.value, list(order))
 
 
 def merge_cameras_with_global_labels(bundle: DatasetBundle) -> CameraDataset:

@@ -180,19 +180,27 @@ class TestAdam:
         X = rng.normal(size=(8, 4))
         target = unit_rows(rng, 8, 5)
         closure = quadratic_closure(X, target)
-        opt = Adam(params, lr=1e-2, weight_decay=0.0)
+        opt = Adam(params, weight_decay=0.0)
         v0 = closure(params)[0]
         for _ in range(50):
             _, grads = closure(params)
-            opt.step(params, grads)
+            opt.step(params, grads, 1e-2)
         assert closure(params)[0] < v0
 
     def test_lr_override(self, rng):
+        # Each step moves by the lr it is given: not at all at 0, and by
+        # lr * g / (|g| + EPS) on a first step at any other lr.
         params = init_encoder([4, 6, 6, 5], rng)
         before = params.flat.copy()
-        opt = Adam(params, lr=0.1, weight_decay=0.0)
-        opt.step(params, ParamGrads(params), lr=0.0)
+        grads = ParamGrads(params)
+        grads.flat[:] = rng.normal(size=grads.flat.size)
+        Adam(params, weight_decay=0.0).step(params, grads, 0.0)
         assert (params.flat == before).all()
+        for lr in (1e-3, 0.25):
+            moved = params.copy()
+            Adam(moved, weight_decay=0.0).step(moved, grads, lr)
+            want = lr * grads.flat / (np.abs(grads.flat) + 1e-8)
+            assert np.allclose(before - moved.flat, want, rtol=1e-9, atol=0)
 
 
 class TestSnapshot:
@@ -238,7 +246,7 @@ class TestFlatVector:
         ref = [a.copy() for a in blocks(params)]
         m = [np.zeros_like(a) for a in ref]
         v = [np.zeros_like(a) for a in ref]
-        opt = Adam(params, lr=1.0, weight_decay=wd)
+        opt = Adam(params, weight_decay=wd)
         for t in range(1, steps + 1):
             grads = ParamGrads(params)
             grads.flat[:] = rng.normal(size=grads.flat.size)

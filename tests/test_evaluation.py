@@ -242,15 +242,15 @@ class TestEvaluateMap:
 
 class TestMetricsReport:
     def test_consistency_enforced(self):
-        with pytest.raises(ShapeMismatch):
-            MetricsReport(
-                per_camera_map=[0.5, 0.6], fmap=0.5, mean_map=0.55,
-                nh_trajectory=[10, 12], assoc_precision=[None, 0.9],
-                seed=0, variant="IKE", order=[0, 1],
-            )
+        # A loaded document's fmap and mean_map must agree with its per-camera mAPs.
+        doc = MetricsReport([0.5, 0.6], [10, 12], [None, 0.9], 0, "IKE", [0, 1]).to_dict()
+        MetricsReport.from_dict(doc)
+        for key, value in (("fmap", 0.5), ("mean_map", 0.56)):
+            with pytest.raises(ShapeMismatch):
+                MetricsReport.from_dict(doc | {key: value})
 
     def test_build_and_roundtrip(self):
-        rep = MetricsReport.build([0.5, 0.7], [10, 12], [None, 0.8], 3, "IKE", [1, 0], {"k": 1})
+        rep = MetricsReport([0.5, 0.7], [10, 12], [None, 0.8], 3, "IKE", [1, 0], meta={"k": 1})
         assert rep.fmap == 0.7
         assert rep.mean_map == pytest.approx(0.6)
         back = MetricsReport.from_dict(rep.to_dict())
@@ -259,11 +259,11 @@ class TestMetricsReport:
 
 class TestForgettingCurve:
     def test_equal_to_upperbound_all_zero(self):
-        rep = MetricsReport.build([0.9, 0.9], [1, 2], [None, None], 0, "IKE", [0, 1])
+        rep = MetricsReport([0.9, 0.9], [1, 2], [None, None], 0, "IKE", [0, 1])
         assert forgetting_curve(rep, 0.9) == [0.0, 0.0]
 
     def test_monotone_improvement_monotone_gaps(self):
-        rep = MetricsReport.build([0.5, 0.6, 0.7], [1, 2, 3], [None] * 3, 0, "IKE", [0, 1, 2])
+        rep = MetricsReport([0.5, 0.6, 0.7], [1, 2, 3], [None] * 3, 0, "IKE", [0, 1, 2])
         gaps = forgetting_curve(rep, 0.8)
         assert gaps == pytest.approx([0.3, 0.2, 0.1])
         assert all(a > b for a, b in zip(gaps, gaps[1:]))

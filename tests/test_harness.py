@@ -413,6 +413,38 @@ class TestCli:
             assert f"{key} must be" in err.getvalue()
             assert not out.exists()
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_float_beyond_float_range_exit_2_before_any_work(self, data):
+        # JSON can carry integers too large for a float (written out in
+        # digits) and, in Python's dialect, Infinity and NaN.
+        bad = data.draw(st.one_of(
+            st.integers(2 ** 1024, 10 ** 400), st.integers(-(10 ** 400), -(2 ** 1024)),
+            st.sampled_from([math.inf, -math.inf, math.nan]),
+        ))
+        doc = tiny_config()
+        section = data.draw(st.sampled_from(["hyperparams", "synthetic", "sweep"]))
+        if section == "sweep":
+            key, good = data.draw(st.sampled_from([("lambda", 0.5), ("omega", 0.1), ("tau", 0.05)]))
+            doc["sweep"] = {key: [good, bad]}
+        else:
+            cls = Hyperparams if section == "hyperparams" else SyntheticSpec
+            key = data.draw(st.sampled_from(
+                [f.name for f in dataclasses.fields(cls) if f.type in (float, "float")]
+            ))
+            target = doc["hyperparams"] if section == "hyperparams" else doc["dataset"]["synthetic"]
+            target[key] = bad
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "cfg.json"
+            out = Path(tmp) / "out"
+            cfg_path.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+            assert rc == 2
+            assert f"{key}" in err.getvalue() and "must be a finite float" in err.getvalue()
+            assert not out.exists()
+
     @pytest.mark.parametrize("doc, key", [
         (5, "a config must be a JSON object"),
         (["run"], "a config must be a JSON object"),

@@ -96,6 +96,25 @@ class TestInitMemory:
         mem = init_memory(small_encoder, cam)
         assert mem.provenance == [10, 11, 12, 13]
 
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.integers(1, 48))
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equals_per_identity_mean_loop(self, seed, n_ids, per_id_max):
+        # Labels interleave, numbered in order of first appearance as the
+        # loader numbers them, with up to 48 images per identity.
+        r = np.random.default_rng(seed)
+        dim, embed = int(r.integers(2, 9)), int(r.choice([3, 8, 16]))
+        sizes = r.integers(1, per_id_max + 1, size=n_ids)
+        raw = r.permutation(np.repeat(np.arange(n_ids), sizes))
+        labels = np.unique(raw, return_index=True)[1].argsort().argsort()[raw]
+        cam = CameraDataset(0, r.normal(size=(labels.size, dim)), labels, n_ids)
+        params = init_encoder([dim, 8, 8, embed], r)
+        feats = forward_batch(params, cam.X).embeddings
+        want = np.zeros((n_ids, embed))
+        for y in range(n_ids):
+            mean = feats[labels == y].mean(axis=0)
+            want[y] = mean / float(np.linalg.norm(mean))
+        assert (init_memory(params, cam).rows == want).all()
+
 
 class TestMomentumUpdate:
     def test_omega_one_keeps_row(self, rng):
@@ -254,6 +273,57 @@ class TestIkuMerge:
         assert merged.max_unit_error() <= 1e-9
         want = oracles.iku_oracle(hist.rows, cur.rows, matches.tolist(), lam)
         assert np.max(np.abs(merged.rows - want)) <= 1e-12
+
+
+def merge_loop(hist, cur, matches, lam):
+    """iku_merge one matched j at a time, in ascending j."""
+    rows, prov, unmatched = hist.rows.copy(), list(hist.provenance), []
+    for j, t in enumerate(matches.tolist()):
+        if t == -1:
+            unmatched.append(j)
+            continue
+        blended = lam * hist.rows[t] + (1.0 - lam) * cur.rows[j]
+        norm = float(np.linalg.norm(blended))
+        if norm < 1e-9:
+            raise DegenerateMean(f"merge of identity {j}")
+        rows[t] = blended / norm
+        if lam < 0.5:
+            prov[t] = cur.provenance[j]
+    return (np.concatenate([rows, cur.rows[unmatched]]),
+            prov + [cur.provenance[j] for j in unmatched])
+
+
+class TestIkuMergeAgainstLoop:
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.25, 0.4375, 0.5, 0.75, 1.0]),
+           st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_equals_per_j_loop(self, seed, lam, degenerate):
+        # Few history rows and up to 12 current ones, so targets repeat.
+        r = np.random.default_rng(seed)
+        n_h, n_c, dim = int(r.integers(1, 5)), int(r.integers(1, 13)), int(r.integers(2, 9))
+        hist = IdentityMemory(unit_rows(r, n_h, dim), r.integers(100, size=n_h))
+        cur = IdentityMemory(unit_rows(r, n_c, dim), r.integers(100, 200, size=n_c))
+        matches = np.where(r.random(n_c) < 0.75, r.integers(n_h, size=n_c), -1)
+        if degenerate:
+            # The first j cancels its target at lam 0.5, and the last j
+            # overwrites that target: the merge must still reject it.
+            lam, matches[0], matches[-1] = 0.5, 0, 0
+            cur.rows[0] = -hist.rows[0]
+            with pytest.raises(DegenerateMean, match="identity 0"):
+                iku_merge(hist, cur, matches, lam)
+            with pytest.raises(DegenerateMean):
+                merge_loop(hist, cur, matches, lam)
+            return
+        merged = iku_merge(hist, cur, matches, lam)
+        want_rows, want_prov = merge_loop(hist, cur, matches, lam)
+        assert (merged.rows == want_rows).all()
+        assert merged.provenance == want_prov
+
+    def test_target_out_of_range_named(self, rng):
+        hist = IdentityMemory(unit_rows(rng, 3, 4))
+        cur = IdentityMemory(unit_rows(rng, 3, 4))
+        with pytest.raises(IndexOutOfRange, match="target 5"):
+            iku_merge(hist, cur, np.array([1, 5, -1]), 0.25)
 
 
 class TestAlignMemory:

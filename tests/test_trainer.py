@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from ike_lab.association import cycle_match
 from ike_lab.datasets import DatasetBundle, TestSplit
 from ike_lab.encoder import forward_batch, init_encoder
 from ike_lab.errors import ConfigError, NonFiniteLoss
-from ike_lab.memory import NO_MATCH, init_memory
+from ike_lab.memory import NO_MATCH, iku_merge, init_memory
+from ike_lab import trainer
 from ike_lab.trainer import (
     Hyperparams,
     RunRecorder,
@@ -250,6 +252,54 @@ class TestRunSequence:
             NonFiniteLoss, match=f"^camera {order[0]}, epoch 0: "
         ):
             run_sequence(tiny_bundle(), order, variant, hyper, [8, 8, 8], 8, seed=0)
+
+
+class StateDigests(RunRecorder):
+    """sha256 (first 16 hex digits) of each camera's encoder vector, memory
+    rows, provenance and association, taken once the camera is done."""
+
+    def __init__(self):
+        self.digests = []
+
+    def on_camera(self, camera_step, camera_id, state, result):
+        h = hashlib.sha256()
+        for a in (state.encoder.flat, state.memory.rows,
+                  np.asarray(state.memory.provenance, dtype=np.int64), result.assoc.matches):
+            h.update(a.tobytes())
+        self.digests.append(h.hexdigest()[:16])
+
+
+class TestStateDigests:
+    # Recorded before init_memory and iku_merge worked on whole arrays: the
+    # per-camera state must stay bitwise the same, not only the mAPs.
+    # Camera 0 trains the same way for every variant.
+    DIGESTS = {
+        Variant.BASELINE: ["044637626730ed0f", "b9758e73fe782518", "975a105dad882e2b"],
+        Variant.IKE_D: ["044637626730ed0f", "1744d0bd214a3069", "72d1099eb8737e06"],
+        Variant.IKE_A: ["044637626730ed0f", "ba255ba578a9aebd", "9e432e8b933eb745"],
+        Variant.IKE_U: ["044637626730ed0f", "cdb10c7eb14b830e", "2882531bc00e3895"],
+        Variant.IKE_STAR: ["044637626730ed0f", "bed997dbfa20473c", "34fc6efec83063f8"],
+        Variant.IKE: ["044637626730ed0f", "717f88485559ed5e", "3e7a76be833a2afa"],
+    }
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_per_camera_state_unchanged(self, variant, monkeypatch):
+        shared_targets = []
+
+        def counting_merge(hist, cur, assoc, lam):
+            targets = assoc.matches[assoc.matches != NO_MATCH]
+            shared_targets.append(targets.size - np.unique(targets).size)
+            return iku_merge(hist, cur, assoc, lam)
+
+        monkeypatch.setattr(trainer, "iku_merge", counting_merge)
+        recorder = StateDigests()
+        run_sequence(tiny_bundle(), [0, 1, 2], variant, FAST.replace(lam=0.25), [8, 8, 8], 8,
+                     seed=0, recorder=recorder)
+        assert recorder.digests == self.DIGESTS[variant]
+        if variant is Variant.IKE_A:
+            # One-way matching sends two identities to one history row, so
+            # the digests cover a merge with a duplicated target.
+            assert max(shared_targets) > 0
 
 
 class TestJointUpperbound:
