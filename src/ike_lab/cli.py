@@ -45,14 +45,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_axis(text: str) -> tuple[str, list[float]]:
-    name, sep, values = text.partition("=")
-    if not sep:
-        raise ConfigError(f"bad axis {text!r}; expected NAME=V0,V1,...")
-    try:
-        return name.strip(), [float(v) for v in values.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad values in axis {text!r}: {exc}") from exc
+def _parse_axes(texts: list[str]) -> dict[str, list[float]]:
+    sweep: dict[str, list[float]] = {}
+    for text in texts:
+        name, sep, values = text.partition("=")
+        name = name.strip()
+        if not sep:
+            raise ConfigError(f"bad axis {text!r}; expected NAME=V0,V1,...")
+        if name in sweep:
+            raise ConfigError(f"sweep axis {name!r} given twice; list all its values in one --axis")
+        try:
+            sweep[name] = [float(v) for v in values.split(",") if v.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"bad values in axis {text!r}: {exc}") from exc
+    return sweep
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -68,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run" and args.seed is not None:
             overrides["seeds"] = [args.seed]
         elif args.command == "sweep":
-            overrides["sweep"] = dict(_parse_axis(t) for t in args.axis)
+            overrides["sweep"] = _parse_axes(args.axis)
         elif args.command == "orders":
             overrides["orders"] = expand_presets(args.preset)
         config = ExperimentConfig.from_file(args.config, **overrides)

@@ -1,10 +1,15 @@
 """Experiment orchestration: configs, run enumeration, artifact emission,
-and the built-in oracle selftest.
+and the oracle checks.
 
 A config describes a dataset, camera orders, variants, seeds, and optional
 sweep grids; the harness runs every combination, writes per-run artifacts
 (metrics.json/csv, training log, checkpoints) plus an aggregate summary.csv
 and manifest.json, and stays bitwise deterministic per (config, seed).
+
+The four oracle checks (check_cycle_match, check_memory_algebra, check_map,
+check_gradients) compare the fast paths with the reference implementations
+in oracles; selftest runs them at small sizes, acceptance criteria 1-4 at
+full size.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,10 +26,10 @@ import numpy as np
 from .association import cycle_match
 from .datasets import DatasetBundle, SyntheticSpec, TestSplit, generate, load_dataset
 from .encoder import EncoderParams, backward, forward_batch, grad_check, init_encoder, save_encoder
-from .errors import ConfigError, LabError, check_kind
+from .errors import ConfigError, EmptyGallery, LabError, check_kind
 from .evaluation import GALLERY_RULES, MetricsReport, evaluate_map
 from .losses import loss_id, loss_id_hist, loss_kd, loss_mkd
-from .memory import IdentityMemory, iku_merge, momentum_update, save_memory, unit_rows
+from .memory import IdentityMemory, empty_memory, iku_merge, momentum_update, save_memory, unit_rows
 from . import oracles
 from .trainer import (
     Hyperparams,
@@ -208,6 +214,8 @@ def expand_presets(text: str) -> list[str]:
         names = sorted(ORDER_PRESETS)
         if lo not in ORDER_PRESETS or hi not in ORDER_PRESETS:
             raise ConfigError(f"bad preset range {text!r}")
+        if names.index(hi) < names.index(lo):
+            raise ConfigError(f"preset range {text!r} runs backwards; write {hi}..{lo}")
         return names[names.index(lo) : names.index(hi) + 1]
     names = [t.strip() for t in text.split(",") if t.strip()]
     for name in names:
@@ -236,7 +244,8 @@ class RunSpec:
 def enumerate_runs(config: ExperimentConfig, n_cameras: int) -> list[RunSpec]:
     """Every run of the grid, all checked before any run starts. Each sweep
     value must be a number that Hyperparams.validate accepts on its axis;
-    otherwise ConfigError names the axis and the value."""
+    otherwise ConfigError names the axis and the value. Run ids name the run
+    directories, so ConfigError also names a run id given to two runs."""
     points: list[tuple[tuple[str, float], ...]] = [()]
     for axis in sorted(config.sweep or {}):
         for v in config.sweep[axis]:
@@ -252,6 +261,12 @@ def enumerate_runs(config: ExperimentConfig, n_cameras: int) -> list[RunSpec]:
             for point in points:
                 for seed in config.seeds:
                     specs.append(RunSpec(variant, order_name, tuple(order), seed, point))
+    seen: set[str] = set()
+    for spec in specs:
+        if spec.run_id in seen:
+            raise ConfigError(f"two runs share the run id {spec.run_id!r}; repeated variants, "
+                              "orders or sweep values that format alike collide")
+        seen.add(spec.run_id)
     return specs
 
 
@@ -496,16 +511,109 @@ def make_loss_closure(
     return closure
 
 
-def _random_grad_fixture(rng: np.random.Generator, input_dim=6, hidden=(8, 8, 8), embed=6,
-                         batch=5, n_cur=7, n_hist=5):
-    params = init_encoder([input_dim, *hidden, embed], rng)
-    hist_params = init_encoder([input_dim, *hidden, embed], rng)
-    X = rng.normal(size=(batch, input_dim))
+def grad_fixture(rng: np.random.Generator, widths: list[int]):
+    """A random batch of 3-8 inputs for the gradient checks: the current
+    encoder, then make_loss_closure's arguments after term."""
+    params = init_encoder(widths, rng)
+    hist_params = init_encoder(widths, rng)
+    batch = int(rng.integers(3, 9))
+    n_cur = int(rng.integers(2, 9))
+    n_hist = int(rng.integers(2, 7))
+    X = rng.normal(size=(batch, widths[0]))
     y = rng.integers(n_cur, size=batch)
-    y_hist = np.where(rng.random(batch) < 0.5, rng.integers(n_hist, size=batch), -1)
-    cur_memory = IdentityMemory(unit_rows(rng, n_cur, embed))
-    hist_memory = IdentityMemory(unit_rows(rng, n_hist, embed))
+    y_hist = np.where(rng.random(batch) < 0.6, rng.integers(n_hist, size=batch), -1)
+    cur_memory = IdentityMemory(unit_rows(rng, n_cur, widths[-1]))
+    hist_memory = IdentityMemory(unit_rows(rng, n_hist, widths[-1]))
     return params, hist_params, X, y, y_hist, cur_memory, hist_memory
+
+
+def check_gradients(rng: np.random.Generator, widths: list[int], batches: int, fault: str | None):
+    """Worst relative error per term between analytic gradients and central
+    differences; fault names a term whose gradient is perturbed first."""
+    worst = dict.fromkeys(GRAD_TERMS, 0.0)
+    for _ in range(batches):
+        params, *rest = grad_fixture(rng, widths)
+        for term in GRAD_TERMS:
+            closure = make_loss_closure(term, *rest, Hyperparams(tau=0.05))
+            if term == fault:
+                def closure(p, exact=closure):
+                    value, grads = exact(p)
+                    grads.weights[0][...] += 1e-3
+                    return value, grads
+            worst[term] = max(worst[term], grad_check(params, closure, step=1e-5))
+    return worst
+
+
+def check_cycle_match(rng: np.random.Generator, trials: int, max_n: int, dims: list[int]):
+    """Mismatches of cycle_match against the exhaustive scan on random memory
+    pairs of up to max_n rows, and the seconds spent in cycle_match."""
+    mismatches, seconds = 0, 0.0
+    for trial in range(trials):
+        n_c = int(rng.integers(1, max_n + 1))
+        n_h = int(rng.integers(0, max_n + 1))
+        d = dims[trial % len(dims)]
+        cur = IdentityMemory(unit_rows(rng, n_c, d))
+        hist = IdentityMemory(unit_rows(rng, n_h, d)) if n_h else empty_memory(d)
+        t0 = time.perf_counter()
+        got = cycle_match(cur, hist)
+        seconds += time.perf_counter() - t0
+        mismatches += got.matches.tolist() != oracles.mutual_argmax_oracle(cur.rows, hist.rows)
+    return mismatches, seconds
+
+
+def check_memory_algebra(rng: np.random.Generator, trials: int, max_d: int, max_n: int):
+    """Max abs error of momentum_update and iku_merge against the hand rules
+    (degenerate omega and lambda included), and the merges of wrong length."""
+    worst, wrong_length = 0.0, 0
+    for _ in range(trials):
+        d = int(rng.integers(2, max_d + 1))
+        omega = float(rng.choice([0.0, 0.1, 0.5, 1.0]))
+        mem = IdentityMemory(unit_rows(rng, int(rng.integers(1, max_n + 1)), d))
+        idx = int(rng.integers(len(mem)))
+        f = unit_rows(rng, 1, d)[0]
+        want = oracles.momentum_oracle(mem.rows[idx].copy(), f, omega)
+        momentum_update(mem, idx, f, omega)
+        worst = max(worst, float(np.max(np.abs(mem.rows[idx] - want))))
+        lam = float(rng.choice([0.0, 0.25, 0.75, 1.0]))
+        n_h = int(rng.integers(1, max_n + 1))
+        n_c = int(rng.integers(1, max_n + 1))
+        hist = IdentityMemory(unit_rows(rng, n_h, d))
+        cur = IdentityMemory(unit_rows(rng, n_c, d))
+        matches = np.array([int(rng.integers(n_h)) if rng.random() < 0.5 else -1 for _ in range(n_c)])
+        merged = iku_merge(hist, cur, matches, lam)
+        if len(merged) != n_h + int((matches == -1).sum()):
+            wrong_length += 1
+            continue
+        want_rows = oracles.iku_oracle(hist.rows, cur.rows, matches.tolist(), lam)
+        worst = max(worst, float(np.max(np.abs(merged.rows - want_rows))))
+    return worst, wrong_length
+
+
+def check_map(rng: np.random.Generator, scored: int, max_trials: int):
+    """Max abs error of evaluate_map against map_oracle, the random splits
+    scored (up to `scored`), and the splits only one of them can score."""
+    worst, n_scored, disagreements, trials = 0.0, 0, 0, 0
+    while n_scored < scored and trials < max_trials:
+        trials += 1
+        params = init_encoder([5, 8, 8, 6], np.random.default_rng(trials))
+        n = int(rng.integers(4, 31)) + int(rng.integers(8, 61))
+        X = rng.normal(size=(n, 5))
+        gids = rng.integers(8, size=n)
+        cams = rng.integers(3, size=n)
+        try:
+            want = oracles.map_oracle(forward_batch(params, X).embeddings, gids.tolist(), cams.tolist())
+        except ValueError:
+            want = None
+        try:
+            got = evaluate_map(params, TestSplit(X, gids, cams))
+        except EmptyGallery:
+            got = None
+        if (got is None) != (want is None):
+            disagreements += 1
+        elif got is not None:
+            worst = max(worst, abs(got - want))
+            n_scored += 1
+    return worst, n_scored, disagreements
 
 
 @dataclass
@@ -529,93 +637,24 @@ class SelftestReport:
         return "\n".join(lines)
 
 
-def selftest(fault: str | None = None, seed: int = 2024) -> SelftestReport:
-    """Cross-check the fast paths against the dumb oracles.
+SELFTEST_SEED = 2024
 
-    fault names a loss term whose analytic gradient is perturbed before
-    checking; used as a negative control in tests.
-    """
+
+def selftest(fault: str | None = None) -> SelftestReport:
+    """The four oracle checks at small sizes (acceptance criteria 1-4 run
+    them at full size). fault names a loss term whose analytic gradient is
+    perturbed before checking; used as a negative control in tests."""
     report = SelftestReport()
-    rng = np.random.default_rng(seed)
-
-    # cycle matching vs exhaustive scan
-    mismatches = 0
-    for _t in range(200):
-        n_c = int(rng.integers(1, 40))
-        n_h = int(rng.integers(0, 40))
-        d = int(rng.choice([8, 16]))
-        cur = IdentityMemory(unit_rows(rng, n_c, d))
-        hist = IdentityMemory(unit_rows(rng, n_h, d)) if n_h else IdentityMemory(np.zeros((0, d)))
-        got = cycle_match(cur, hist).matches.tolist()
-        want = oracles.mutual_argmax_oracle(cur.rows, hist.rows)
-        if got != want:
-            mismatches += 1
-    report.add("cycle-match", "mismatches", float(mismatches), 0.0)
-
-    # memory algebra vs hand recomputation
-    max_err = 0.0
-    for _t in range(100):
-        d = int(rng.integers(2, 12))
-        mem = IdentityMemory(unit_rows(rng, int(rng.integers(1, 10)), d))
-        f = unit_rows(rng, 1, d)[0]
-        idx = int(rng.integers(len(mem)))
-        omega = float(rng.choice([0.0, 0.1, 0.5, 1.0]))
-        want = oracles.momentum_oracle(mem.rows[idx].copy(), f, omega)
-        momentum_update(mem, idx, f, omega)
-        max_err = max(max_err, float(np.max(np.abs(mem.rows[idx] - want))))
-        n_h = int(rng.integers(1, 8))
-        n_c = int(rng.integers(1, 8))
-        hist = IdentityMemory(unit_rows(rng, n_h, d))
-        cur = IdentityMemory(unit_rows(rng, n_c, d))
-        matches = np.array([
-            int(rng.integers(n_h)) if rng.random() < 0.5 else -1 for _ in range(n_c)
-        ])
-        lam = float(rng.choice([0.0, 0.25, 1.0]))
-        got = iku_merge(hist, cur, matches, lam)
-        want_rows = oracles.iku_oracle(hist.rows, cur.rows, matches, lam)
-        if got.rows.shape != want_rows.shape:
-            report.add("memory-algebra", "iku-shape", 1.0, 0.0)
-            break
-        max_err = max(max_err, float(np.max(np.abs(got.rows - want_rows))))
-    report.add("memory-algebra", "max-abs-err", max_err, 1e-12)
-
-    # retrieval mAP vs python-sorted oracle
-    max_err = 0.0
-    for _t in range(40):
-        n = int(rng.integers(6, 30))
-        d = 8
-        emb_dim = 6
-        params = init_encoder([d, 8, 8, emb_dim], rng)
-        X = rng.normal(size=(n, d))
-        gids = rng.integers(4, size=n)
-        cams = rng.integers(3, size=n)
-        if np.unique(cams).size < 2:
-            cams[: n // 2] = 0
-            cams[n // 2 :] = 1
-        split = TestSplit(X, gids, cams)
-        try:
-            got = evaluate_map(params, split)
-        except LabError:
-            continue
-        emb = forward_batch(params, X).embeddings
-        want = oracles.map_oracle(emb, gids.tolist(), cams.tolist())
-        max_err = max(max_err, abs(got - want))
-    report.add("retrieval-map", "max-abs-err", max_err, 1e-12)
-
-    # analytic gradients vs central differences
-    fixture = _random_grad_fixture(rng)
-    params = fixture[0]
-    hyper = Hyperparams(tau=0.05)
-    for term in GRAD_TERMS:
-        closure = make_loss_closure(term, *fixture[1:], hyper)
-        if fault == term:
-            base = closure
-
-            def closure(p, _base=base):
-                value, grads = _base(p)
-                grads.weights[0][...] += 1e-3
-                return value, grads
-
-        err = grad_check(params, closure, step=1e-5)
+    rng = np.random.default_rng(SELFTEST_SEED)
+    report.add("cycle-match", "mismatches", check_cycle_match(rng, 200, 39, [8, 16])[0], 0)
+    err, wrong_length = check_memory_algebra(rng, 100, 11, 9)
+    report.add("memory-algebra", "max-abs-err", err, 1e-12)
+    report.add("memory-algebra", "wrong-length", wrong_length, 0)
+    err, n_scored, disagreements = check_map(rng, 40, 80)
+    report.add("retrieval-map", "max-abs-err", err, 1e-12)
+    report.add("retrieval-map", "disagree", disagreements, 0)
+    report.add("retrieval-map", "unscored", 40 - n_scored, 0)
+    # Four blocks make tap 3 a tanh output; criterion 2's three, the pre-normalization one.
+    for term, err in check_gradients(rng, [6, 8, 8, 8, 6], 1, fault).items():
         report.add("gradients", term, err, 1e-6)
     return report

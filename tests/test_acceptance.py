@@ -10,17 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from ike_lab import oracles
-from ike_lab.association import cycle_match
-from ike_lab.datasets import SyntheticSpec, TestSplit, generate
-from ike_lab.encoder import forward_batch, grad_check, init_encoder
-from ike_lab.errors import EmptyGallery
-from ike_lab.evaluation import evaluate_map, precision_matrix
-from ike_lab.harness import ExperimentConfig, GRAD_TERMS, make_loss_closure, run
-from ike_lab.memory import IdentityMemory, empty_memory, iku_merge, momentum_update
+from ike_lab.datasets import SyntheticSpec, generate
+from ike_lab.evaluation import precision_matrix
+from ike_lab.harness import (
+    ExperimentConfig, check_cycle_match, check_gradients, check_map, check_memory_algebra, run,
+)
 from ike_lab.trainer import Hyperparams, RunRecorder, Variant, init_state, run_sequence, train_camera
-
-from conftest import unit_rows
 
 HIDDEN = [32, 32, 32]
 EMBED = 64
@@ -63,22 +58,7 @@ def variant_table(default_bundle):
 
 class TestCriterion1CycleMatchOracle:
     def test_brute_force_agreement(self):
-        rng = np.random.default_rng(20240501)
-        dims = [8, 16, 64]
-        mismatches = 0
-        match_time = 0.0
-        for trial in range(1000):
-            n_c = int(rng.integers(1, 201))
-            n_h = int(rng.integers(0, 201))
-            d = dims[trial % 3]
-            cur = IdentityMemory(unit_rows(rng, n_c, d))
-            hist = IdentityMemory(unit_rows(rng, n_h, d)) if n_h else empty_memory(d)
-            t0 = time.perf_counter()
-            got = cycle_match(cur, hist)
-            match_time += time.perf_counter() - t0
-            want = oracles.mutual_argmax_oracle(cur.rows, hist.rows)
-            if got.matches.tolist() != want:
-                mismatches += 1
+        mismatches, match_time = check_cycle_match(np.random.default_rng(20240501), 1000, 200, [8, 16, 64])
         ok = mismatches == 0 and match_time < 10.0
         report(1, ok, f"cycle-match vs brute force: {mismatches} mismatches in 1000 trials, "
                       f"matching time {match_time:.2f}s (< 10s)")
@@ -88,25 +68,8 @@ class TestCriterion1CycleMatchOracle:
 
 class TestCriterion2GradientSuite:
     def test_finite_difference_all_terms(self):
-        rng = np.random.default_rng(77)
-        hyper = Hyperparams(tau=0.05)
         t0 = time.perf_counter()
-        worst = {term: 0.0 for term in GRAD_TERMS}
-        for batch_idx in range(50):
-            params = init_encoder([6, 8, 8, 6], rng)
-            hist_params = init_encoder([6, 8, 8, 6], rng)
-            B = int(rng.integers(3, 9))
-            n_cur = int(rng.integers(2, 9))
-            n_hist = int(rng.integers(2, 7))
-            X = rng.normal(size=(B, 6))
-            y = rng.integers(n_cur, size=B)
-            y_hist = np.where(rng.random(B) < 0.6, rng.integers(n_hist, size=B), -1)
-            cur_mem = IdentityMemory(unit_rows(rng, n_cur, 6))
-            hist_mem = IdentityMemory(unit_rows(rng, n_hist, 6))
-            for term in GRAD_TERMS:
-                closure = make_loss_closure(term, hist_params, X, y, y_hist, cur_mem, hist_mem, hyper)
-                err = grad_check(params, closure, step=1e-5)
-                worst[term] = max(worst[term], err)
+        worst = check_gradients(np.random.default_rng(77), [6, 8, 8, 6], 50, None)
         elapsed = time.perf_counter() - t0
         ok = all(v <= 1e-6 for v in worst.values()) and elapsed < 30.0
         detail = ", ".join(f"{t}={v:.2e}" for t, v in worst.items())
@@ -118,64 +81,17 @@ class TestCriterion2GradientSuite:
 
 class TestCriterion3MapOracle:
     def test_brute_force_agreement(self):
-        rng = np.random.default_rng(13)
-        worst = 0.0
-        scored = 0
-        trials = 0
-        while scored < 200 and trials < 400:
-            trials += 1
-            params = init_encoder([5, 8, 8, 6], np.random.default_rng(trials))
-            n_q = int(rng.integers(4, 31))
-            n_total = n_q + int(rng.integers(8, 61))
-            X = rng.normal(size=(n_total, 5))
-            gids = rng.integers(8, size=n_total)
-            cams = rng.integers(3, size=n_total)
-            split = TestSplit(X, gids, cams)
-            emb = forward_batch(params, X).embeddings
-            try:
-                want = oracles.map_oracle(emb, gids.tolist(), cams.tolist())
-            except ValueError:
-                with pytest.raises(EmptyGallery):
-                    evaluate_map(params, split)
-                continue
-            got = evaluate_map(params, split)
-            worst = max(worst, abs(got - want))
-            scored += 1
-        ok = scored >= 200 and worst <= 1e-12
+        worst, scored, disagreements = check_map(np.random.default_rng(13), 200, 400)
+        ok = scored == 200 and worst <= 1e-12 and disagreements == 0
         report(3, ok, f"mAP vs brute force on {scored} instances: max abs diff {worst:.2e}")
-        assert scored >= 200
+        assert scored == 200
         assert worst <= 1e-12
+        assert disagreements == 0, "evaluate_map and map_oracle disagree on which splits are scorable"
 
 
 class TestCriterion4MemoryAlgebra:
     def test_hand_rule_agreement(self):
-        rng = np.random.default_rng(4)
-        worst = 0.0
-        length_violations = 0
-        for trial in range(200):
-            d = int(rng.integers(2, 16))
-            omega = float(rng.choice([0.0, 0.1, 0.5, 1.0]))
-            mem = IdentityMemory(unit_rows(rng, int(rng.integers(1, 12)), d))
-            idx = int(rng.integers(len(mem)))
-            f = unit_rows(rng, 1, d)[0]
-            want = oracles.momentum_oracle(mem.rows[idx].copy(), f, omega)
-            momentum_update(mem, idx, f, omega)
-            worst = max(worst, float(np.max(np.abs(mem.rows[idx] - want))))
-
-            lam = float(rng.choice([0.0, 0.25, 0.75, 1.0]))
-            n_h = int(rng.integers(1, 12))
-            n_c = int(rng.integers(1, 12))
-            hist = IdentityMemory(unit_rows(rng, n_h, d))
-            cur = IdentityMemory(unit_rows(rng, n_c, d))
-            matches = np.array(
-                [int(rng.integers(n_h)) if rng.random() < 0.5 else -1 for _ in range(n_c)]
-            )
-            merged = iku_merge(hist, cur, matches, lam)
-            expected_len = n_h + int((matches == -1).sum())
-            if len(merged) != expected_len:
-                length_violations += 1
-            want_rows = oracles.iku_oracle(hist.rows, cur.rows, matches.tolist(), lam)
-            worst = max(worst, float(np.max(np.abs(merged.rows - want_rows))))
+        worst, length_violations = check_memory_algebra(np.random.default_rng(4), 200, 15, 11)
         ok = worst <= 1e-12 and length_violations == 0
         report(4, ok, f"memory algebra vs hand rules: max abs err {worst:.2e}, "
                       f"{length_violations} length violations (degenerate omega/lambda included)")

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -13,22 +14,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ike_lab.cli as cli
+import ike_lab.harness as harness
+from ike_lab.association import one_way_match
 from ike_lab.datasets import SyntheticSpec
-from ike_lab.errors import ConfigError
+from ike_lab.errors import ConfigError, EmptyGallery
 from ike_lab.encoder import grad_check
+from ike_lab.evaluation import evaluate_map
 from ike_lab.harness import (
     GRAD_TERMS,
     ORDER_PRESETS,
     ExperimentConfig,
-    _random_grad_fixture,
+    check_cycle_match,
+    check_map,
+    check_memory_algebra,
     derive_run_seed,
     enumerate_runs,
     expand_presets,
+    grad_fixture,
     make_loss_closure,
     resolve_order,
     run,
     selftest,
 )
+from ike_lab.memory import IdentityMemory, iku_merge
 from ike_lab.trainer import Hyperparams
 
 
@@ -198,6 +206,31 @@ class TestRun:
         ids = [r["run_id"] for r in manifest["runs"]]
         assert len(ids) == len(set(ids)) == 4
 
+    @pytest.mark.parametrize("mutate, n_cameras, run_id", [
+        ({"variants": ["IKE", "IKE"]}, 2, "IKE__o01__s0"),
+        ({"orders": [[0, 1], [0, 1]]}, 2, "IKE__o01__s0"),
+        ({"sweep": {"lambda": [0.1, 0.1000001]}}, 2, "IKE__o01__s0__lambda0.1"),
+        ({"orders": [[1, 10, 2, 3, 4, 5, 6, 7, 8, 9, 11, 0], [11, 0, 2, 3, 4, 5, 6, 7, 8, 9, 1, 10]]},
+         12, "IKE__o11023456789110__s0"),
+    ])
+    @pytest.mark.parametrize("through_cli", [False, True])
+    def test_shared_run_id_rejected_before_any_work(self, tmp_path, capsys, mutate, n_cameras,
+                                                     run_id, through_cli):
+        # Two runs with one id would write one runs/<id> directory and one
+        # report for both.
+        doc = tiny_config(**mutate)
+        doc["dataset"]["synthetic"]["n_cameras"] = n_cameras
+        out = tmp_path / "out"
+        if through_cli:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(doc))
+            assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+            assert f"run id {run_id!r}" in capsys.readouterr().err
+        else:
+            with pytest.raises(ConfigError, match=re.escape(f"run id {run_id!r}")):
+                run(ExperimentConfig.from_dict(doc), out_dir=out)
+        assert not out.exists()
+
     def test_bitwise_identical_reruns(self, tmp_path):
         cfg = ExperimentConfig.from_dict(tiny_config())
         run(cfg, out_dir=tmp_path / "a")
@@ -247,7 +280,7 @@ class TestSelftest:
 
     @pytest.mark.parametrize("term", GRAD_TERMS)
     def test_grad_check_walks_the_whole_vector(self, term):
-        params, *rest = _random_grad_fixture(np.random.default_rng(7))
+        params, *rest = grad_fixture(np.random.default_rng(7), [6, 8, 8, 8, 6])
         closure = make_loss_closure(term, *rest, Hyperparams(tau=0.05))
         assert grad_check(params, closure, step=1e-5) <= 1e-6
         # A fault in the first or the last entry of the vector must show.
@@ -258,6 +291,37 @@ class TestSelftest:
                 return value, grads
 
             assert grad_check(params, faulty, step=1e-5) >= 1e-4
+
+    def test_cycle_match_check_catches_one_way_matching(self, monkeypatch):
+        monkeypatch.setattr(harness, "cycle_match", one_way_match)
+        mismatches, _ = check_cycle_match(np.random.default_rng(0), 20, 20, [8])
+        assert mismatches > 0
+
+    def test_memory_check_catches_dropped_rows(self, monkeypatch):
+        def drop_appended(hist, cur, matches, lam):
+            return IdentityMemory(iku_merge(hist, cur, matches, lam).rows[: len(hist)])
+
+        monkeypatch.setattr(harness, "iku_merge", drop_appended)
+        _, wrong_length = check_memory_algebra(np.random.default_rng(0), 20, 8, 8)
+        assert wrong_length > 0
+
+    def test_map_check_catches_an_empty_gallery(self, monkeypatch):
+        def no_gallery(params, split):
+            raise EmptyGallery("no scorable query")
+
+        monkeypatch.setattr(harness, "evaluate_map", no_gallery)
+        _, scored, disagreements = check_map(np.random.default_rng(0), 5, 10)
+        assert disagreements > 0 and scored == 0
+
+    def test_map_check_catches_a_tiny_error(self, monkeypatch):
+        monkeypatch.setattr(harness, "evaluate_map", lambda params, split: evaluate_map(params, split) + 1e-9)
+        err, _, _ = check_map(np.random.default_rng(0), 5, 10)
+        assert err > 1e-12
+
+    def test_map_check_scores_the_requested_count(self):
+        err, scored, disagreements = check_map(np.random.default_rng(0), 7, 50)
+        assert (scored, disagreements) == (7, 0)
+        assert err <= 1e-12
 
     def test_gradient_rows_within_tolerance(self):
         report = selftest()
@@ -483,3 +547,28 @@ class TestCli:
     def test_selftest_subcommand(self, capsys):
         assert cli.main(["selftest"]) == 0
         assert "selftest: PASS" in capsys.readouterr().out
+
+    def test_selftest_subcommand_exit_1_on_a_failed_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "cycle_match", one_way_match)
+        assert cli.main(["selftest"]) == 1
+        assert "selftest: FAIL" in capsys.readouterr().out
+
+    def test_repeated_axis_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config()))
+        out = tmp_path / "out"
+        rc = cli.main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                       "--axis", "lambda=0.1", "--axis", "lambda=0.9"])
+        assert rc == 2
+        assert "'lambda' given twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reversed_preset_range_exit_2(self, tmp_path, capsys):
+        doc = tiny_config()
+        doc["dataset"]["synthetic"].update({"n_cameras": 6, "n_global": 24, "ids_per_camera": 6})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["orders", "--config", str(cfg_path), "--out", str(out), "--preset", "T5..T1"]) == 2
+        assert "'T5..T1' runs backwards" in capsys.readouterr().err
+        assert not out.exists()
