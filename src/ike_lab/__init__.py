@@ -58,8 +58,6 @@ from .evaluation import (
     MetricsReport,
     average_precision,
     evaluate_map,
-    forgetting_curve,
-    precision_matrix,
 )
 from .harness import (
     ORDER_PRESETS,
@@ -88,6 +86,7 @@ from .trainer import (
     TrainState,
     Variant,
     init_state,
+    precision_matrix,
     run_sequence,
     train_camera,
     train_joint_upperbound,

@@ -12,16 +12,12 @@ with it at a lower gallery index; equal embeddings tie exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .datasets import TestSplit
 from .errors import ConfigError, EmptyGallery, NoRelevant, ShapeMismatch
 from .encoder import EncoderParams, forward_batch
-
-if TYPE_CHECKING:
-    from .datasets import DatasetBundle, TestSplit
-    from .trainer import Hyperparams
 
 GALLERY_RULES = ("camera", "camera-id", "none")
 
@@ -45,7 +41,7 @@ def average_precision(relevance: np.ndarray, n_relevant: int) -> float:
 
 
 def evaluate_map(
-    params: EncoderParams, test: "TestSplit", gallery_rule: str = "camera"
+    params: EncoderParams, test: TestSplit, gallery_rule: str = "camera"
 ) -> float:
     """mAP over all scorable queries of the test split, averaged in query
     order.
@@ -169,7 +165,6 @@ class MetricsReport:
     seed: int
     variant: str
     order: list[int]
-    forgetting: list[float] | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -199,7 +194,6 @@ class MetricsReport:
             "mean_map": self.mean_map,
             "nh_trajectory": list(self.nh_trajectory),
             "assoc_precision": list(self.assoc_precision),
-            "forgetting": self.forgetting,
             "meta": self.meta,
         }
 
@@ -212,7 +206,6 @@ class MetricsReport:
             seed=doc["seed"],
             variant=doc["variant"],
             order=list(doc["order"]),
-            forgetting=doc.get("forgetting"),
             meta=dict(doc.get("meta", {})),
         )
         if doc["fmap"] != report.fmap:
@@ -220,45 +213,3 @@ class MetricsReport:
         if abs(doc["mean_map"] - report.mean_map) > 1e-12:
             raise ShapeMismatch("mean_map must be the arithmetic mean of per-camera mAP")
         return report
-
-
-def forgetting_curve(report: MetricsReport, upperbound_map: float) -> list[float]:
-    """Per-step gap to the jointly trained upper bound."""
-    return [upperbound_map - m for m in report.per_camera_map]
-
-
-def precision_matrix(
-    bundle: "DatasetBundle",
-    hyper: "Hyperparams",
-    hidden: list[int],
-    embed_dim: int,
-    seed: int = 0,
-) -> np.ndarray:
-    """Pairwise-camera association accuracy.
-
-    P[i, j]: train a fresh model on camera i alone, then associate camera
-    j's identity memory against the resulting history and score the matches
-    with the ground-truth tags. The diagonal is undefined (NaN). Training on
-    a first camera is variant-independent, so each camera is trained once.
-    """
-    from .association import association_precision, cycle_match
-    from .memory import init_memory
-    from .trainer import Variant, init_state, train_camera
-
-    C = bundle.n_cameras
-    bundle.identity_tables()  # every camera must carry tags
-    P = np.full((C, C), np.nan)
-    for i in range(C):
-        state = init_state(bundle.input_dim, hidden, embed_dim, hyper, seed)
-        train_camera(state, bundle.cameras[i], Variant.IKE)
-        for j in range(C):
-            if j == i:
-                continue
-            mem_j = init_memory(state.encoder, bundle.cameras[j])
-            assoc = cycle_match(mem_j, state.memory)
-            res = association_precision(
-                assoc, bundle.cameras[j].label_to_global, state.memory.provenance
-            )
-            if res.precision is not None:
-                P[i, j] = res.precision
-    return P

@@ -18,20 +18,21 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .association import cycle_match
 from .datasets import DatasetBundle, SyntheticSpec, TestSplit, generate, load_dataset
-from .encoder import EncoderParams, backward, forward_batch, grad_check, init_encoder, save_encoder
+from .encoder import EncoderParams, forward_batch, grad_check, init_encoder, save_encoder
 from .errors import ConfigError, EmptyGallery, LabError, check_kind
 from .evaluation import GALLERY_RULES, MetricsReport, evaluate_map
-from .losses import loss_id, loss_id_hist, loss_kd, loss_mkd
+from .losses import TERMS
 from .memory import IdentityMemory, empty_memory, iku_merge, momentum_update, save_memory, unit_rows
 from . import oracles
 from .trainer import (
+    POLICIES,
     Hyperparams,
     RunRecorder,
     Variant,
@@ -244,8 +245,9 @@ class RunSpec:
 def enumerate_runs(config: ExperimentConfig, n_cameras: int) -> list[RunSpec]:
     """Every run of the grid, all checked before any run starts. Each sweep
     value must be a number that Hyperparams.validate accepts on its axis;
-    otherwise ConfigError names the axis and the value. Run ids name the run
-    directories, so ConfigError also names a run id given to two runs."""
+    otherwise ConfigError names the axis and the value. ConfigError also
+    names a run id given to two runs (ids name the run directories) and two
+    order entries that are one permutation (runs are seeded by order)."""
     points: list[tuple[tuple[str, float], ...]] = [()]
     for axis in sorted(config.sweep or {}):
         for v in config.sweep[axis]:
@@ -255,8 +257,13 @@ def enumerate_runs(config: ExperimentConfig, n_cameras: int) -> list[RunSpec]:
                 raise ConfigError(f"sweep axis {axis!r}: value {v!r} rejected: {exc}") from exc
         points = [pt + ((axis, float(v)),) for pt in points for v in config.sweep[axis]]
     specs = []
+    named: dict[tuple[int, ...], tuple[str, object]] = {}
     for entry in config.orders:
         order_name, order = resolve_order(entry, n_cameras)
+        first_name, first = named.setdefault(tuple(order), (order_name, entry))
+        if first_name != order_name:
+            raise ConfigError(f"orders {first!r} and {entry!r} are the same camera order; "
+                              "its runs would repeat under two names")
         for variant in config.variants:
             for point in points:
                 for seed in config.seeds:
@@ -310,7 +317,7 @@ class DiskRecorder(RunRecorder):
         save_memory(state.memory, ckpt / "memory.json")
 
     def flush(self) -> None:
-        header = "run_id,camera,epoch,id,id_hist,kd,mkd,total,lr"
+        header = ",".join(["run_id", "camera", "epoch", *TERMS, "total", "lr"])
         _write_atomic(self.run_dir / "train_log.csv", "\n".join([header] + self.epoch_rows) + "\n")
 
 
@@ -468,7 +475,7 @@ def _summary_csv(config: ExperimentConfig, rows: list[dict]) -> str:
 # ---------------------------------------------------------------------------
 
 
-GRAD_TERMS = ("id", "id_hist", "kd", "mkd", "ikd")
+GRAD_TERMS = (*TERMS, "ikd")
 
 
 def make_loss_closure(
@@ -481,32 +488,22 @@ def make_loss_closure(
     hist_memory: IdentityMemory,
     hyper: Hyperparams,
 ):
-    """Closure (params) -> (scalar, ParamGrads) for one loss term composed
-    through the encoder; history features and memories are constants."""
+    """Closure (params) -> (total loss, ParamGrads) of IKE's training step
+    with its row cut to one term, or whole for "ikd"; history features and
+    memories are constants."""
     if term not in GRAD_TERMS:
         raise ConfigError(f"unknown loss term {term!r}")
-    gates = (y_hist != -1).astype(np.float64)
+    policy = POLICIES[Variant.IKE]
+    if term in TERMS:
+        policy = replace(policy, terms=(term,))
     out_h = forward_batch(hist_params, X)
     hist_feats = (out_h.embeddings, *out_h.middles)
 
     def closure(params: EncoderParams):
-        if term == "ikd":
-            breakdown, grads, _ = batch_loss_and_grads(
-                Variant.IKE, params, hist_feats, X, y, y_hist, cur_memory, hist_memory, hyper
-            )
-            return breakdown.total, grads
-        out_c = forward_batch(params, X)
-        g2 = g3 = None
-        if term == "id":
-            value, gF = loss_id(out_c.embeddings, y, cur_memory, hyper.tau)
-        elif term == "id_hist":
-            value, gF = loss_id_hist(out_c.embeddings, y_hist, hist_memory, hyper.tau)
-        elif term == "kd":
-            value, gF = loss_kd(out_c.embeddings, out_h.embeddings, gates)
-        else:
-            value, (g2, g3) = loss_mkd(out_c.middles, out_h.middles, gates)
-            gF = np.zeros_like(out_c.embeddings)
-        return value, backward(params, out_c.cache, gF, g2, g3)
+        breakdown, grads, _ = batch_loss_and_grads(
+            policy, params, hist_feats, X, y, y_hist, cur_memory, hist_memory, hyper
+        )
+        return breakdown.total, grads
 
     return closure
 

@@ -17,23 +17,25 @@ from .errors import EmptyBatch, EmptyMemory, LabelOutOfRange, ShapeMismatch
 from .memory import NO_MATCH, IdentityMemory
 
 
+# The loss terms, in the order a training step sums them.
+TERMS = ("id", "id_hist", "kd", "mkd")
+
+
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Per-batch loss terms; total is always their plain sum."""
+    """Per-batch loss terms, one per entry of TERMS (0 if it did not run)."""
 
-    id: float
-    id_hist: float
-    kd: float
-    mkd: float
-    total: float
+    id: float = 0.0
+    id_hist: float = 0.0
+    kd: float = 0.0
+    mkd: float = 0.0
 
-    @classmethod
-    def of(cls, id: float, id_hist: float = 0.0, kd: float = 0.0, mkd: float = 0.0) -> "LossBreakdown":
-        return cls(float(id), float(id_hist), float(kd), float(mkd),
-                   float(id) + float(id_hist) + float(kd) + float(mkd))
+    @property
+    def total(self) -> float:
+        return sum(getattr(self, term) for term in TERMS)
 
-    def as_row(self) -> tuple[float, float, float, float, float]:
-        return (self.id, self.id_hist, self.kd, self.mkd, self.total)
+    def as_row(self) -> tuple[float, ...]:
+        return (*(getattr(self, term) for term in TERMS), self.total)
 
 
 def _contrastive(

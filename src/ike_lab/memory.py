@@ -183,19 +183,8 @@ def iku_merge(
     a wrong match at small lam is tagged with the identity the row now
     mostly holds. Appended rows keep cur's tags.
     """
-    matches = np.asarray(getattr(assoc, "matches", assoc), dtype=np.int64)
-    if hist.dim != cur.dim:
-        raise ShapeMismatch(f"history dim {hist.dim} != current dim {cur.dim}")
-    if matches.shape != (len(cur),):
-        raise ShapeMismatch(
-            f"association length {matches.shape} vs current identity count {len(cur)}"
-        )
-    matched = np.flatnonzero(matches != NO_MATCH)
+    matches, matched, targets = _association(hist, cur, assoc)
     unmatched = np.flatnonzero(matches == NO_MATCH)
-    targets = matches[matched]
-    outside = (targets < 0) | (targets >= len(hist))
-    if outside.any():
-        raise IndexOutOfRange(f"match target {targets[outside][0]} outside historical memory")
     blended = _unit(lam * hist.rows[targets] + (1.0 - lam) * cur.rows[matched], matched, "merge")
     # The last j of each target wins: its first position in reversed order.
     targets, from_end = np.unique(targets[::-1], return_index=True)
@@ -209,6 +198,27 @@ def iku_merge(
         if lam < 0.5:
             prov[targets] = cur_tags[matched[last]]
     return IdentityMemory(rows, prov)
+
+
+def _association(
+    hist: IdentityMemory, cur: IdentityMemory, assoc
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check an association of cur's identities with hist's rows (equal
+    widths, one entry per current identity, every target a historical row)
+    and return (matches, the matched j, their targets)."""
+    matches = np.asarray(getattr(assoc, "matches", assoc), dtype=np.int64)
+    if hist.dim != cur.dim:
+        raise ShapeMismatch(f"history dim {hist.dim} != current dim {cur.dim}")
+    if matches.shape != (len(cur),):
+        raise ShapeMismatch(
+            f"association length {matches.shape} vs current identity count {len(cur)}"
+        )
+    matched = np.flatnonzero(matches != NO_MATCH)
+    targets = matches[matched]
+    outside = (targets < 0) | (targets >= len(hist))
+    if outside.any():
+        raise IndexOutOfRange(f"match target {targets[outside][0]} outside historical memory")
+    return matches, matched, targets
 
 
 def _unit(vectors: np.ndarray, ids: np.ndarray, what: str) -> np.ndarray:
@@ -234,19 +244,9 @@ def align_memory(hist: IdentityMemory, cur: IdentityMemory, assoc) -> IdentityMe
     angles between historical rows are kept, only the frame changes. With
     no matched pair the history is returned unchanged.
     """
-    matches = np.asarray(getattr(assoc, "matches", assoc), dtype=np.int64)
-    if hist.dim != cur.dim:
-        raise ShapeMismatch(f"history dim {hist.dim} != current dim {cur.dim}")
-    if matches.shape != (len(cur),):
-        raise ShapeMismatch(
-            f"association length {matches.shape} vs current identity count {len(cur)}"
-        )
-    matched = matches != NO_MATCH
-    if not matched.any():
+    _, matched, targets = _association(hist, cur, assoc)
+    if matched.size == 0:
         return hist.copy()
-    targets = matches[matched]
-    if targets.min() < 0 or targets.max() >= len(hist):
-        raise IndexOutOfRange("match target outside historical memory")
     M = hist.rows[targets].T @ cur.rows[matched]
     U, s, Vt = np.linalg.svd(M)
     rank = int(np.count_nonzero(s > max(M.shape) * np.finfo(float).eps * s[0]))

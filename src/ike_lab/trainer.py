@@ -1,5 +1,5 @@
-"""Per-camera incremental training, the sequence runner, and the joint
-upper bound.
+"""Per-camera incremental training, the sequence runner, the joint upper
+bound, and the pairwise-camera association precision matrix.
 
 Each camera is trained with a copy of the historical model while the
 historical model and memory stay frozen; at the camera boundary the memory
@@ -8,9 +8,9 @@ model's embedding space, the two are matched and merged, and the model
 itself becomes the new history.
 
 Variants differ only by their row in POLICIES: the matcher (used both for
-the loss labels and at the boundary), merge or replace at the boundary,
-middle-layer distillation on or off, and whether the distillation gates are
-forced open.
+the loss labels and at the boundary), merge or replace at the boundary, the
+loss terms batch_loss_and_grads computes, and whether the distillation
+gates are forced open. The gradient checks run that same step.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .datasets import CameraDataset, DatasetBundle
 from .encoder import Adam, EncoderParams, forward_batch, init_encoder
 from .errors import ConfigError, NonFiniteLoss, check_field_types
 from .evaluation import MetricsReport, evaluate_map
-from .losses import LossBreakdown, loss_id, loss_id_hist, loss_kd, loss_mkd
+from .losses import TERMS, LossBreakdown, loss_id, loss_id_hist, loss_kd, loss_mkd
 from .memory import (
     NO_MATCH,
     IdentityMemory,
@@ -68,24 +68,26 @@ class Policy:
     matcher is "cycle" (cycle_match), "one_way" (one_way_match), or None:
     no association, so the history takes no part in training. It is a name,
     looked up in this module at call time. merge=False replaces the history
-    at the boundary instead of merging into it; mkd runs middle-layer
-    distillation; force_gates distils unmatched samples too.
+    at the boundary instead of merging into it. terms are the loss terms a
+    training step computes, in TERMS order; a row without a matcher has
+    only the first. force_gates distils unmatched samples too.
     """
 
     matcher: str | None
     merge: bool
-    mkd: bool
+    terms: tuple[str, ...]
     force_gates: bool
 
 
+# TERMS[:-1] leaves out the last term, middle-layer distillation.
 POLICIES = {
-    #                         matcher    merge  mkd    force_gates
-    Variant.BASELINE: Policy(None,      True,  False, False),
-    Variant.IKE_D:    Policy("cycle",   True,  False, False),
-    Variant.IKE_A:    Policy("one_way", True,  True,  False),
-    Variant.IKE_U:    Policy("cycle",   False, True,  False),
-    Variant.IKE_STAR: Policy("cycle",   True,  True,  True),
-    Variant.IKE:      Policy("cycle",   True,  True,  False),
+    #                         matcher    merge  terms        force_gates
+    Variant.BASELINE: Policy(None,      True,  TERMS[:1],   False),
+    Variant.IKE_D:    Policy("cycle",   True,  TERMS[:-1],  False),
+    Variant.IKE_A:    Policy("one_way", True,  TERMS,       False),
+    Variant.IKE_U:    Policy("cycle",   False, TERMS,       False),
+    Variant.IKE_STAR: Policy("cycle",   True,  TERMS,       True),
+    Variant.IKE:      Policy("cycle",   True,  TERMS,       False),
 }
 
 
@@ -168,8 +170,6 @@ class CameraResult:
     camera_id: int
     assoc: AssociationMap
     assoc_precision: float | None
-    epoch_means: list[LossBreakdown]
-    lrs: list[float]
     nh_after: int
 
 
@@ -184,21 +184,14 @@ def _associate(policy: Policy, cur: IdentityMemory, hist: IdentityMemory) -> Ass
 
 
 def _mean_breakdown(items: list[LossBreakdown]) -> LossBreakdown:
-    if not items:
-        return LossBreakdown.of(0.0)
     n = len(items)
-    return LossBreakdown.of(
-        sum(b.id for b in items) / n,
-        sum(b.id_hist for b in items) / n,
-        sum(b.kd for b in items) / n,
-        sum(b.mkd for b in items) / n,
-    )
+    return LossBreakdown(**{term: sum(getattr(b, term) for b in items) / n for term in TERMS})
 
 
 def _check_finite(mean: LossBreakdown, camera_id: int, epoch: int) -> None:
     """A diverged run stops here, before its losses, memory or metrics are
     recorded."""
-    for term, value in zip(("id", "id_hist", "kd", "mkd", "total"), mean.as_row()):
+    for term, value in zip((*TERMS, "total"), mean.as_row()):
         if not math.isfinite(value):
             raise NonFiniteLoss(
                 f"camera {camera_id}, epoch {epoch}: mean loss term {term} is not finite"
@@ -206,7 +199,7 @@ def _check_finite(mean: LossBreakdown, camera_id: int, epoch: int) -> None:
 
 
 def batch_loss_and_grads(
-    variant: Variant,
+    policy: Policy,
     cur_params: EncoderParams,
     hist_feats: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
     Xb: np.ndarray,
@@ -216,36 +209,45 @@ def batch_loss_and_grads(
     hist_memory: IdentityMemory,
     hyper: Hyperparams,
 ):
-    """Variant-gated loss terms on one batch plus parameter gradients.
+    """The policy's loss terms on one batch plus parameter gradients.
 
-    hist_feats holds the historical model's features of the rows of Xb:
-    (embeddings, tap-2 output, tap-3 output). It is read only when history
-    is live and some distillation gate is open, and may be None otherwise.
-    Returns (breakdown, param_grads, current embeddings). The historical
-    features and both memories are constants for the gradient.
+    History terms run once there is a history, distillation terms when some
+    gate is open; only these read hist_feats, the historical model's
+    (embeddings, tap-2 output, tap-3 output) of the rows of Xb, so it may be
+    None otherwise. Returns (breakdown, param_grads, current embeddings).
+    The historical features and both memories are constants for the gradient.
     """
     from .encoder import backward
 
-    policy = POLICIES[variant]
     out_c = forward_batch(cur_params, Xb)
-    id_val, gF = loss_id(out_c.embeddings, yb, cur_memory, hyper.tau)
-    idh_val = kd_val = mkd_val = 0.0
-    g2 = g3 = None
-    if policy.matcher is not None and len(hist_memory) > 0:
-        idh_val, gF_idh = loss_id_hist(out_c.embeddings, yhb, hist_memory, hyper.tau)
-        gF = gF + gF_idh
-        gates = (yhb != NO_MATCH).astype(np.float64)
-        if policy.force_gates:
-            gates = np.ones_like(gates)
-        if gates.any():
-            emb_h, mid2_h, mid3_h = hist_feats
-            kd_val, gF_kd = loss_kd(out_c.embeddings, emb_h, gates)
-            gF = gF + gF_kd
-            if policy.mkd:
-                mkd_val, (g2, g3) = loss_mkd(out_c.middles, (mid2_h, mid3_h), gates)
-    breakdown = LossBreakdown.of(id_val, idh_val, kd_val, mkd_val)
-    grads = backward(cur_params, out_c.cache, gF, g2, g3)
-    return breakdown, grads, out_c.embeddings
+    F = out_c.embeddings
+    gates = (yhb != NO_MATCH).astype(np.float64)
+    if policy.force_gates:
+        gates = np.ones_like(gates)
+    history = len(hist_memory) > 0
+    distil = history and gates.any()
+    # Per term: whether it runs on this batch, and the call giving its value
+    # and its gradient, of the embeddings or (middle-layer term) of taps 2-3.
+    # Embedding gradients sum in TERMS order from the first term that runs.
+    steps = dict(zip(TERMS, (
+        (True, lambda: loss_id(F, yb, cur_memory, hyper.tau)),
+        (history, lambda: loss_id_hist(F, yhb, hist_memory, hyper.tau)),
+        (distil, lambda: loss_kd(F, hist_feats[0], gates)),
+        (distil, lambda: loss_mkd(out_c.middles, hist_feats[1:], gates)),
+    )))
+    values: dict[str, float] = {}
+    gF, taps = None, (None, None)
+    for term in policy.terms:
+        runs, call = steps[term]
+        if not runs:
+            continue
+        values[term], grad = call()
+        if isinstance(grad, tuple):
+            taps = grad
+        else:
+            gF = grad if gF is None else gF + grad
+    grads = backward(cur_params, out_c.cache, np.zeros_like(F) if gF is None else gF, *taps)
+    return LossBreakdown(**values), grads, F
 
 
 def train_camera(
@@ -284,8 +286,6 @@ def train_camera(
         del out_h
 
     opt = Adam(cur_params, hyper.weight_decay)
-    epoch_means: list[LossBreakdown] = []
-    lrs: list[float] = []
     N = len(dataset)
     for epoch in range(hyper.epochs):
         lr = hyper.lr_at(epoch)
@@ -297,7 +297,7 @@ def train_camera(
         for b, start in enumerate(range(0, N, hyper.batch_size)):
             sl = slice(start, start + hyper.batch_size)
             breakdown, grads, emb = batch_loss_and_grads(
-                variant, cur_params, None if hp is None else tuple(a[sl] for a in hp),
+                policy, cur_params, None if hp is None else tuple(a[sl] for a in hp),
                 Xp[sl], yp[sl], yhp[sl], cur_memory, hist_memory, hyper,
             )
             opt.step(cur_params, grads, lr)
@@ -305,11 +305,10 @@ def train_camera(
             batch_logs.append(breakdown)
             if recorder is not None:
                 recorder.on_batch(state.camera_index, epoch, b, breakdown)
-        epoch_means.append(_mean_breakdown(batch_logs))
-        _check_finite(epoch_means[-1], dataset.camera_id, epoch)
-        lrs.append(lr)
+        mean = _mean_breakdown(batch_logs)
+        _check_finite(mean, dataset.camera_id, epoch)
         if recorder is not None:
-            recorder.on_epoch(state.camera_index, dataset.camera_id, epoch, epoch_means[-1], lr)
+            recorder.on_epoch(state.camera_index, dataset.camera_id, epoch, mean, lr)
 
     final_memory = init_memory(cur_params, dataset)
     if policy.merge:
@@ -328,8 +327,6 @@ def train_camera(
         camera_id=dataset.camera_id,
         assoc=assoc,
         assoc_precision=prec,
-        epoch_means=epoch_means,
-        lrs=lrs,
         nh_after=len(new_hist),
     )
     if recorder is not None:
@@ -385,8 +382,41 @@ def train_joint_upperbound(
     gallery_rule: str = "camera",
 ) -> tuple[EncoderParams, float]:
     """One model trained on the union of all cameras with global labels and
-    the contrastive term only; the reference point for forgetting curves."""
+    the contrastive term only; the reference a sequential run is compared with."""
     merged = merge_cameras_with_global_labels(bundle)
     state = init_state(bundle.input_dim, hidden, embed_dim, hyper, seed)
     train_camera(state, merged, Variant.BASELINE)
     return state.encoder, evaluate_map(state.encoder, bundle.test, gallery_rule)
+
+
+def precision_matrix(
+    bundle: DatasetBundle,
+    hyper: Hyperparams,
+    hidden: list[int],
+    embed_dim: int,
+    seed: int = 0,
+) -> np.ndarray:
+    """Pairwise-camera association accuracy.
+
+    P[i, j]: train a fresh model on camera i alone, then associate camera
+    j's identity memory against the resulting history and score the matches
+    with the ground-truth tags. The diagonal is undefined (NaN). Training on
+    a first camera is variant-independent, so each camera is trained once.
+    """
+    C = bundle.n_cameras
+    bundle.identity_tables()  # every camera must carry tags
+    P = np.full((C, C), np.nan)
+    for i in range(C):
+        state = init_state(bundle.input_dim, hidden, embed_dim, hyper, seed)
+        train_camera(state, bundle.cameras[i], Variant.IKE)
+        for j in range(C):
+            if j == i:
+                continue
+            mem_j = init_memory(state.encoder, bundle.cameras[j])
+            assoc = cycle_match(mem_j, state.memory)
+            res = association_precision(
+                assoc, bundle.cameras[j].label_to_global, state.memory.provenance
+            )
+            if res.precision is not None:
+                P[i, j] = res.precision
+    return P

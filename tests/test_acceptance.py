@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ike_lab.datasets import SyntheticSpec, generate
-from ike_lab.evaluation import precision_matrix
+from ike_lab.trainer import precision_matrix
 from ike_lab.harness import (
     ExperimentConfig, check_cycle_match, check_gradients, check_map, check_memory_algebra, run,
 )

@@ -14,6 +14,7 @@ from ike_lab.association import (
 )
 from ike_lab.datasets import CameraDataset
 from ike_lab.errors import EmptyMemory, LabelOutOfRange, MissingProvenance, ShapeMismatch
+from ike_lab.harness import check_cycle_match
 from ike_lab.memory import NO_MATCH, IdentityMemory, empty_memory
 
 from conftest import manual_camera, unit_rows
@@ -31,14 +32,7 @@ class TestCycleMatch:
         assert assoc.matches.tolist() == list(range(8))
 
     def test_matches_brute_force_oracle(self, rng):
-        for _ in range(300):
-            n_c = int(rng.integers(1, 50))
-            n_h = int(rng.integers(0, 80))
-            d = int(rng.choice([8, 16]))
-            cur = IdentityMemory(unit_rows(rng, n_c, d))
-            hist = IdentityMemory(unit_rows(rng, n_h, d)) if n_h else empty_memory(d)
-            got = cycle_match(cur, hist).matches.tolist()
-            assert got == oracles.mutual_argmax_oracle(cur.rows, hist.rows)
+        assert check_cycle_match(rng, 300, 79, [8, 16])[0] == 0
 
     def test_empty_current_rejected(self, rng):
         with pytest.raises(EmptyMemory):

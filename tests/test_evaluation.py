@@ -14,10 +14,8 @@ from ike_lab.evaluation import (
     MetricsReport,
     average_precision,
     evaluate_map,
-    forgetting_curve,
-    precision_matrix,
 )
-from ike_lab.trainer import Hyperparams
+from ike_lab.trainer import Hyperparams, precision_matrix
 
 from conftest import tiny_bundle, unit_rows
 
@@ -255,18 +253,6 @@ class TestMetricsReport:
         assert rep.mean_map == pytest.approx(0.6)
         back = MetricsReport.from_dict(rep.to_dict())
         assert back == rep
-
-
-class TestForgettingCurve:
-    def test_equal_to_upperbound_all_zero(self):
-        rep = MetricsReport([0.9, 0.9], [1, 2], [None, None], 0, "IKE", [0, 1])
-        assert forgetting_curve(rep, 0.9) == [0.0, 0.0]
-
-    def test_monotone_improvement_monotone_gaps(self):
-        rep = MetricsReport([0.5, 0.6, 0.7], [1, 2, 3], [None] * 3, 0, "IKE", [0, 1, 2])
-        gaps = forgetting_curve(rep, 0.8)
-        assert gaps == pytest.approx([0.3, 0.2, 0.1])
-        assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
 class TestPrecisionMatrix:

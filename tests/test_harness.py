@@ -36,6 +36,7 @@ from ike_lab.harness import (
     run,
     selftest,
 )
+from ike_lab.losses import TERMS
 from ike_lab.memory import IdentityMemory, iku_merge
 from ike_lab.trainer import Hyperparams
 
@@ -231,6 +232,24 @@ class TestRun:
                 run(ExperimentConfig.from_dict(doc), out_dir=out)
         assert not out.exists()
 
+    @pytest.mark.parametrize("through_cli", [False, True])
+    def test_one_order_named_twice_rejected_before_any_work(self, tmp_path, capsys, through_cli):
+        # Runs are seeded from the order, not its name, so a preset and the
+        # same explicit permutation would run the same work twice.
+        doc = tiny_config(orders=["T1", [0, 1, 2, 3, 4, 5]])
+        doc["dataset"]["synthetic"]["n_cameras"] = 6
+        out = tmp_path / "out"
+        message = "orders 'T1' and [0, 1, 2, 3, 4, 5] are the same camera order"
+        if through_cli:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(doc))
+            assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+        else:
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                run(ExperimentConfig.from_dict(doc), out_dir=out)
+        assert not out.exists()
+
     def test_bitwise_identical_reruns(self, tmp_path):
         cfg = ExperimentConfig.from_dict(tiny_config())
         run(cfg, out_dir=tmp_path / "a")
@@ -291,6 +310,18 @@ class TestSelftest:
                 return value, grads
 
             assert grad_check(params, faulty, step=1e-5) >= 1e-4
+
+    def test_term_closures_sum_to_the_training_step(self):
+        # The per-term closures cut IKE's row to one term; summed in TERMS
+        # order they are the whole step, which is what trains.
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            params, *rest = grad_fixture(rng, [6, 8, 8, 8, 6])
+            parts = [make_loss_closure(t, *rest, Hyperparams(tau=0.05))(params) for t in TERMS]
+            total, grads = make_loss_closure("ikd", *rest, Hyperparams(tau=0.05))(params)
+            assert sum(value for value, _ in parts) == total
+            summed = sum(g.flat for _, g in parts)
+            assert np.max(np.abs(summed - grads.flat)) <= 1e-12
 
     def test_cycle_match_check_catches_one_way_matching(self, monkeypatch):
         monkeypatch.setattr(harness, "cycle_match", one_way_match)

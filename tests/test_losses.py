@@ -186,18 +186,18 @@ class TestLossMkd:
 
 class TestLossTotal:
     def test_baseline_gating(self):
-        b = LossBreakdown.of(1.25)
+        b = LossBreakdown(1.25)
         assert (b.id, b.id_hist, b.kd, b.mkd) == (1.25, 0.0, 0.0, 0.0)
         assert b.total == 1.25
 
     def test_zero_inputs(self):
-        assert LossBreakdown.of(0.0, 0.0, 0.0, 0.0).total == 0.0
+        assert LossBreakdown(0.0, 0.0, 0.0, 0.0).total == 0.0
 
     def test_total_is_resummable(self, rng):
         vals = rng.random(4)
-        b = LossBreakdown.of(*vals)
+        b = LossBreakdown(*vals)
         assert abs(b.total - float(vals.sum())) <= 1e-12
 
     def test_breakdown_row(self):
-        b = LossBreakdown.of(1.0, 2.0, 3.0, 4.0)
+        b = LossBreakdown(1.0, 2.0, 3.0, 4.0)
         assert b.as_row() == (1.0, 2.0, 3.0, 4.0, 10.0)

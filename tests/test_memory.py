@@ -319,11 +319,15 @@ class TestIkuMergeAgainstLoop:
         assert (merged.rows == want_rows).all()
         assert merged.provenance == want_prov
 
-    def test_target_out_of_range_named(self, rng):
+    @pytest.mark.parametrize("apply", [
+        lambda hist, cur, assoc: iku_merge(hist, cur, assoc, 0.25),
+        align_memory,
+    ], ids=["iku_merge", "align_memory"])
+    def test_target_out_of_range_named(self, rng, apply):
         hist = IdentityMemory(unit_rows(rng, 3, 4))
         cur = IdentityMemory(unit_rows(rng, 3, 4))
         with pytest.raises(IndexOutOfRange, match="target 5"):
-            iku_merge(hist, cur, np.array([1, 5, -1]), 0.25)
+            apply(hist, cur, np.array([1, 5, -1]))
 
 
 class TestAlignMemory:

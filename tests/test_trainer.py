@@ -10,9 +10,11 @@ from ike_lab.association import cycle_match
 from ike_lab.datasets import DatasetBundle, TestSplit
 from ike_lab.encoder import forward_batch, init_encoder
 from ike_lab.errors import ConfigError, NonFiniteLoss
+from ike_lab.losses import TERMS
 from ike_lab.memory import NO_MATCH, iku_merge, init_memory
 from ike_lab import trainer
 from ike_lab.trainer import (
+    POLICIES,
     Hyperparams,
     RunRecorder,
     Variant,
@@ -144,6 +146,31 @@ class TestTrainCamera:
             train_camera(state, cam, Variant.IKE)
 
 
+class TestPolicies:
+    def test_terms_in_terms_order_and_history_needs_a_matcher(self):
+        for policy in POLICIES.values():
+            assert policy.terms == tuple(t for t in TERMS if t in policy.terms)
+            if policy.matcher is None:
+                assert policy.terms == ("id",)
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_step_computes_exactly_the_row_terms(self, rng, variant):
+        bundle = tiny_bundle()
+        state = init_state(bundle.input_dim, [8, 8, 8], 8, FAST, seed=0)
+        train_camera(state, bundle.cameras[0], Variant.IKE)
+        cam = bundle.cameras[1]
+        cur_memory = init_memory(state.encoder, cam)
+        y_hist = cycle_match(cur_memory, state.memory).matches[cam.labels]
+        out_h = forward_batch(state.encoder, cam.X)
+        breakdown, _, _ = batch_loss_and_grads(
+            POLICIES[variant], init_encoder(state.encoder.widths, rng),
+            (out_h.embeddings, *out_h.middles), cam.X, cam.labels, y_hist,
+            cur_memory, state.memory, FAST,
+        )
+        ran = tuple(t for t in TERMS if getattr(breakdown, t) != 0.0)
+        assert ran == POLICIES[variant].terms
+
+
 class TestBatchLossAndGrads:
     @pytest.mark.parametrize("variant", [Variant.IKE, Variant.IKE_D, Variant.IKE_STAR])
     def test_camera_slices_equal_batch_forward(self, rng, variant):
@@ -167,7 +194,7 @@ class TestBatchLossAndGrads:
                 per_batch = forward_batch(hist_params, cam.X[sel])
                 results = [
                     batch_loss_and_grads(
-                        variant, cur_params, feats, cam.X[sel], cam.labels[sel], y_hist[sel],
+                        POLICIES[variant], cur_params, feats, cam.X[sel], cam.labels[sel], y_hist[sel],
                         cur_memory, hist_memory, FAST,
                     )
                     for feats in (
@@ -331,11 +358,3 @@ class TestJointUpperbound:
         merged = merge_cameras_with_global_labels(bundle)
         assert merged.n_ids == bundle.distinct_global_count()
         assert sorted(set(merged.labels.tolist())) == list(range(merged.n_ids))
-
-    def test_forgetting_is_gap_by_definition(self):
-        bundle = tiny_bundle()
-        rep = run_sequence(bundle, [0, 1, 2], Variant.IKE, FAST, [8, 8, 8], 8, seed=0)
-        from ike_lab.evaluation import forgetting_curve
-
-        gaps = forgetting_curve(rep, 0.9)
-        assert gaps == pytest.approx([0.9 - m for m in rep.per_camera_map])
