@@ -44,7 +44,7 @@ print("  ", np.round(cosine_scores(cur.rows[1], hist), 3))
 
 assoc = cycle_match(cur, hist)
 print("\nmutual-argmax matches (current index -> historical index, -1 = new):")
-print("  ", assoc.matches.tolist())
+print("  ", assoc.tolist())
 
 prec = association_precision(assoc, cur.provenance, hist.provenance)
 print(f"association precision: {prec.correct}/{prec.discovered} = {prec.precision}")

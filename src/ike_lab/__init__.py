@@ -7,7 +7,6 @@ camera boundary. Retrieval quality is tracked as cross-camera mAP.
 """
 
 from .association import (
-    AssociationMap,
     AssociationPrecision,
     all_unmatched,
     association_precision,
@@ -52,7 +51,6 @@ from .errors import (
     NonFiniteLoss,
     ParseError,
     ShapeMismatch,
-    StaleCache,
 )
 from .evaluation import (
     MetricsReport,

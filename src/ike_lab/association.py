@@ -1,8 +1,10 @@
 """Matching current identities against the historical memory.
 
-The production matcher is cycle-consistent (mutual argmax): identity i of
-the current memory is paired with historical row j only when each is the
-other's best cosine match. Unmatched identities carry NO_MATCH.
+An association is a 1-D int64 array with one entry per current identity:
+the historical row it is paired with, or NO_MATCH. The production matcher
+is cycle-consistent (mutual argmax): identity i of the current memory is
+paired with historical row j only when each is the other's best cosine
+match.
 """
 
 from __future__ import annotations
@@ -19,21 +21,8 @@ if TYPE_CHECKING:
     from .datasets import CameraDataset
 
 
-@dataclass
-class AssociationMap:
-    """matches[i] = historical row index for current identity i, or NO_MATCH."""
-
-    matches: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.matches = np.asarray(self.matches, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return self.matches.shape[0]
-
-
-def all_unmatched(n_current: int) -> AssociationMap:
-    return AssociationMap(np.full(n_current, NO_MATCH, dtype=np.int64))
+def all_unmatched(n_current: int) -> np.ndarray:
+    return np.full(n_current, NO_MATCH, dtype=np.int64)
 
 
 def _score_matrix(cur: IdentityMemory, hist: IdentityMemory) -> np.ndarray:
@@ -42,10 +31,10 @@ def _score_matrix(cur: IdentityMemory, hist: IdentityMemory) -> np.ndarray:
     return cur.rows @ hist.rows.T
 
 
-def cycle_match(cur: IdentityMemory, hist: IdentityMemory) -> AssociationMap:
+def cycle_match(cur: IdentityMemory, hist: IdentityMemory) -> np.ndarray:
     """Mutual-argmax matching between the two memories.
 
-    matches[i] = j iff row j is the best historical match of cur[i] AND
+    Entry i is j iff row j is the best historical match of cur[i] AND
     row i is the best current match of hist[j]; otherwise NO_MATCH. Ties
     break toward the lowest index on both sides. An empty history yields
     all NO_MATCH.
@@ -58,10 +47,10 @@ def cycle_match(cur: IdentityMemory, hist: IdentityMemory) -> AssociationMap:
     fwd = scores.argmax(axis=1)
     bwd = scores.argmax(axis=0)
     mutual = bwd[fwd] == np.arange(len(cur))
-    return AssociationMap(np.where(mutual, fwd, NO_MATCH).astype(np.int64))
+    return np.where(mutual, fwd, NO_MATCH).astype(np.int64)
 
 
-def one_way_match(cur: IdentityMemory, hist: IdentityMemory) -> AssociationMap:
+def one_way_match(cur: IdentityMemory, hist: IdentityMemory) -> np.ndarray:
     """Plain argmax assignment: every current identity takes its best
     historical row, with no mutuality requirement. Used by the ablation
     that disables cycle matching; the result need not be injective."""
@@ -70,18 +59,19 @@ def one_way_match(cur: IdentityMemory, hist: IdentityMemory) -> AssociationMap:
     if len(hist) == 0:
         return all_unmatched(len(cur))
     scores = _score_matrix(cur, hist)
-    return AssociationMap(scores.argmax(axis=1).astype(np.int64))
+    return scores.argmax(axis=1).astype(np.int64)
 
 
-def augment_dataset(dataset: "CameraDataset", assoc: AssociationMap) -> np.ndarray:
+def augment_dataset(dataset: "CameraDataset", assoc: np.ndarray) -> np.ndarray:
     """Per-sample historical labels: the match of each image's identity, or
     NO_MATCH, as an int64 array aligned with dataset.labels."""
+    assoc = np.asarray(assoc, dtype=np.int64)
     labels = np.asarray(dataset.labels)
     if labels.size and (labels.min() < 0 or labels.max() >= len(assoc)):
         raise LabelOutOfRange(
             f"labels span [{labels.min()}, {labels.max()}] but association has {len(assoc)} entries"
         )
-    return assoc.matches[labels]
+    return assoc[labels]
 
 
 @dataclass
@@ -92,7 +82,7 @@ class AssociationPrecision:
 
 
 def association_precision(
-    assoc: AssociationMap, cur_globals, hist_globals
+    assoc: np.ndarray, cur_globals, hist_globals
 ) -> AssociationPrecision:
     """Fraction of discovered matches whose ground-truth identities agree.
 
@@ -101,12 +91,13 @@ def association_precision(
     """
     if cur_globals is None or hist_globals is None:
         raise MissingProvenance("association precision needs identity tags on both sides")
+    assoc = np.asarray(assoc, dtype=np.int64)
     cur = np.asarray(cur_globals, dtype=np.int64)
     hist = np.asarray(hist_globals, dtype=np.int64)
     if cur.shape != (len(assoc),):
         raise ShapeMismatch(f"{cur.size} current tags vs {len(assoc)} association entries")
-    found = np.flatnonzero(assoc.matches != NO_MATCH)
-    targets = assoc.matches[found]
+    found = np.flatnonzero(assoc != NO_MATCH)
+    targets = assoc[found]
     outside = (targets < 0) | (targets >= hist.size)
     if outside.any():
         raise LabelOutOfRange(f"match target {targets[outside][0]} outside historical tags")

@@ -241,9 +241,9 @@ def generate(spec: SyntheticSpec) -> DatasetBundle:
 # ---------------------------------------------------------------------------
 # Feature CSV format: header camera,local_id,global_id,f0,...,f{D-1}; one
 # sample per row. A local id has one global id within its camera, and -1 on
-# any row means the camera has no tags. A sidecar JSON manifest records
-# camera count, dimension, the normalize-on-load flag, and the train/test
-# file names.
+# any train row means the camera has no tags; every test row needs a global
+# id. A sidecar JSON manifest records camera count, dimension, the
+# normalize-on-load flag, and the train/test file names.
 # ---------------------------------------------------------------------------
 
 
@@ -381,7 +381,8 @@ def load_dataset(path: str | Path) -> DatasetBundle:
     Accepts a manifest.json, a directory containing one, or a bare train
     CSV (in which case a sidecar <stem>.manifest.json is honored when
     present and the test split is empty otherwise). A manifest that is not
-    a JSON object of the entries in MANIFEST_KINDS raises ParseError.
+    a JSON object of the entries in MANIFEST_KINDS, or a test row without a
+    global id (below 0), raises ParseError.
     """
     path = Path(path)
     if path.is_dir():
@@ -403,7 +404,14 @@ def load_dataset(path: str | Path) -> DatasetBundle:
     if manifest.get("cameras") not in (None, len(cameras)):
         raise DimensionMismatch(f"manifest lists {manifest['cameras']} cameras, file has {len(cameras)}")
     if manifest.get("test"):
-        t, Xt, _ = _parse_feature_csv(path.parent / manifest["test"], X.shape[1], normalize)
+        test_path = path.parent / manifest["test"]
+        t, Xt, test_lines = _parse_feature_csv(test_path, X.shape[1], normalize)
+        # Relevance is equal global ids, so untagged rows would all be one identity.
+        untagged = np.flatnonzero(t[:, 2] < 0)
+        if untagged.size:
+            k = untagged[0]
+            raise ParseError(f"{test_path.name}:{test_lines[k]}: a test row needs a global id "
+                             f">= 0, got {t[k, 2]}")
         test = TestSplit(Xt, t[:, 2], t[:, 0], t[:, 1])
     else:
         test = TestSplit(np.zeros((0, X.shape[1])), np.zeros(0, np.int64), np.zeros(0, np.int64))

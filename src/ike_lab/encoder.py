@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    DEGENERATE_NORM, ConfigError, DegenerateEmbedding, DimensionMismatch, ShapeMismatch, StaleCache,
+    DEGENERATE_NORM, ConfigError, DegenerateEmbedding, DimensionMismatch, ShapeMismatch,
 )
 
 # Blocks whose outputs are exposed as middle features.
@@ -103,26 +103,24 @@ def init_encoder(widths: list[int], rng: np.random.Generator) -> EncoderParams:
 
 
 @dataclass
-class ForwardCache:
+class BatchFeatures:
+    """One forward pass over a batch: the parameters it ran with and every
+    intermediate backward reads."""
+
     params: EncoderParams
     hs: list[np.ndarray]        # hs[0] = input, hs[l] = tanh block l output, l < L
     z: np.ndarray               # final affine output, pre-normalization
     znorm: np.ndarray           # (B, 1) row norms of z
-    embeddings: np.ndarray      # z / znorm
+    embeddings: np.ndarray      # (B, embed_dim), z / znorm, unit rows
 
+    def tap(self, t: int) -> np.ndarray:
+        """Block t's output: tanh for t < L, the pre-normalization affine output for t = L."""
+        return self.z if t == self.params.n_blocks else self.hs[t]
 
-@dataclass
-class BatchFeatures:
-    middles: tuple[np.ndarray, np.ndarray]   # tap 2, tap 3
-    embeddings: np.ndarray                   # (B, embed_dim), unit rows
-    cache: ForwardCache
-
-
-def _tap_output(cache: ForwardCache, tap: int) -> np.ndarray:
-    # Tap L is the pre-normalization affine output; earlier taps are tanh outputs.
-    if tap == cache.params.n_blocks:
-        return cache.z
-    return cache.hs[tap]
+    @property
+    def middles(self) -> tuple[np.ndarray, np.ndarray]:
+        """The outputs at MIDDLE_TAPS, blocks 2 and 3."""
+        return self.tap(MIDDLE_TAPS[0]), self.tap(MIDDLE_TAPS[1])
 
 
 def forward_batch(params: EncoderParams, X: np.ndarray) -> BatchFeatures:
@@ -138,31 +136,26 @@ def forward_batch(params: EncoderParams, X: np.ndarray) -> BatchFeatures:
     znorm = np.linalg.norm(z, axis=1, keepdims=True)
     if np.any(znorm < DEGENERATE_NORM):
         raise DegenerateEmbedding("pre-normalization output has near-zero norm")
-    emb = z / znorm
-    cache = ForwardCache(params, hs, z, znorm, emb)
-    middles = (_tap_output(cache, MIDDLE_TAPS[0]), _tap_output(cache, MIDDLE_TAPS[1]))
-    return BatchFeatures(middles, emb, cache)
+    return BatchFeatures(params, hs, z, znorm, z / znorm)
 
 
 def backward(
-    params: EncoderParams,
-    cache: ForwardCache,
+    features: BatchFeatures,
     grad_embedding: np.ndarray,
     grad_middle_2: np.ndarray | None = None,
     grad_middle_3: np.ndarray | None = None,
 ) -> ParamGrads:
-    """Exact reverse-mode parameter gradients for a batch, written into the
-    views of one new ParamGrads.
+    """Exact reverse-mode gradients of the parameters features ran with,
+    written into the views of one new ParamGrads.
 
     grad_embedding is dLoss/d(embedding) per sample; middle gradients, when
     given, are injected at taps 2 and 3. The normalization Jacobian
     (I - f f^T)/|z| is applied row-wise before the affine chain. The
     gradient with respect to the input is never formed.
     """
-    if cache.params is not params:
-        raise StaleCache("forward cache does not belong to these parameters")
+    params = features.params
     L = params.n_blocks
-    F = cache.embeddings
+    F = features.embeddings
     gF = np.asarray(grad_embedding, dtype=np.float64)
     if gF.shape != F.shape:
         raise ShapeMismatch(f"grad_embedding shape {gF.shape} vs embeddings {F.shape}")
@@ -171,40 +164,42 @@ def backward(
         if g is None:
             continue
         g = np.asarray(g, dtype=np.float64)
-        expected = _tap_output(cache, tap).shape
+        expected = features.tap(tap).shape
         if g.shape != expected:
             raise ShapeMismatch(f"tap {tap} gradient shape {g.shape} vs features {expected}")
         tap_grads[tap] = g
 
-    gz = (gF - np.sum(gF * F, axis=1, keepdims=True) * F) / cache.znorm
+    gz = (gF - np.sum(gF * F, axis=1, keepdims=True) * F) / features.znorm
     if L in tap_grads:
         gz = gz + tap_grads[L]
     grads = ParamGrads(params)
-    np.matmul(gz.T, cache.hs[L - 1], out=grads.weights[L - 1])
+    np.matmul(gz.T, features.hs[L - 1], out=grads.weights[L - 1])
     gz.sum(axis=0, out=grads.biases[L - 1])
     gh = gz @ params.weights[L - 1]
     for l in range(L - 2, -1, -1):
-        h = cache.hs[l + 1]
+        h = features.hs[l + 1]
         if (l + 1) in tap_grads:
             gh = gh + tap_grads[l + 1]
         ga = gh * (1.0 - h * h)
-        np.matmul(ga.T, cache.hs[l], out=grads.weights[l])
+        np.matmul(ga.T, features.hs[l], out=grads.weights[l])
         ga.sum(axis=0, out=grads.biases[l])
         if l:
             gh = ga @ params.weights[l]
     return grads
 
 
-def grad_check(params: EncoderParams, loss_closure, step: float = 1e-5) -> float:
-    """Max relative error between the closure's analytic parameter gradients
-    and central finite differences.
+def grad_check(params, loss_closure, step: float = 1e-5) -> float:
+    """Max relative error between the closure's analytic gradients and
+    central finite differences, the one finite-difference rule.
 
-    loss_closure(params) -> (scalar value, ParamGrads). The error metric per
-    entry is |analytic - numeric| / max(1, |numeric|).
+    loss_closure(params) -> (scalar value, gradient). params is EncoderParams
+    with ParamGrads gradients, or any float array with a gradient array of
+    its shape: either way both are read and perturbed entry by entry through
+    .flat. The error metric per entry is |analytic - numeric| / max(1, |numeric|).
     """
     flat, gflat = params.flat, loss_closure(params)[1].flat
     max_err = 0.0
-    for k in range(flat.size):
+    for k in range(len(flat)):
         orig = flat[k]
         flat[k] = orig + step
         fp = loss_closure(params)[0]

@@ -49,10 +49,6 @@ class DegenerateEmbedding(LabError):
     """The pre-normalization encoder output has near-zero norm."""
 
 
-class StaleCache(LabError):
-    """Backward was called with intermediates from a different forward pass."""
-
-
 class ConfigError(LabError):
     """Invalid configuration; rejected before any work starts."""
 

@@ -11,7 +11,7 @@ with it at a lower gallery index; equal embeddings tie exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,23 +155,19 @@ def _block_aps(
 
 @dataclass
 class MetricsReport:
-    """Everything one sequential run measured. fmap and mean_map are read
-    from per_camera_map, so they cannot disagree with it; from_dict checks
-    a loaded document's copies against it."""
+    """Everything one sequential run measured, one entry per camera step.
+    fmap and mean_map are read from per_camera_map, so they cannot disagree
+    with it. What was run (variant, order, seed) is the caller's record."""
 
     per_camera_map: list[float]
     nh_trajectory: list[int]
     assoc_precision: list[float | None]
-    seed: int
-    variant: str
-    order: list[int]
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         C = len(self.per_camera_map)
         if C == 0:
             raise ShapeMismatch("report needs at least one camera step")
-        if len(self.nh_trajectory) != C or len(self.assoc_precision) != C or len(self.order) != C:
+        if len(self.nh_trajectory) != C or len(self.assoc_precision) != C:
             raise ShapeMismatch("per-camera fields must all have one entry per step")
 
     @property
@@ -186,30 +182,9 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return {
-            "variant": self.variant,
-            "seed": self.seed,
-            "order": list(self.order),
             "per_camera_map": list(self.per_camera_map),
             "fmap": self.fmap,
             "mean_map": self.mean_map,
             "nh_trajectory": list(self.nh_trajectory),
             "assoc_precision": list(self.assoc_precision),
-            "meta": self.meta,
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MetricsReport":
-        report = cls(
-            per_camera_map=list(doc["per_camera_map"]),
-            nh_trajectory=list(doc["nh_trajectory"]),
-            assoc_precision=list(doc["assoc_precision"]),
-            seed=doc["seed"],
-            variant=doc["variant"],
-            order=list(doc["order"]),
-            meta=dict(doc.get("meta", {})),
-        )
-        if doc["fmap"] != report.fmap:
-            raise ShapeMismatch("fmap must equal the final per-camera mAP")
-        if abs(doc["mean_map"] - report.mean_map) > 1e-12:
-            raise ShapeMismatch("mean_map must be the arithmetic mean of per-camera mAP")
-        return report

@@ -52,8 +52,6 @@ ORDER_PRESETS: dict[str, list[int]] = {
 # sweep axis name -> Hyperparams field
 SWEEP_AXES = {"lambda": "lam", "tau": "tau", "omega": "omega"}
 
-THREAD_CAP_ENV = "IKE_LAB_THREADS"
-
 _CONFIG_KEYS = {
     "dataset", "orders", "variants", "seeds", "hyperparams",
     "encoder", "sweep", "gallery_rule", "out",
@@ -325,7 +323,7 @@ def execute_run(
     config: ExperimentConfig, spec: RunSpec, bundle: DatasetBundle, run_dir: Path | None
 ) -> MetricsReport:
     hyper = config.hyper.replace(**{SWEEP_AXES[a]: v for a, v in spec.sweep})
-    recorder = None
+    recorder = RunRecorder()
     if run_dir is not None:
         run_dir.mkdir(parents=True, exist_ok=True)
         recorder = DiskRecorder(spec.run_id, run_dir)
@@ -340,12 +338,14 @@ def execute_run(
         recorder=recorder,
         gallery_rule=config.gallery_rule,
     )
-    report.seed = spec.seed  # the grid seed, from which the run's stream derives
-    report.meta = {"run_id": spec.run_id, "order_name": spec.order_name,
-                   "sweep": {a: v for a, v in spec.sweep}}
-    if run_dir is not None and recorder is not None:
+    if run_dir is not None:
         recorder.flush()
-        _write_atomic(run_dir / "metrics.json", json.dumps(report.to_dict(), indent=2) + "\n")
+        # seed is the grid seed, from which the run's stream derives.
+        doc = {"variant": spec.variant, "seed": spec.seed, "order": list(spec.order),
+               **report.to_dict(),
+               "meta": {"run_id": spec.run_id, "order_name": spec.order_name,
+                        "sweep": {a: v for a, v in spec.sweep}}}
+        _write_atomic(run_dir / "metrics.json", json.dumps(doc, indent=2) + "\n")
         _write_atomic(run_dir / "metrics.csv", _metrics_csv(spec, report))
     return report
 
@@ -372,16 +372,6 @@ def _run_one(payload: tuple[ExperimentConfig, RunSpec, Path | None]) -> MetricsR
         return f"{type(exc).__name__}: {exc}"
 
 
-def _job_cap(jobs: int) -> int:
-    cap = os.environ.get(THREAD_CAP_ENV)
-    if cap:
-        try:
-            jobs = min(jobs, max(1, int(cap)))
-        except ValueError as exc:
-            raise ConfigError(f"{THREAD_CAP_ENV} must be an integer, got {cap!r}") from exc
-    return max(1, jobs)
-
-
 @dataclass
 class RunOutcome:
     out_dir: Path | None
@@ -397,7 +387,6 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None, jobs: int =
     out_path = Path(out) if out is not None else None
     bundle = fetch_bundle(config.dataset)
     specs = enumerate_runs(config, bundle.n_cameras)
-    jobs = _job_cap(jobs)
     payloads = [
         (config, spec, None if out_path is None else out_path / "runs" / spec.run_id)
         for spec in specs
@@ -543,7 +532,8 @@ def check_gradients(rng: np.random.Generator, widths: list[int], batches: int, f
 
 def check_cycle_match(rng: np.random.Generator, trials: int, max_n: int, dims: list[int]):
     """Mismatches of cycle_match against the exhaustive scan on random memory
-    pairs of up to max_n rows, and the seconds spent in cycle_match."""
+    pairs of up to max_n rows, and the seconds spent in cycle_match. A
+    result that is not an int64 array of len(cur) entries is a mismatch."""
     mismatches, seconds = 0, 0.0
     for trial in range(trials):
         n_c = int(rng.integers(1, max_n + 1))
@@ -554,7 +544,8 @@ def check_cycle_match(rng: np.random.Generator, trials: int, max_n: int, dims: l
         t0 = time.perf_counter()
         got = cycle_match(cur, hist)
         seconds += time.perf_counter() - t0
-        mismatches += got.matches.tolist() != oracles.mutual_argmax_oracle(cur.rows, hist.rows)
+        mismatches += (got.dtype != np.int64 or got.shape != (n_c,)
+                       or got.tolist() != oracles.mutual_argmax_oracle(cur.rows, hist.rows))
     return mismatches, seconds
 
 

@@ -206,7 +206,7 @@ def _association(
     """Check an association of cur's identities with hist's rows (equal
     widths, one entry per current identity, every target a historical row)
     and return (matches, the matched j, their targets)."""
-    matches = np.asarray(getattr(assoc, "matches", assoc), dtype=np.int64)
+    matches = np.asarray(assoc, dtype=np.int64)
     if hist.dim != cur.dim:
         raise ShapeMismatch(f"history dim {hist.dim} != current dim {cur.dim}")
     if matches.shape != (len(cur),):

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .association import (
-    AssociationMap,
     all_unmatched,
     association_precision,
     augment_dataset,
@@ -168,12 +167,12 @@ class RunRecorder:
 @dataclass
 class CameraResult:
     camera_id: int
-    assoc: AssociationMap
+    assoc: np.ndarray
     assoc_precision: float | None
     nh_after: int
 
 
-def _associate(policy: Policy, cur: IdentityMemory, hist: IdentityMemory) -> AssociationMap:
+def _associate(policy: Policy, cur: IdentityMemory, hist: IdentityMemory) -> np.ndarray:
     """The variant's association, used both for the loss labels and for the
     merge at the boundary."""
     if policy.matcher is None or len(hist) == 0:
@@ -246,7 +245,7 @@ def batch_loss_and_grads(
             taps = grad
         else:
             gF = grad if gF is None else gF + grad
-    grads = backward(cur_params, out_c.cache, np.zeros_like(F) if gF is None else gF, *taps)
+    grads = backward(out_c, np.zeros_like(F) if gF is None else gF, *taps)
     return LossBreakdown(**values), grads, F
 
 
@@ -254,7 +253,7 @@ def train_camera(
     state: TrainState,
     dataset: CameraDataset,
     variant: Variant,
-    recorder: RunRecorder | None = None,
+    recorder: RunRecorder = RunRecorder(),
 ) -> CameraResult:
     """One incremental step: adapt a copy of the historical model to this
     camera, then evolve the historical memory and promote the model."""
@@ -303,12 +302,10 @@ def train_camera(
             opt.step(cur_params, grads, lr)
             momentum_update(cur_memory, yp[sl], emb, hyper.omega)
             batch_logs.append(breakdown)
-            if recorder is not None:
-                recorder.on_batch(state.camera_index, epoch, b, breakdown)
+            recorder.on_batch(state.camera_index, epoch, b, breakdown)
         mean = _mean_breakdown(batch_logs)
         _check_finite(mean, dataset.camera_id, epoch)
-        if recorder is not None:
-            recorder.on_epoch(state.camera_index, dataset.camera_id, epoch, mean, lr)
+        recorder.on_epoch(state.camera_index, dataset.camera_id, epoch, mean, lr)
 
     final_memory = init_memory(cur_params, dataset)
     if policy.merge:
@@ -329,8 +326,7 @@ def train_camera(
         assoc_precision=prec,
         nh_after=len(new_hist),
     )
-    if recorder is not None:
-        recorder.on_camera(state.camera_index - 1, dataset.camera_id, state, result)
+    recorder.on_camera(state.camera_index - 1, dataset.camera_id, state, result)
     return result
 
 
@@ -342,11 +338,11 @@ def run_sequence(
     hidden: list[int],
     embed_dim: int,
     seed: int | np.random.SeedSequence,
-    recorder: RunRecorder | None = None,
+    recorder: RunRecorder = RunRecorder(),
     gallery_rule: str = "camera",
 ) -> MetricsReport:
     """Train every camera in order, evaluating on the fixed test split after
-    each one. The report's seed is seed, or -1 for a SeedSequence."""
+    each one."""
     C = bundle.n_cameras
     if sorted(order) != list(range(C)):
         raise ConfigError(f"order {order} is not a permutation of 0..{C - 1}")
@@ -359,8 +355,7 @@ def run_sequence(
         maps.append(evaluate_map(state.encoder, bundle.test, gallery_rule))
         nhs.append(result.nh_after)
         precs.append(result.assoc_precision)
-    report_seed = seed if isinstance(seed, int) else -1
-    return MetricsReport(maps, nhs, precs, report_seed, variant.value, list(order))
+    return MetricsReport(maps, nhs, precs)
 
 
 def merge_cameras_with_global_labels(bundle: DatasetBundle) -> CameraDataset:

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from ike_lab import oracles
 from ike_lab.association import (
-    AssociationMap,
     all_unmatched,
     association_precision,
     augment_dataset,
@@ -24,12 +23,12 @@ class TestCycleMatch:
     def test_empty_history_all_unmatched(self, rng):
         cur = IdentityMemory(unit_rows(rng, 5, 4))
         assoc = cycle_match(cur, empty_memory(4))
-        assert (assoc.matches == NO_MATCH).all()
+        assert (assoc == NO_MATCH).all()
 
     def test_self_matching_identity(self, rng):
         rows = unit_rows(rng, 8, 6)
         assoc = cycle_match(IdentityMemory(rows), IdentityMemory(rows.copy()))
-        assert assoc.matches.tolist() == list(range(8))
+        assert assoc.tolist() == list(range(8))
 
     def test_matches_brute_force_oracle(self, rng):
         assert check_cycle_match(rng, 300, 79, [8, 16])[0] == 0
@@ -45,8 +44,8 @@ class TestCycleMatch:
     def test_determinism(self, rng):
         cur = IdentityMemory(unit_rows(rng, 20, 8))
         hist = IdentityMemory(unit_rows(rng, 30, 8))
-        a = cycle_match(cur, hist).matches
-        b = cycle_match(cur, hist).matches
+        a = cycle_match(cur, hist)
+        b = cycle_match(cur, hist)
         assert (a == b).all()
 
     @given(st.integers(0, 2 ** 32 - 1))
@@ -55,10 +54,10 @@ class TestCycleMatch:
         r = np.random.default_rng(seed)
         cur = IdentityMemory(unit_rows(r, int(r.integers(1, 20)), 6))
         hist = IdentityMemory(unit_rows(r, int(r.integers(1, 20)), 6))
-        fwd = cycle_match(cur, hist).matches
+        fwd = cycle_match(cur, hist)
         matched = fwd[fwd != NO_MATCH]
         assert len(set(matched.tolist())) == len(matched)
-        bwd = cycle_match(hist, cur).matches
+        bwd = cycle_match(hist, cur)
         pairs_fwd = {(i, int(j)) for i, j in enumerate(fwd) if j != NO_MATCH}
         pairs_bwd = {(int(i), j) for j, i in enumerate(bwd) if i != NO_MATCH}
         assert pairs_fwd == pairs_bwd
@@ -69,11 +68,11 @@ class TestCycleMatch:
         cur = IdentityMemory(rows)
         hist_rows = rows + 0.01 * rng.normal(size=rows.shape)
         hist_rows /= np.linalg.norm(hist_rows, axis=1, keepdims=True)
-        before = cycle_match(cur, IdentityMemory(hist_rows)).matches
+        before = cycle_match(cur, IdentityMemory(hist_rows))
         assert before.tolist() == list(range(6))
         extra = unit_rows(rng, 1, 8)
         grown = IdentityMemory(np.concatenate([hist_rows, -rows[:1]]))
-        after = cycle_match(cur, grown).matches
+        after = cycle_match(cur, grown)
         assert after.tolist() == list(range(6))
 
 
@@ -82,13 +81,14 @@ class TestOneWayMatch:
         cur = IdentityMemory(unit_rows(rng, 10, 6))
         hist = IdentityMemory(unit_rows(rng, 4, 6))
         assoc = one_way_match(cur, hist)
-        assert (assoc.matches >= 0).all()
+        assert assoc.dtype == np.int64 and assoc.shape == (len(cur),)
+        assert (assoc >= 0).all()
         want = oracles.one_way_argmax_oracle(cur.rows, hist.rows)
-        assert assoc.matches.tolist() == want
+        assert assoc.tolist() == want
 
     def test_empty_history_all_unmatched(self, rng):
         assoc = one_way_match(IdentityMemory(unit_rows(rng, 3, 4)), empty_memory(4))
-        assert (assoc.matches == NO_MATCH).all()
+        assert (assoc == NO_MATCH).all()
 
 
 class TestAugmentDataset:
@@ -100,14 +100,14 @@ class TestAugmentDataset:
 
     def test_single_identity_carries_match(self, rng):
         cam = manual_camera(rng, n_ids=2, per_id=3, dim=5)
-        assoc = AssociationMap(np.array([3, NO_MATCH]))
+        assoc = np.array([3, NO_MATCH])
         hist_labels = augment_dataset(cam, assoc)
         assert hist_labels.tolist() == [3 if y == 0 else NO_MATCH for y in cam.labels]
 
     def test_lookup_oracle(self, rng):
         cam = manual_camera(rng, n_ids=6, per_id=2, dim=5)
         matches = np.array([rng.integers(0, 9) if rng.random() < 0.6 else NO_MATCH for _ in range(6)])
-        hist_labels = augment_dataset(cam, AssociationMap(matches))
+        hist_labels = augment_dataset(cam, matches)
         assert hist_labels.dtype == np.int64
         assert hist_labels.shape == (len(cam),)
         for i in range(len(cam)):
@@ -121,7 +121,7 @@ class TestAugmentDataset:
 
 class TestAssociationPrecision:
     def test_all_correct(self):
-        assoc = AssociationMap(np.array([0, 1, NO_MATCH]))
+        assoc = np.array([0, 1, NO_MATCH])
         res = association_precision(assoc, [10, 11, 12], [10, 11])
         assert res.precision == 1.0
         assert res.discovered == 2
@@ -134,7 +134,7 @@ class TestAssociationPrecision:
         assert res.discovered == 0
 
     def test_three_of_four(self):
-        assoc = AssociationMap(np.array([0, 1, 2, 3, NO_MATCH]))
+        assoc = np.array([0, 1, 2, 3, NO_MATCH])
         res = association_precision(assoc, [10, 11, 12, 99, 0], [10, 11, 12, 13])
         assert res.precision == pytest.approx(0.75)
         assert (res.discovered, res.correct) == (4, 3)
@@ -147,7 +147,7 @@ class TestAssociationPrecision:
         with pytest.raises(ShapeMismatch):
             association_precision(all_unmatched(2), [1, 2, 3], [1])
         with pytest.raises(LabelOutOfRange):
-            association_precision(AssociationMap(np.array([0, 2])), [1, 2], [1, 2])
+            association_precision(np.array([0, 2]), [1, 2], [1, 2])
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -157,7 +157,7 @@ class TestAssociationPrecision:
         matches = data.draw(st.lists(st.integers(NO_MATCH, n_hist - 1), min_size=n_cur, max_size=n_cur))
         cur = data.draw(st.lists(st.integers(0, 4), min_size=n_cur, max_size=n_cur))
         hist = data.draw(st.lists(st.integers(0, 4), min_size=n_hist, max_size=n_hist))
-        res = association_precision(AssociationMap(np.array(matches)), cur, hist)
+        res = association_precision(np.array(matches), cur, hist)
         pairs = [(cur[i], hist[t]) for i, t in enumerate(matches) if t != NO_MATCH]
         correct = sum(a == b for a, b in pairs)
         assert (res.discovered, res.correct) == (len(pairs), correct)

@@ -308,6 +308,17 @@ class TestSaveLoad:
         with pytest.raises(ParseError, match=r"train\.csv"):
             load_dataset(csv)
 
+    def test_untagged_test_row_names_file_and_line(self, tmp_path):
+        # Retrieval relevance is equal global ids: untagged test rows would
+        # all count as one identity and score mAP 1.0.
+        (tmp_path / "train.csv").write_text("camera,local_id,global_id,f0,f1\n0,0,1,1.0,0.0\n")
+        (tmp_path / "test.csv").write_text(
+            "camera,local_id,global_id,f0,f1\n0,0,1,1.0,0.0\n\n1,4,-1,0.0,1.0\n1,5,-1,0.6,0.8\n"
+        )
+        (tmp_path / "manifest.json").write_text('{"train": "train.csv", "test": "test.csv"}')
+        with pytest.raises(ParseError, match=r"^test\.csv:4: a test row needs a global id >= 0, got -1$"):
+            load_dataset(tmp_path)
+
     def test_missing_test_file(self, tmp_path):
         (tmp_path / "train.csv").write_text("camera,local_id,global_id,f0,f1\n0,0,1,1.0,0.0\n")
         (tmp_path / "manifest.json").write_text('{"train": "train.csv", "test": "test.csv"}')
@@ -383,6 +394,11 @@ class TestLoaderAgainstReference:
             (d / "test.csv").write_text(text(test))
             manifest = {"dim": dim, "normalize": normalize, "train": "train.csv", "test": "test.csv"}
             (d / "manifest.json").write_text(json.dumps(manifest))
+            untagged = [k for k, r in enumerate(test) if r[2] < 0]
+            if untagged:
+                with pytest.raises(ParseError, match=rf"^test\.csv:{untagged[0] + 2}: "):
+                    load_dataset(d)
+                return
             bundle = load_dataset(d)
         want_cameras, want_test_X = _reference_load(train, test, dim, normalize)
         assert len(bundle.cameras) == len(want_cameras)

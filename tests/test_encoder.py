@@ -17,7 +17,7 @@ from ike_lab.encoder import (
     load_encoder,
     save_encoder,
 )
-from ike_lab.errors import ConfigError, DegenerateEmbedding, ShapeMismatch, StaleCache
+from ike_lab.errors import ConfigError, DegenerateEmbedding, ShapeMismatch
 
 from conftest import unit_rows
 
@@ -29,7 +29,7 @@ def quadratic_closure(X, target):
         out = forward_batch(params, X)
         diff = out.embeddings - target
         value = 0.5 * float((diff * diff).sum())
-        return value, backward(params, out.cache, diff)
+        return value, backward(out, diff)
 
     return closure
 
@@ -93,7 +93,7 @@ class TestBackward:
     def test_zero_upstream_zero_grads(self, rng, small_encoder):
         X = rng.normal(size=(4, 4))
         out = forward_batch(small_encoder, X)
-        grads = backward(small_encoder, out.cache, np.zeros_like(out.embeddings))
+        grads = backward(out, np.zeros_like(out.embeddings))
         assert np.abs(grads.flat).max() == 0.0
 
     def test_quadratic_at_minimum(self, rng, small_encoder):
@@ -126,17 +126,10 @@ class TestBackward:
             d2 = out.middles[0] - t2
             d3 = out.middles[1] - t3
             value = 0.5 * float((d2 * d2).sum() + (d3 * d3).sum())
-            grads = backward(p, out.cache, np.zeros_like(out.embeddings), d2, d3)
+            grads = backward(out, np.zeros_like(out.embeddings), d2, d3)
             return value, grads
 
         assert grad_check(params, closure, step=1e-5) <= 1e-6
-
-    def test_stale_cache(self, rng, small_encoder):
-        X = rng.normal(size=(2, 4))
-        out = forward_batch(small_encoder, X)
-        other = small_encoder.copy()
-        with pytest.raises(StaleCache):
-            backward(other, out.cache, np.zeros_like(out.embeddings))
 
     def test_normalization_jacobian_orthogonal_to_embedding(self, rng, small_encoder):
         # Numeric directional derivative of the embedding along itself (via

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import ike_lab.cli as cli
 import ike_lab.harness as harness
 from ike_lab.association import one_way_match
-from ike_lab.datasets import SyntheticSpec
+from ike_lab.datasets import SyntheticSpec, generate, save_dataset
 from ike_lab.errors import ConfigError, EmptyGallery
 from ike_lab.encoder import grad_check
 from ike_lab.evaluation import evaluate_map
@@ -259,6 +260,16 @@ class TestRun:
         pb = tmp_path / "b" / ma["runs"][0]["path"] / "metrics.json"
         assert pa.read_bytes() == pb.read_bytes()
 
+    def test_metrics_json_text_pinned(self, tmp_path):
+        # The whole document: keys, their order and every value, as written
+        # when the report still carried the run description itself.
+        doc = tiny_config(orders=[[1, 0]], seeds=[3], sweep={"lambda": [0.5]})
+        doc["dataset"]["synthetic"].update(camera_shift=0.6, noise=0.3)
+        run(ExperimentConfig.from_dict(doc), out_dir=tmp_path)
+        text = (tmp_path / "runs" / "IKE__o10__s3__lambda0.5" / "metrics.json").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == (
+            "9c3e7786548a7d63f626e30a5c269f29abee3d91d3c1561470426ca9f8764bf5")
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         doc = tiny_config(variants=["BASELINE", "IKE"], seeds=[0, 1])
         cfg = ExperimentConfig.from_dict(doc)
@@ -266,15 +277,6 @@ class TestRun:
         parallel = run(cfg, out_dir=None, jobs=2)
         for rid, rep in serial.reports.items():
             assert parallel.reports[rid] == rep
-
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("IKE_LAB_THREADS", "1")
-        cfg = ExperimentConfig.from_dict(tiny_config(variants=["BASELINE", "IKE"]))
-        outcome = run(cfg, out_dir=None, jobs=8)
-        assert len(outcome.reports) == 2
-        monkeypatch.setenv("IKE_LAB_THREADS", "junk")
-        with pytest.raises(ConfigError):
-            run(cfg, out_dir=None, jobs=8)
 
     def test_no_output_dir(self):
         cfg = ExperimentConfig.from_dict(tiny_config())
@@ -560,6 +562,21 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_untagged_test_split_exit_1(self, tmp_path, capsys):
+        # Scored, it would read mAP 1.0: relevance is equal global ids, and
+        # every untagged test row carries -1.
+        data = tmp_path / "data"
+        save_dataset(generate(SyntheticSpec(**tiny_config()["dataset"]["synthetic"])), data)
+        header, *rows = (data / "test.csv").read_text().splitlines()
+        rows = [",".join([*r.split(",")[:2], "-1", *r.split(",")[3:]]) for r in rows]
+        (data / "test.csv").write_text("\n".join([header, *rows]) + "\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(dataset={"features": str(data)})))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "test.csv:2: a test row needs a global id >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_orders_subcommand(self, tmp_path):

@@ -3,28 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from ike_lab.encoder import grad_check
 from ike_lab.errors import EmptyBatch, EmptyMemory, LabelOutOfRange, ShapeMismatch
 from ike_lab.losses import LossBreakdown, loss_id, loss_id_hist, loss_kd, loss_mkd
 from ike_lab.memory import NO_MATCH, IdentityMemory, empty_memory
 
 from conftest import unit_rows
-
-
-def fd_check_features(loss_fn, F, tol=1e-6, step=1e-5):
-    """Central differences on the feature matrix itself."""
-    value, grad = loss_fn(F)
-    num = np.zeros_like(F)
-    for i in range(F.shape[0]):
-        for j in range(F.shape[1]):
-            orig = F[i, j]
-            F[i, j] = orig + step
-            fp = loss_fn(F)[0]
-            F[i, j] = orig - step
-            fm = loss_fn(F)[0]
-            F[i, j] = orig
-            num[i, j] = (fp - fm) / (2 * step)
-    err = np.abs(grad - num) / np.maximum(1.0, np.abs(num))
-    assert err.max() <= tol
 
 
 class TestLossId:
@@ -46,7 +30,7 @@ class TestLossId:
         mem = IdentityMemory(unit_rows(rng, 10, 6))
         F = unit_rows(rng, 8, 6)
         labels = rng.integers(10, size=8)
-        fd_check_features(lambda F_: loss_id(F_, labels, mem, tau=0.05), F)
+        assert grad_check(F, lambda F_: loss_id(F_, labels, mem, tau=0.05)) <= 1e-6
 
     def test_memory_not_modified(self, rng):
         mem = IdentityMemory(unit_rows(rng, 5, 4))
@@ -96,7 +80,7 @@ class TestLossIdHist:
         before = hist.rows.copy()
         F = unit_rows(rng, 6, 6)
         y_hist = np.array([0, NO_MATCH, 3, 5, NO_MATCH, 2])
-        fd_check_features(lambda F_: loss_id_hist(F_, y_hist, hist, tau=0.05), F)
+        assert grad_check(F, lambda F_: loss_id_hist(F_, y_hist, hist, tau=0.05)) <= 1e-6
         assert (hist.rows == before).all()
 
     def test_batch_mean_uses_full_batch(self, rng):
@@ -145,7 +129,7 @@ class TestLossKd:
         Fh = unit_rows(rng, 5, 6)
         gates = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
         F = unit_rows(rng, 5, 6)
-        fd_check_features(lambda F_: loss_kd(F_, Fh, gates), F)
+        assert grad_check(F, lambda F_: loss_kd(F_, Fh, gates)) <= 1e-6
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeMismatch):
@@ -180,8 +164,8 @@ class TestLossMkd:
         def f3(M):
             return loss_mkd((m2, M), mh, gates)[0], loss_mkd((m2, M), mh, gates)[1][1]
 
-        fd_check_features(f2, m2)
-        fd_check_features(f3, m3)
+        assert grad_check(m2, f2) <= 1e-6
+        assert grad_check(m3, f3) <= 1e-6
 
 
 class TestLossTotal:

@@ -160,7 +160,7 @@ class TestPolicies:
         train_camera(state, bundle.cameras[0], Variant.IKE)
         cam = bundle.cameras[1]
         cur_memory = init_memory(state.encoder, cam)
-        y_hist = cycle_match(cur_memory, state.memory).matches[cam.labels]
+        y_hist = cycle_match(cur_memory, state.memory)[cam.labels]
         out_h = forward_batch(state.encoder, cam.X)
         breakdown, _, _ = batch_loss_and_grads(
             POLICIES[variant], init_encoder(state.encoder.widths, rng),
@@ -183,7 +183,7 @@ class TestBatchLossAndGrads:
         cam = bundle.cameras[1]
         hist_params, hist_memory = state.encoder, state.memory
         cur_memory = init_memory(hist_params, cam)
-        y_hist = cycle_match(cur_memory, hist_memory).matches[cam.labels]
+        y_hist = cycle_match(cur_memory, hist_memory)[cam.labels]
         assert (y_hist != NO_MATCH).any()
         cur_params = init_encoder(hist_params.widths, rng)
         whole = forward_batch(hist_params, cam.X)
@@ -244,9 +244,17 @@ class TestRunSequence:
             run_sequence(bundle, [0, 1, 1], Variant.IKE, FAST, [8, 8, 8], 8, seed=0)
 
     def test_permuted_order_runs(self):
+        class CameraIds(RunRecorder):
+            def __init__(self):
+                self.ids = []
+
+            def on_camera(self, camera_step, camera_id, state, result):
+                self.ids.append(camera_id)
+
         bundle = tiny_bundle()
-        rep = run_sequence(bundle, [2, 0, 1], Variant.IKE, FAST, [8, 8, 8], 8, seed=0)
-        assert rep.order == [2, 0, 1]
+        rec = CameraIds()
+        rep = run_sequence(bundle, [2, 0, 1], Variant.IKE, FAST, [8, 8, 8], 8, seed=0, recorder=rec)
+        assert rec.ids == [2, 0, 1]
         assert len(rep.per_camera_map) == 3
 
     def test_first_camera_precision_is_none(self):
@@ -291,7 +299,7 @@ class StateDigests(RunRecorder):
     def on_camera(self, camera_step, camera_id, state, result):
         h = hashlib.sha256()
         for a in (state.encoder.flat, state.memory.rows,
-                  np.asarray(state.memory.provenance, dtype=np.int64), result.assoc.matches):
+                  np.asarray(state.memory.provenance, dtype=np.int64), result.assoc):
             h.update(a.tobytes())
         self.digests.append(h.hexdigest()[:16])
 
@@ -314,7 +322,7 @@ class TestStateDigests:
         shared_targets = []
 
         def counting_merge(hist, cur, assoc, lam):
-            targets = assoc.matches[assoc.matches != NO_MATCH]
+            targets = assoc[assoc != NO_MATCH]
             shared_targets.append(targets.size - np.unique(targets).size)
             return iku_merge(hist, cur, assoc, lam)
 
