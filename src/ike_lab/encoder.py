@@ -242,7 +242,7 @@ def save_encoder(params: EncoderParams, path: str | Path) -> None:
     doc = {
         "widths": params.widths,
         "blocks": [
-            {"W": [[float(v) for v in row] for row in W], "b": [float(v) for v in b]}
+            {"W": W.tolist(), "b": b.tolist()}
             for W, b in zip(params.weights, params.biases)
         ],
     }

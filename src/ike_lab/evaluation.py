@@ -4,9 +4,11 @@ Evaluation is strict cross-camera retrieval by default: a query's gallery is
 every test image from other cameras, relevance is same global identity, and
 queries with no relevant item are skipped rather than scored zero. Queries
 are ranked one camera block at a time against the block's shared gallery,
-with one gemm score block per chunk of query rows. A relevant item's rank
-is the number of gallery items that score above it, plus those that tie
-with it at a lower gallery index; equal embeddings tie exactly.
+with one gemm score block per chunk of query rows. The ranking reads only a
+row's relevant pairs, the few gallery items that share its identity, and
+the items scoring at or above the lowest of them. A relevant item's rank is
+the number of gallery items that score above it, plus those that tie with
+it at a lower gallery index; equal embeddings tie exactly.
 """
 
 from __future__ import annotations
@@ -54,13 +56,20 @@ def evaluate_map(
 
     Queries are ranked one camera block at a time. Under "camera" all
     queries of camera c share one gallery, the other cameras. Under the
-    other rules a block's candidates are all images, and each row drops its
-    few excluded items. Each chunk of query rows, as many as fit in
-    _BLOCK_ELEMENTS scores (at least one), is scored with one gemm,
-    F[rows] @ F[candidates].T, so no N x N matrix is built. A BLAS
-    kernel can score equal embeddings an ulp apart, so each copy of an
-    embedding takes the score of its first copy among the candidates:
-    copies tie exactly.
+    other rules a block's candidates are all images. Each chunk of query
+    rows, as many as fit in _BLOCK_ELEMENTS scores (at least one), is scored
+    with one gemm, F[rows] @ F[candidates].T, into a buffer allocated once
+    per call, so no N x N matrix is built. A BLAS kernel can score equal
+    embeddings an ulp apart, so each copy of an embedding takes the score of
+    its first copy among the candidates: copies tie exactly.
+
+    A row's relevant pairs are found without comparing identities across
+    the chunk: the block's candidate identities are sorted once, and each
+    row's run of equal identities is a searchsorted range of them. The
+    items a row excludes under "camera-id" and "none" are all among those
+    pairs (same-camera same-identity items, or the query itself), so they
+    are marked by writing -inf at their cells and counting them out of the
+    row's gallery length.
 
     No gallery is sorted in full. A relevant item's rank is the number of
     gallery items scoring above it plus those scoring the same at a lower
@@ -79,31 +88,49 @@ def evaluate_map(
     row_bytes = (F + 0.0).view(np.dtype((np.void, F.itemsize * F.shape[1])))[:, 0]
     embedding_of = np.unique(row_bytes, return_inverse=True)[1]
     gids, cams = test.global_ids, test.camera_ids
+    # A chunk holds at most max(_BLOCK_ELEMENTS, L) scores for L <= N
+    # candidates, and never more than N x N.
+    buffer = np.empty(min(max(_BLOCK_ELEMENTS, N), N * N))
     aps = np.full(N, np.nan)
     for c in np.unique(cams):
         queries = np.flatnonzero(cams == c)
         cols = np.flatnonzero(cams != c) if gallery_rule == "camera" else np.arange(N)
-        if cols.size == 0:
+        L = cols.size
+        if L == 0:
             continue
         _, first, copy_of = np.unique(
             embedding_of[cols], return_index=True, return_inverse=True
         )
         source = first[copy_of]
-        copies = np.flatnonzero(source != np.arange(cols.size))
+        copies = np.flatnonzero(source != np.arange(L))
         gallery_T = F[cols].T
-        step = max(1, _BLOCK_ELEMENTS // cols.size)
+        by_id = np.argsort(gids[cols], kind="stable")
+        sorted_ids = gids[cols][by_id]
+        step = max(1, _BLOCK_ELEMENTS // L)
         for start in range(0, queries.size, step):
             rows = queries[start : start + step]
-            scores = F[rows] @ gallery_T
+            R = rows.size
+            scores = np.matmul(F[rows], gallery_T, out=buffer[: R * L].reshape(R, L))
             scores[:, copies] = scores[:, source[copies]]
-            same_id = gids[rows, None] == gids[cols]
-            if gallery_rule == "camera":
-                excluded = None
-            elif gallery_rule == "camera-id":
-                excluded = same_id & (cams[cols] == c)
-            else:
-                excluded = rows[:, None] == cols
-            aps[rows] = _block_aps(scores, same_id, excluded)
+            # Row r's pairs are the columns by_id[lo[r] : lo[r] + n_pairs[r]],
+            # in column order.
+            ids = gids[rows]
+            lo = np.searchsorted(sorted_ids, ids, side="left")
+            n_pairs = np.searchsorted(sorted_ids, ids, side="right") - lo
+            pair_rows = np.repeat(np.arange(R), n_pairs)
+            offsets = np.repeat(lo - (np.cumsum(n_pairs) - n_pairs), n_pairs)
+            pair_cols = by_id[np.arange(pair_rows.size) + offsets]
+            lengths = np.full(R, L)
+            if gallery_rule != "camera":
+                if gallery_rule == "camera-id":
+                    excluded = cams[cols[pair_cols]] == c
+                else:
+                    excluded = cols[pair_cols] == rows[pair_rows]
+                # -inf lies below every relevant score, so these never rank.
+                scores[pair_rows[excluded], pair_cols[excluded]] = -np.inf
+                lengths -= np.bincount(pair_rows[excluded], minlength=R)
+                pair_rows, pair_cols = pair_rows[~excluded], pair_cols[~excluded]
+            aps[rows] = _block_aps(scores, pair_rows, pair_cols, lengths)
     scored = aps[~np.isnan(aps)]
     if scored.size == 0:
         raise EmptyGallery("no query had a nonempty gallery with relevant items")
@@ -116,38 +143,41 @@ _BLOCK_ELEMENTS = 1 << 18
 
 
 def _block_aps(
-    scores: np.ndarray, same_id: np.ndarray, excluded: np.ndarray | None
+    scores: np.ndarray, pair_rows: np.ndarray, pair_cols: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
-    """AP of each query row against its candidate columns, NaN for a row
-    with nothing relevant. excluded marks the candidates that are not in
-    that row's gallery (None: all are); their scores are overwritten."""
+    """AP of each C-contiguous score row against its gallery, NaN for a row
+    with nothing relevant. (pair_rows, pair_cols) are the relevant cells, in
+    any order. A row's gallery is lengths[row] of its columns; the others
+    hold -inf. scores is overwritten: its buffer is reused for the AP sums."""
     R, L = scores.shape
-    relevant = same_id
-    lengths = np.full(R, L)
-    if excluded is not None:
-        # -inf lies below every relevant score, so these never rank.
-        scores[excluded] = -np.inf
-        relevant = same_id & ~excluded
-        lengths -= np.count_nonzero(excluded, axis=1)
-    n_rel = np.count_nonzero(relevant, axis=1)
-    lowest = scores.min(axis=1, where=relevant, initial=np.inf)
-    candidates = scores >= lowest[:, None]
-    counts = np.count_nonzero(candidates, axis=1)
-    at = np.flatnonzero(candidates)
-    at = at[np.lexsort((-scores.ravel()[at], at // L))]
-    hits = np.flatnonzero(relevant.ravel()[at])
-    row = at[hits] // L
+    flat = scores.reshape(-1)
+    cells = pair_rows * L + pair_cols
+    n_rel = np.bincount(pair_rows, minlength=R)
+    lowest = np.full(R, np.inf)
+    np.minimum.at(lowest, pair_rows, flat[cells])
+    at = np.flatnonzero(scores >= lowest[:, None])
+    at_row = at // L
+    counts = np.bincount(at_row, minlength=R)
+    # at is sorted, and every relevant cell scores at or above its row's
+    # lowest, so each is found in it.
+    relevant = np.zeros(at.size, dtype=bool)
+    relevant[np.searchsorted(at, cells)] = True
+    order = np.lexsort((-flat[at], at_row))
+    hits = np.flatnonzero(relevant[order])
+    row = at_row[order[hits]]
     rank = hits - (np.cumsum(counts) - counts)[row]
     k = np.arange(1, row.size + 1) - (np.cumsum(n_rel) - n_rel)[row]
     terms = k / (rank + 1)
     # Each row's terms go into a zero vector as long as its gallery and are
     # summed pairwise, as average_precision does, so AP does not depend on
-    # how the ranks were found. Rows are grouped by gallery length for that.
+    # how the ranks were found. Rows are grouped by gallery length for that,
+    # and each group's zero block is laid out in the scores' buffer.
     aps = np.full(R, np.nan)
     for length in np.unique(lengths[n_rel > 0]):
         group = np.flatnonzero((lengths == length) & (n_rel > 0))
         mine = lengths[row] == length
-        block = np.zeros((group.size, length))
+        block = flat[: group.size * length].reshape(group.size, length)
+        block.fill(0.0)
         block[np.searchsorted(group, row[mine]), rank[mine]] = terms[mine]
         aps[group] = block.sum(axis=1) / n_rel[group]
     return aps

@@ -383,6 +383,8 @@ class RunOutcome:
 def run(config: ExperimentConfig, out_dir: str | Path | None = None, jobs: int = 1) -> RunOutcome:
     """Execute every (seed, variant, order, sweep point) combination. A failed
     run does not stop the others; the manifest gives each run's status."""
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     out = out_dir if out_dir is not None else config.out
     out_path = Path(out) if out is not None else None
     bundle = fetch_bundle(config.dataset)

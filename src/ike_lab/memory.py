@@ -263,7 +263,7 @@ def save_memory(memory: IdentityMemory, path: str | Path) -> None:
     """Write a snapshot as JSON; floats round-trip bit-faithfully."""
     doc = {
         "dim": memory.dim,
-        "rows": [[float(v) for v in row] for row in memory.rows],
+        "rows": memory.rows.tolist(),
         "provenance": memory.provenance,
     }
     Path(path).write_text(json.dumps(doc))

@@ -216,6 +216,22 @@ class TestSnapshot:
             '{"W": [[2.0]], "b": [-0.125]}, {"W": [[0.1], [-3.0]], "b": [1.0, 1e-300]}]}'
         )
 
+    def test_bytes_equal_to_per_element_floats(self, tmp_path, small_encoder):
+        # -0.0, subnormals and 1e300 print as Python floats print them.
+        params = small_encoder.copy()
+        params.weights[0][0, :4] = [-0.0, 5e-324, -2.5e-310, 1e300]
+        params.biases[-1][0] = -1e300
+        path = tmp_path / "encoder.json"
+        save_encoder(params, path)
+        want = {
+            "widths": params.widths,
+            "blocks": [
+                {"W": [[float(v) for v in row] for row in W], "b": [float(v) for v in b]}
+                for W, b in zip(params.weights, params.biases)
+            ],
+        }
+        assert path.read_text() == json.dumps(want)
+
     def test_schema_fields(self, tmp_path, small_encoder):
         path = tmp_path / "encoder.json"
         save_encoder(small_encoder, path)

@@ -21,6 +21,27 @@ from ike_lab.trainer import Hyperparams, precision_matrix
 from conftest import tiny_bundle, unit_rows
 
 
+def per_query_map(emb, gids, cams, rule):
+    """Reference mAP: each query's own gallery under rule, ranked with a
+    stable argsort of its scores and scored with average_precision, then
+    averaged in query order; None when no query is scorable."""
+    n = len(gids)
+    aps = []
+    for q in range(n):
+        if rule == "camera":
+            keep = cams != cams[q]
+        elif rule == "camera-id":
+            keep = (cams != cams[q]) | (gids != gids[q])
+        else:
+            keep = np.arange(n) != q
+        gallery = np.flatnonzero(keep)
+        order = np.argsort(-(emb[gallery] @ emb[q]), kind="stable")
+        relevance = gids[gallery][order] == gids[q]
+        if relevance.any():
+            aps.append(average_precision(relevance, int(relevance.sum())))
+    return float(np.mean(aps)) if aps else None
+
+
 class TestAveragePrecision:
     def test_all_relevant_first(self):
         assert average_precision(np.array([1, 1, 0, 0]), 2) == 1.0
@@ -141,41 +162,76 @@ class TestEvaluateMap:
         gids = rng.integers(12, size=n)
         cams = rng.integers(4, size=n)
         emb = forward_batch(params, X).embeddings
-        aps = []
-        for q in range(n):
-            if rule == "camera":
-                keep = cams != cams[q]
-            elif rule == "camera-id":
-                keep = (cams != cams[q]) | (gids != gids[q])
-            else:
-                keep = np.arange(n) != q
-            gallery = np.flatnonzero(keep)
-            order = np.argsort(-(emb[gallery] @ emb[q]), kind="stable")
-            relevance = gids[gallery][order] == gids[q]
-            if relevance.any():
-                aps.append(average_precision(relevance, int(relevance.sum())))
-        assert evaluate_map(params, TestSplit(X, gids, cams), rule) == float(np.mean(aps))
+        want = per_query_map(emb, gids, cams, rule)
+        assert evaluate_map(params, TestSplit(X, gids, cams), rule) == want
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 40),
+        n_cams=st.integers(1, 4),
+        block_elements=st.sampled_from([1, 40, 300, evaluation._BLOCK_ELEMENTS]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_equal_to_per_query_argsort_with_exact_ties(
+        self, seed, n, n_cams, block_elements
+    ):
+        # The saturated encoder of the tie test above scores exactly, so the
+        # per-query stable argsort sees the same ties as evaluate_map, and
+        # every mAP must agree bit for bit. Row 1 copies row 0's image,
+        # identity and camera, and row 2 copies its image under a drawn
+        # identity. The last row's identity 9 has nothing relevant, and it
+        # shares camera 0 with rows 0 and 1, so under "camera-id" camera 0's
+        # rows have galleries of several lengths (in one chunk when 300 or
+        # more scores fit).
+        rng = np.random.default_rng(seed)
+        params = EncoderParams(
+            [100.0 * np.eye(6, 5), 100.0 * np.eye(6), np.eye(4, 6)],
+            [np.zeros(6), np.zeros(6), np.zeros(4)],
+        )
+        X = rng.choice([-1.0, 1.0], size=(n, 5))
+        X[1:3] = X[0]
+        gids = np.append(rng.integers(4, size=n - 1), 9)
+        gids[1] = gids[0]
+        cams = rng.integers(n_cams, size=n)
+        cams[[0, 1, -1]] = 0
+        split = TestSplit(X, gids, cams)
+        emb = forward_batch(params, X).embeddings
+        assert (emb == 0.5 * X[:, :4]).all()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluation, "_BLOCK_ELEMENTS", block_elements)
+            for rule in GALLERY_RULES:
+                want = per_query_map(emb, gids, cams, rule)
+                if want is None:
+                    with pytest.raises(EmptyGallery):
+                        evaluate_map(params, split, rule)
+                else:
+                    assert evaluate_map(params, split, rule) == want, rule
 
     def test_block_rows_bitwise_equal_to_average_precision(self, rng):
         # Each row of a block, ranked with its excluded columns dropped, is
         # the AP of its own gallery bit for bit: same ranks, ties toward the
         # lower index, and a sum over a zero vector of the row's own gallery
-        # length. Scores on a 0.05 grid tie often; about a quarter of the
-        # columns are relevant, so a row's terms spread over its whole length.
+        # length. Excluded columns reach the helper as -inf cells counted out
+        # of the row's length, and relevant ones as (row, column) pairs.
+        # Scores on a 0.05 grid tie often; about a quarter of the columns are
+        # relevant, so a row's terms spread over its whole length.
         for trial in range(20):
             R, L = 12, int(rng.integers(150, 600))
             scores = np.round(rng.uniform(-1, 1, size=(R, L)) * 20) / 20
             same_id = rng.random((R, L)) < 0.25
-            excluded = None if trial % 2 else rng.random((R, L)) < 0.2
+            excluded = np.zeros((R, L), dtype=bool) if trial % 2 else rng.random((R, L)) < 0.2
             same_id[0] = False  # a row with nothing relevant
-            keep = np.ones((R, L), dtype=bool) if excluded is None else ~excluded
+            keep = ~excluded
             want = np.full(R, np.nan)
             for r in range(R):
                 order = np.argsort(-scores[r, keep[r]], kind="stable")
                 relevance = same_id[r, keep[r]][order]
                 if relevance.any():
                     want[r] = average_precision(relevance, int(relevance.sum()))
-            got = evaluation._block_aps(scores.copy(), same_id, excluded)
+            given_scores = np.where(excluded, -np.inf, scores)
+            lengths = L - np.count_nonzero(excluded, axis=1)
+            pair_rows, pair_cols = np.nonzero(same_id & keep)
+            got = evaluation._block_aps(given_scores, pair_rows, pair_cols, lengths)
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("rule", GALLERY_RULES)

@@ -406,6 +406,16 @@ class TestCli:
         cfg_path.write_text(json.dumps(tiny_config()))
         assert cli.main(["sweep", "--config", str(cfg_path), "--axis", "gamma=1"]) == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_2_before_any_work(self, tmp_path, capsys, jobs):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config()))
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out), "--jobs", jobs])
+        assert rc == 2
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_diverging_run_exit_1_and_no_nan_written(self, tmp_path, capsys, jobs):
         # lr = 1e300 overflows the encoder after the first step, so every

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -403,6 +404,18 @@ class TestSnapshotRoundTrip:
         loaded = load_memory(path)
         assert (loaded.rows == mem.rows).all()
         assert loaded.provenance == mem.provenance
+
+    def test_bytes_equal_to_per_element_floats(self, rng, tmp_path):
+        # -0.0, subnormals and 1e300 print as Python floats print them.
+        rows = unit_rows(rng, 4, 6)
+        rows[0, :4] = [-0.0, 5e-324, -2.5e-310, 1e300]
+        rows[3, 1] = -1e300
+        mem = IdentityMemory(rows, [0, 1, 2, 3])
+        path = tmp_path / "memory.json"
+        save_memory(mem, path)
+        want = {"dim": 6, "rows": [[float(v) for v in row] for row in rows],
+                "provenance": [0, 1, 2, 3]}
+        assert path.read_text() == json.dumps(want)
 
     def test_roundtrip_without_provenance(self, rng, tmp_path):
         mem = IdentityMemory(unit_rows(rng, 2, 3), None)
