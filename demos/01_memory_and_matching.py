@@ -52,7 +52,7 @@ print(f"association precision: {prec.correct}/{prec.discovered} = {prec.precisio
 # A fresh observation of person B nudges its memory row (90% new feature).
 f_new = unit(people["B"] + 0.05 * rng.normal(size=8))
 before = cosine_scores(f_new, cur)[1]
-momentum_update(cur, 1, f_new, omega=0.1)
+momentum_update(cur, np.array([1]), f_new[None], omega=0.1)
 after = cosine_scores(f_new, cur)[1]
 print(f"\nmomentum update moved row B toward the new feature: {before:.4f} -> {after:.4f}")
 

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import EmptyMemory, LabelOutOfRange, MissingProvenance, ShapeMismatch
+from .errors import EmptyMemory, LabelOutOfRange, MissingProvenance, ShapeMismatch, check_range
 from .memory import NO_MATCH, IdentityMemory
 
 if TYPE_CHECKING:
@@ -66,12 +66,8 @@ def augment_dataset(dataset: "CameraDataset", assoc: np.ndarray) -> np.ndarray:
     """Per-sample historical labels: the match of each image's identity, or
     NO_MATCH, as an int64 array aligned with dataset.labels."""
     assoc = np.asarray(assoc, dtype=np.int64)
-    labels = np.asarray(dataset.labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= len(assoc)):
-        raise LabelOutOfRange(
-            f"labels span [{labels.min()}, {labels.max()}] but association has {len(assoc)} entries"
-        )
-    return assoc[labels]
+    check_range("label", dataset.labels, len(assoc), LabelOutOfRange)
+    return assoc[dataset.labels]
 
 
 @dataclass
@@ -98,8 +94,6 @@ def association_precision(
         raise ShapeMismatch(f"{cur.size} current tags vs {len(assoc)} association entries")
     found = np.flatnonzero(assoc != NO_MATCH)
     targets = assoc[found]
-    outside = (targets < 0) | (targets >= hist.size)
-    if outside.any():
-        raise LabelOutOfRange(f"match target {targets[outside][0]} outside historical tags")
+    check_range("match target", targets, hist.size, LabelOutOfRange)
     correct = int(np.sum(cur[found] == hist[targets]))
     return AssociationPrecision(correct / found.size if found.size else None, found.size, correct)

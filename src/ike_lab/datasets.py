@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import (
     DEGENERATE_NORM, ConfigError, DimensionMismatch, LabelOutOfRange, MissingProvenance,
-    ParseError, check_field_types, check_kind,
+    ParseError, check_field_types, check_range, read_json_object,
 )
+from .memory import _unit
 
 CSV_HEADER_PREFIX = ["camera", "local_id", "global_id"]
 
@@ -88,8 +89,7 @@ class CameraDataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.X.shape[0] != self.labels.shape[0]:
             raise DimensionMismatch("sample count and label count differ")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.n_ids):
-            raise LabelOutOfRange(f"labels must lie in [0, {self.n_ids})")
+        check_range("label", self.labels, self.n_ids, LabelOutOfRange)
         if self.label_to_global is not None:
             self.label_to_global = np.asarray(self.label_to_global, dtype=np.int64)
             if self.label_to_global.shape != (self.n_ids,):
@@ -208,14 +208,11 @@ def _draw_images(
 ) -> tuple[np.ndarray, np.ndarray]:
     """per_id unit images of each identity, in identity order, and their
     local labels. One noise draw covers the camera, the same stream as one
-    draw per image; row norms are sqrt of per-row BLAS dot products, as
-    np.linalg.norm of one image is."""
+    draw per image. An image the noise cancelled raises ConfigError."""
     base = np.repeat([A @ protos[g] for g in ids], per_id, axis=0)
+    labels = np.repeat(np.arange(len(ids)), per_id)
     X = base + noise * rng.normal(size=base.shape)
-    norms = np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
-    if (norms < DEGENERATE_NORM).any():
-        raise ConfigError("degenerate sample: noise cancelled the prototype")
-    return X / norms[:, None], np.repeat(np.arange(len(ids)), per_id)
+    return _unit(X, ids[labels], "noisy image", ConfigError), labels
 
 
 def generate(spec: SyntheticSpec) -> DatasetBundle:
@@ -362,19 +359,6 @@ def _build_cameras(
 MANIFEST_KINDS = {"train": "str", "test": "str", "dim": "int", "cameras": "int", "normalize": "bool"}
 
 
-def _read_manifest(path: Path) -> dict:
-    try:
-        manifest = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        raise ParseError(f"{path.name}: cannot read manifest: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ParseError(f"{path.name}: a manifest must be a JSON object")
-    for key, kind in MANIFEST_KINDS.items():
-        if manifest.get(key) is not None:
-            check_kind(f"{path.name}: {key}", manifest[key], kind, ParseError)
-    return manifest
-
-
 def load_dataset(path: str | Path) -> DatasetBundle:
     """Load a feature dataset.
 
@@ -388,14 +372,12 @@ def load_dataset(path: str | Path) -> DatasetBundle:
     if path.is_dir():
         path = path / "manifest.json"
     if path.suffix == ".json":
-        manifest = _read_manifest(path)
-        if manifest.get("train") is None:
-            raise ParseError(f"{path.name}: no train entry")
+        manifest = read_json_object(path, "manifest", MANIFEST_KINDS, required=("train",))
         train_path = path.parent / manifest["train"]
     else:
         train_path = path
         sidecar = path.with_name(path.stem + ".manifest.json")
-        manifest = _read_manifest(sidecar) if sidecar.exists() else {}
+        manifest = read_json_object(sidecar, "manifest", MANIFEST_KINDS) if sidecar.exists() else {}
     normalize = bool(manifest.get("normalize"))
     tags, X, lines = _parse_feature_csv(train_path, manifest.get("dim"), normalize)
     if not len(X):

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    DEGENERATE_NORM, ConfigError, DegenerateEmbedding, DimensionMismatch, ShapeMismatch,
+    DEGENERATE_NORM, ConfigError, DegenerateEmbedding, DimensionMismatch, ParseError,
+    ShapeMismatch, check_kind, read_json_object,
 )
 
 # Blocks whose outputs are exposed as middle features.
@@ -249,13 +250,29 @@ def save_encoder(params: EncoderParams, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
+# Snapshot entries and their kinds.
+ENCODER_KINDS = {"widths": "list", "blocks": "list"}
+
+
 def load_encoder(path: str | Path) -> EncoderParams:
-    doc = json.loads(Path(path).read_text())
-    widths = [int(w) for w in doc["widths"]]
+    """Read a snapshot that save_encoder wrote. A block whose W disagrees
+    with widths raises DimensionMismatch. Any other malformed file raises
+    ParseError naming it, including one whose widths do not outnumber its
+    blocks by exactly one."""
+    path = Path(path)
+    doc = read_json_object(path, "encoder snapshot", ENCODER_KINDS, required=tuple(ENCODER_KINDS))
+    widths, blocks = doc["widths"], doc["blocks"]
+    for i, w in enumerate(widths):
+        check_kind(f"{path.name}: widths[{i}]", w, "int", ParseError)
+    if len(widths) != len(blocks) + 1:
+        raise ParseError(f"{path.name}: {len(widths)} widths for {len(blocks)} blocks")
     weights, biases = [], []
-    for l, block in enumerate(doc["blocks"]):
-        W = np.array(block["W"], dtype=np.float64)
-        b = np.array(block["b"], dtype=np.float64)
+    for l, block in enumerate(blocks):
+        try:
+            W = np.array(block["W"], dtype=np.float64)
+            b = np.array(block["b"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path.name}: block {l + 1}: {exc!r}") from exc
         if W.shape != (widths[l + 1], widths[l]):
             raise DimensionMismatch(f"block {l + 1} shape {W.shape} disagrees with widths")
         weights.append(W)

@@ -1,9 +1,12 @@
 """Exception types shared across the library, the degenerate-norm threshold,
-and the one type rule for configuration fields."""
+the one type rule for configuration fields and JSON files, and the one range
+rule for identity indices."""
 
 import dataclasses
+import json
 import numbers
 import sys
+from pathlib import Path
 
 # Norms below this cannot be normalized meaningfully.
 DEGENERATE_NORM = 1e-9
@@ -30,7 +33,7 @@ class IndexOutOfRange(LabError, IndexError):
 
 
 class ShapeMismatch(LabError):
-    """Array shapes or embedding dimensions disagree."""
+    """Array shapes, dtypes or embedding dimensions disagree."""
 
 
 class LabelOutOfRange(LabError, IndexError):
@@ -74,17 +77,46 @@ class NoRelevant(LabError):
     """Average precision is undefined when a query has no relevant items."""
 
 
-_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool}
+_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool, "list": list}
 
 
 def check_kind(key: str, value, kind: str, error: type[LabError] = ConfigError) -> None:
     """Raise error naming key unless value is of kind: "int" takes an
-    integer and "float" a finite real number, neither of them a bool; "str"
-    and "bool" take their own type only. The float range is compared
+    integer and "float" a finite real number, neither of them a bool; "str",
+    "bool" and "list" take their own type only. The float range is compared
     exactly, so NaN, the infinities and integers beyond it fail."""
     kind_ok = isinstance(value, bool) == (kind == "bool") and isinstance(value, _KINDS[kind])
     if not kind_ok or kind == "float" and not -sys.float_info.max <= value <= sys.float_info.max:
         raise error(f"{key} must be {'a finite float' if kind == 'float' else kind}, got {value!r}")
+
+
+def read_json_object(
+    path: Path, what: str, kinds: dict[str, str], required: tuple[str, ...] = ()
+) -> dict:
+    """The JSON object in path. ParseError naming the file if it cannot be
+    read or is not an object, if an entry of kinds is neither null nor of
+    its kind, or if an entry of required is missing or null."""
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"{path.name}: cannot read {what}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path.name}: a {what} must be a JSON object")
+    for key, kind in kinds.items():
+        if doc.get(key) is not None:
+            check_kind(f"{path.name}: {key}", doc[key], kind, ParseError)
+    for key in required:
+        if doc.get(key) is None:
+            raise ParseError(f"{path.name}: no {key} entry")
+    return doc
+
+
+def check_range(what: str, values, n: int, error: type[LabError]) -> None:
+    """Raise error naming the first entry of the integer array values that
+    lies outside [0, n)."""
+    if values.size and (values.min() < 0 or values.max() >= n):
+        bad = values[(values < 0) | (values >= n)][0]
+        raise error(f"{what} {bad} outside [0, {n})")
 
 
 def check_field_types(obj) -> None:

@@ -388,6 +388,8 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None, jobs: int =
     out = out_dir if out_dir is not None else config.out
     out_path = Path(out) if out is not None else None
     bundle = fetch_bundle(config.dataset)
+    if len(bundle.test) == 0:
+        raise ConfigError("the dataset's test split is empty, so no run could be scored")
     specs = enumerate_runs(config, bundle.n_cameras)
     payloads = [
         (config, spec, None if out_path is None else out_path / "runs" / spec.run_id)
@@ -562,7 +564,7 @@ def check_memory_algebra(rng: np.random.Generator, trials: int, max_d: int, max_
         idx = int(rng.integers(len(mem)))
         f = unit_rows(rng, 1, d)[0]
         want = oracles.momentum_oracle(mem.rows[idx].copy(), f, omega)
-        momentum_update(mem, idx, f, omega)
+        momentum_update(mem, np.array([idx]), f[None], omega)
         worst = max(worst, float(np.max(np.abs(mem.rows[idx] - want))))
         lam = float(rng.choice([0.0, 0.25, 0.75, 1.0]))
         n_h = int(rng.integers(1, max_n + 1))

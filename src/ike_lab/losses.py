@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyBatch, EmptyMemory, LabelOutOfRange, ShapeMismatch
+from .errors import EmptyBatch, EmptyMemory, LabelOutOfRange, ShapeMismatch, check_range
 from .memory import NO_MATCH, IdentityMemory
 
 
@@ -67,8 +67,7 @@ def loss_id(
         raise EmptyMemory("loss_id needs a nonempty memory")
     if labels.shape != (B,):
         raise ShapeMismatch(f"labels shape {labels.shape} vs batch {B}")
-    if labels.min() < 0 or labels.max() >= len(memory):
-        raise LabelOutOfRange(f"labels must lie in [0, {len(memory)})")
+    check_range("label", labels, len(memory), LabelOutOfRange)
     return _contrastive(F, labels, memory.rows, tau, B)
 
 
@@ -88,8 +87,7 @@ def loss_id_hist(
     if len(hist) == 0 or not mask.any():
         return 0.0, grad
     y = hist_labels[mask]
-    if y.min() < 0 or y.max() >= len(hist):
-        raise LabelOutOfRange(f"historical labels must lie in [0, {len(hist)})")
+    check_range("historical label", y, len(hist), LabelOutOfRange)
     value, grad[mask] = _contrastive(F[mask], y, hist.rows, tau, B)
     return value, grad
 

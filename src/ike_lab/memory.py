@@ -23,8 +23,13 @@ from .errors import (
     EmptyBatch,
     EmptyMemory,
     IndexOutOfRange,
+    LabError,
     MissingLabel,
+    ParseError,
     ShapeMismatch,
+    check_kind,
+    check_range,
+    read_json_object,
 )
 
 if TYPE_CHECKING:
@@ -43,12 +48,13 @@ class IdentityMemory:
     """A bank of per-identity embeddings.
 
     rows: (n, dim) float64 array, each row unit L2 norm.
-    provenance: optional per-row ground-truth identity tags. Diagnostics
-        only; no algorithm reads them.
+    provenance: optional per-row ground-truth identity tags, stored as an
+        (n,) int64 array; tags of any integer dtype are taken, float and
+        bool tags are rejected. Diagnostics only; no algorithm reads them.
     """
 
     rows: np.ndarray
-    provenance: list[int] | None = None
+    provenance: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=np.float64)
@@ -56,11 +62,12 @@ class IdentityMemory:
             raise ShapeMismatch(f"memory rows must be 2-D, got shape {rows.shape}")
         self.rows = rows
         if self.provenance is not None:
-            self.provenance = [int(g) for g in self.provenance]
-            if len(self.provenance) != rows.shape[0]:
-                raise ShapeMismatch(
-                    f"provenance length {len(self.provenance)} != row count {rows.shape[0]}"
-                )
+            tags = np.asarray(self.provenance)
+            if tags.size and tags.dtype.kind not in "iu":
+                raise ShapeMismatch(f"provenance tags must be integers, got dtype {tags.dtype}")
+            if tags.shape != (rows.shape[0],):
+                raise ShapeMismatch(f"provenance shape {tags.shape} != row count {rows.shape[0]}")
+            self.provenance = tags.astype(np.int64, copy=False)
 
     def __len__(self) -> int:
         return self.rows.shape[0]
@@ -70,7 +77,7 @@ class IdentityMemory:
         return self.rows.shape[1]
 
     def copy(self) -> "IdentityMemory":
-        prov = None if self.provenance is None else list(self.provenance)
+        prov = None if self.provenance is None else self.provenance.copy()
         return IdentityMemory(self.rows.copy(), prov)
 
     def max_unit_error(self) -> float:
@@ -125,37 +132,31 @@ def init_memory(params: "EncoderParams", dataset: "CameraDataset") -> IdentityMe
     sums = feats[first]
     np.add.at(sums, labels[rest], feats[rest])
     rows = _unit(sums / counts[:, None], np.arange(counts.size), "mean feature")
-    prov = None if dataset.label_to_global is None else dataset.label_to_global.tolist()
-    return IdentityMemory(rows, prov)
+    return IdentityMemory(rows, dataset.label_to_global)
 
 
 def momentum_update(
-    memory: IdentityMemory, idx, f: np.ndarray, omega: float
+    memory: IdentityMemory, idx: np.ndarray, f: np.ndarray, omega: float
 ) -> IdentityMemory:
     """In-place blend of rows toward fresh features, one per index:
 
         row[idx[s]] <- normalize(omega * row[idx[s]] + (1 - omega) * f[s])
 
-    idx is one identity index with f of shape (dim,), or a 1-D index array
-    with f of shape (len(idx), dim). omega is the fraction of the old row
-    kept. The updates apply in order of occurrence: an identity that occurs
-    several times is blended once per occurrence, each time from the row the
-    previous occurrence left. Round k updates the k-th occurrence of every
-    identity at once, so the result equals the one-row-at-a-time loop bit
-    for bit. All other rows are untouched.
+    idx is a 1-D identity index array and f has shape (len(idx), dim).
+    omega is the fraction of the old row kept. The updates apply in order
+    of occurrence: an identity that occurs several times is blended once
+    per occurrence, each time from the row the previous occurrence left.
+    Round k updates the k-th occurrence of every identity at once, so the
+    result equals the one-row-at-a-time loop bit for bit. All other rows
+    are untouched.
     """
-    single = np.ndim(idx) == 0
-    idx = np.atleast_1d(np.asarray(idx))
+    idx = np.asarray(idx)
     if idx.ndim != 1:
         raise ShapeMismatch(f"identity indices must be 1-D, got shape {idx.shape}")
-    outside = (idx < 0) | (idx >= len(memory))
-    if outside.any():
-        raise IndexOutOfRange(f"identity index {idx[outside][0]} outside [0, {len(memory)})")
+    check_range("identity index", idx, len(memory), IndexOutOfRange)
     f = np.asarray(f, dtype=np.float64)
-    want = (memory.dim,) if single else (idx.shape[0], memory.dim)
-    if f.shape != want:
-        raise ShapeMismatch(f"feature shape {f.shape} vs expected {want}")
-    f = f.reshape(idx.shape[0], memory.dim)
+    if f.shape != (idx.shape[0], memory.dim):
+        raise ShapeMismatch(f"feature shape {f.shape} vs expected {(idx.shape[0], memory.dim)}")
     # Occurrence rank of each position; round k takes rank k in identity order.
     order = np.argsort(idx, kind="stable")
     rank = np.arange(idx.shape[0]) - np.searchsorted(idx[order], idx[order])
@@ -193,10 +194,9 @@ def iku_merge(
     rows[targets] = blended[last]
     prov = None
     if hist.provenance is not None and cur.provenance is not None:
-        cur_tags = np.array(cur.provenance, dtype=np.int64)
-        prov = np.concatenate([np.array(hist.provenance, dtype=np.int64), cur_tags[unmatched]])
+        prov = np.concatenate([hist.provenance, cur.provenance[unmatched]])
         if lam < 0.5:
-            prov[targets] = cur_tags[matched[last]]
+            prov[targets] = cur.provenance[matched[last]]
     return IdentityMemory(rows, prov)
 
 
@@ -215,20 +215,20 @@ def _association(
         )
     matched = np.flatnonzero(matches != NO_MATCH)
     targets = matches[matched]
-    outside = (targets < 0) | (targets >= len(hist))
-    if outside.any():
-        raise IndexOutOfRange(f"match target {targets[outside][0]} outside historical memory")
+    check_range("match target", targets, len(hist), IndexOutOfRange)
     return matches, matched, targets
 
 
-def _unit(vectors: np.ndarray, ids: np.ndarray, what: str) -> np.ndarray:
+def _unit(
+    vectors: np.ndarray, ids: np.ndarray, what: str, error: type[LabError] = DegenerateMean
+) -> np.ndarray:
     """vectors with each row divided by its norm, the sqrt of the row's BLAS
     dot product with itself (as np.linalg.norm of one row). A norm below
-    DEGENERATE_NORM raises DegenerateMean naming the row's entry in ids."""
+    DEGENERATE_NORM raises error naming the row's entry in ids."""
     norms = np.sqrt((vectors[:, None, :] @ vectors[:, :, None])[:, 0, 0])
     low = norms < DEGENERATE_NORM
     if low.any():
-        raise DegenerateMean(f"{what} of identity {ids[low][0]} collapsed to norm {norms[low][0]:g}")
+        raise error(f"{what} of identity {ids[low][0]} collapsed to norm {norms[low][0]:g}")
     return vectors / norms[:, None]
 
 
@@ -255,8 +255,7 @@ def align_memory(hist: IdentityMemory, cur: IdentityMemory, assoc) -> IdentityMe
     U_free, V_free = U[:, rank:], Vt[rank:].T
     P, _, Qt = np.linalg.svd(V_free.T @ U_free)
     R = U[:, :rank] @ Vt[:rank] + U_free @ (Qt.T @ P.T) @ V_free.T
-    prov = None if hist.provenance is None else list(hist.provenance)
-    return IdentityMemory(hist.rows @ R, prov)
+    return IdentityMemory(hist.rows @ R, hist.provenance)
 
 
 def save_memory(memory: IdentityMemory, path: str | Path) -> None:
@@ -264,17 +263,29 @@ def save_memory(memory: IdentityMemory, path: str | Path) -> None:
     doc = {
         "dim": memory.dim,
         "rows": memory.rows.tolist(),
-        "provenance": memory.provenance,
+        "provenance": None if memory.provenance is None else memory.provenance.tolist(),
     }
     Path(path).write_text(json.dumps(doc))
 
 
+# Snapshot entries and their kinds.
+MEMORY_KINDS = {"dim": "int", "rows": "list", "provenance": "list"}
+
+
 def load_memory(path: str | Path) -> IdentityMemory:
-    doc = json.loads(Path(path).read_text())
-    dim = int(doc["dim"])
-    rows = doc["rows"]
+    """Read a snapshot that save_memory wrote. A row of another width than
+    dim raises DimensionMismatch. Any other malformed file raises ParseError
+    naming it, including one with a tag that is not an integer."""
+    path = Path(path)
+    doc = read_json_object(path, "memory snapshot", MEMORY_KINDS, required=("dim", "rows"))
+    dim, rows, prov = doc["dim"], doc["rows"], doc.get("provenance")
     for i, row in enumerate(rows):
+        check_kind(f"{path.name}: rows[{i}]", row, "list", ParseError)
         if len(row) != dim:
             raise DimensionMismatch(f"row {i} has {len(row)} values, expected {dim}")
-    arr = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
-    return IdentityMemory(arr, doc.get("provenance"))
+    for i, tag in enumerate(prov or ()):
+        check_kind(f"{path.name}: provenance[{i}]", tag, "int", ParseError)
+    try:
+        return IdentityMemory(np.array(rows, dtype=np.float64).reshape(len(rows), dim), prov)
+    except (TypeError, ValueError, ShapeMismatch) as exc:
+        raise ParseError(f"{path.name}: {exc}") from exc

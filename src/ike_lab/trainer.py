@@ -316,7 +316,7 @@ def train_camera(
         final_assoc = _associate(policy, final_memory, aligned)
         new_hist = iku_merge(aligned, final_memory, final_assoc, hyper.lam)
     else:
-        new_hist = final_memory.copy()
+        new_hist = final_memory
     state.encoder = cur_params
     state.memory = new_hist
     state.camera_index += 1

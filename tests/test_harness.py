@@ -589,6 +589,24 @@ class TestCli:
         assert "test.csv:2: a test row needs a global id >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["synthetic", "features"])
+    def test_empty_test_split_exit_2_before_any_run(self, tmp_path, capsys, kind):
+        doc = tiny_config()
+        doc["dataset"]["synthetic"]["test_images_per_id"] = 0
+        if kind == "features":
+            manifest = save_dataset(generate(SyntheticSpec(**tiny_config()["dataset"]["synthetic"])),
+                                    tmp_path / "data")
+            entries = json.loads(manifest.read_text())
+            del entries["test"]
+            manifest.write_text(json.dumps(entries))
+            doc["dataset"] = {"features": str(manifest)}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "test split is empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_orders_subcommand(self, tmp_path):
         doc = tiny_config()
         doc["dataset"]["synthetic"].update({"n_cameras": 6, "n_global": 24, "ids_per_camera": 6})
