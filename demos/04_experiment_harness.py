@@ -2,11 +2,13 @@
 
 A config describes the dataset, camera orders, variants, seeds, and optional
 hyperparameter sweeps; the harness runs the whole grid deterministically and
-writes metrics, training logs, checkpoints, and an aggregate summary. The
-same config can be driven from the command line:
+writes metrics, training logs, checkpoints, and an aggregate summary. Each
+run() reads or generates its dataset afresh, once for the whole grid. The
+same config can be driven from the command line, where --seed, --axis and
+--preset replace the config's seeds, sweep and orders:
 
-    ike-lab run   --config cfg.json --out runs/demo --jobs 2
-    ike-lab sweep --config cfg.json --axis lambda=0,0.25,1.0
+    ike-lab run --config cfg.json --out runs/demo --jobs 2
+    ike-lab run --config cfg.json --axis lambda=0,0.25,1.0 --seed 3
     ike-lab selftest
 """
 

@@ -1,9 +1,11 @@
 """Command-line front end.
 
     ike-lab run --config cfg.json [--jobs N] [--out DIR] [--seed N]
+                [--axis lambda=0,0.25,0.5,0.75,1.0 ...] [--preset T1..T5]
     ike-lab selftest
-    ike-lab sweep --config cfg.json --axis lambda=0,0.25,0.5,0.75,1.0 [...]
-    ike-lab orders --config cfg.json --preset T1..T5 [...]
+
+--seed, --axis and --preset replace the config's seeds, sweep and orders
+before the config is checked. Each run command reads its dataset afresh.
 
 Exit codes: 0 success, 1 runtime failure (any failed run), 2 invalid configuration.
 """
@@ -20,28 +22,17 @@ from .harness import SWEEP_AXES, ExperimentConfig, expand_presets, run, selftest
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ike-lab")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", required=True, help="experiment config (JSON)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
-
     p_run = sub.add_parser("run", help="execute the configured experiment grid")
-    add_common(p_run)
+    p_run.add_argument("--config", required=True, help="experiment config (JSON)")
+    p_run.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p_run.add_argument("--out", default=None, help="output directory (overrides config)")
     p_run.add_argument("--seed", type=int, default=None, help="override the seed list with one seed")
-
-    sub.add_parser("selftest", help="run the oracle suites and print max errors")
-
-    p_sweep = sub.add_parser("sweep", help="run with a hyperparameter grid")
-    add_common(p_sweep)
-    p_sweep.add_argument(
-        "--axis", action="append", required=True, metavar="NAME=V0,V1,...",
-        help=f"sweep axis; names: {sorted(SWEEP_AXES)}",
+    p_run.add_argument(
+        "--axis", action="append", metavar="NAME=V0,V1,...",
+        help=f"override the sweep, one axis per --axis; names: {sorted(SWEEP_AXES)}",
     )
-
-    p_orders = sub.add_parser("orders", help="run named camera-order tasks")
-    add_common(p_orders)
-    p_orders.add_argument("--preset", required=True, help="e.g. T1, T1,T3 or T1..T5")
+    p_run.add_argument("--preset", help="override the orders with presets: T1, T1,T3 or T1..T5")
+    sub.add_parser("selftest", help="run the oracle suites and print max errors")
     return parser
 
 
@@ -71,11 +62,11 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if report.passed else 1
         # Overrides replace config keys before the config is checked.
         overrides = {}
-        if args.command == "run" and args.seed is not None:
+        if args.seed is not None:
             overrides["seeds"] = [args.seed]
-        elif args.command == "sweep":
+        if args.axis is not None:
             overrides["sweep"] = _parse_axes(args.axis)
-        elif args.command == "orders":
+        if args.preset is not None:
             overrides["orders"] = expand_presets(args.preset)
         config = ExperimentConfig.from_file(args.config, **overrides)
         outcome = run(config, out_dir=args.out, jobs=args.jobs)

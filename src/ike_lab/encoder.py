@@ -93,8 +93,6 @@ def init_encoder(widths: list[int], rng: np.random.Generator) -> EncoderParams:
 
     widths is the full chain [input_dim, d_1, ..., d_L].
     """
-    if len(widths) < 4:
-        raise ConfigError(f"widths {widths} would give fewer than 3 blocks")
     weights, biases = [], []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))

@@ -137,6 +137,18 @@ def evaluate_map(
     return float(np.mean(scored))
 
 
+def has_scorable_query(test: TestSplit, gallery_rule: str = "camera") -> bool:
+    """Whether evaluate_map would score some query of test rather than raise
+    EmptyGallery, read from the tags alone: under "camera" and "camera-id" a
+    query's relevant items are its identity's images in other cameras, so
+    some identity must appear in two cameras; under "none" they are its
+    identity's other images, so some identity must appear twice."""
+    if gallery_rule == "none":
+        return np.unique(test.global_ids).size < len(test)
+    pairs = np.unique(np.stack([test.global_ids, test.camera_ids], axis=1), axis=0)
+    return np.unique(pairs[:, 0]).size < len(pairs)
+
+
 # Scores per chunk of query rows: 2 MB of float64. The ranking's index
 # arrays can reach a few times that when relevant items score low.
 _BLOCK_ELEMENTS = 1 << 18

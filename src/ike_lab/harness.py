@@ -4,7 +4,8 @@ and the oracle checks.
 A config describes a dataset, camera orders, variants, seeds, and optional
 sweep grids; the harness runs every combination, writes per-run artifacts
 (metrics.json/csv, training log, checkpoints) plus an aggregate summary.csv
-and manifest.json, and stays bitwise deterministic per (config, seed).
+and manifest.json, and stays bitwise deterministic per (config, seed). Each
+call to run reads its dataset afresh, once for the whole grid.
 
 The four oracle checks (check_cycle_match, check_memory_algebra, check_map,
 check_gradients) compare the fast paths with the reference implementations
@@ -18,7 +19,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .association import cycle_match
 from .datasets import DatasetBundle, SyntheticSpec, TestSplit, generate, load_dataset
 from .encoder import EncoderParams, forward_batch, grad_check, init_encoder, save_encoder
 from .errors import ConfigError, EmptyGallery, LabError, check_kind
-from .evaluation import GALLERY_RULES, MetricsReport, evaluate_map
+from .evaluation import GALLERY_RULES, MetricsReport, evaluate_map, has_scorable_query
 from .losses import TERMS
 from .memory import IdentityMemory, empty_memory, iku_merge, momentum_update, save_memory, unit_rows
 from . import oracles
@@ -109,7 +110,6 @@ class ExperimentConfig:
             hyper = Hyperparams(**doc.get("hyperparams", {}))
         except TypeError as exc:
             raise ConfigError(f"bad hyperparams: {exc}") from exc
-        hyper.validate()
         enc = doc.get("encoder", {})
         if not isinstance(enc, dict) or set(enc) - {"hidden", "embed_dim"}:
             raise ConfigError(f'encoder must be an object of "hidden" and "embed_dim", got {enc!r}')
@@ -160,7 +160,7 @@ class ExperimentConfig:
             "orders": self.orders,
             "variants": self.variants,
             "seeds": self.seeds,
-            "hyperparams": dict(self.hyper.__dict__),
+            "hyperparams": asdict(self.hyper),
             "encoder": {"hidden": self.hidden, "embed_dim": self.embed_dim},
             "sweep": self.sweep,
             "gallery_rule": self.gallery_rule,
@@ -174,20 +174,6 @@ def _int_list(key: str, value) -> list[int]:
     for v in value:
         check_kind(key, v, "int")
     return value
-
-
-_BUNDLES: dict[str, DatasetBundle] = {}
-
-
-def fetch_bundle(dataset: dict) -> DatasetBundle:
-    """Build or reload the dataset named by a config descriptor (cached)."""
-    key = json.dumps(dataset, sort_keys=True)
-    if key not in _BUNDLES:
-        if "synthetic" in dataset:
-            _BUNDLES[key] = generate(SyntheticSpec(**dataset["synthetic"]))
-        else:
-            _BUNDLES[key] = load_dataset(dataset["features"])
-    return _BUNDLES[key]
 
 
 def resolve_order(entry, n_cameras: int) -> tuple[str, list[int]]:
@@ -242,15 +228,15 @@ class RunSpec:
 
 def enumerate_runs(config: ExperimentConfig, n_cameras: int) -> list[RunSpec]:
     """Every run of the grid, all checked before any run starts. Each sweep
-    value must be a number that Hyperparams.validate accepts on its axis;
-    otherwise ConfigError names the axis and the value. ConfigError also
-    names a run id given to two runs (ids name the run directories) and two
-    order entries that are one permutation (runs are seeded by order)."""
+    value must be a number that Hyperparams accepts on its axis; otherwise
+    ConfigError names the axis and the value. ConfigError also names a run
+    id given to two runs (ids name the run directories) and two order
+    entries that are one permutation (runs are seeded by order)."""
     points: list[tuple[tuple[str, float], ...]] = [()]
     for axis in sorted(config.sweep or {}):
         for v in config.sweep[axis]:
             try:
-                config.hyper.replace(**{SWEEP_AXES[axis]: v}).validate()
+                replace(config.hyper, **{SWEEP_AXES[axis]: v})
             except ConfigError as exc:
                 raise ConfigError(f"sweep axis {axis!r}: value {v!r} rejected: {exc}") from exc
         points = [pt + ((axis, float(v)),) for pt in points for v in config.sweep[axis]]
@@ -322,7 +308,7 @@ class DiskRecorder(RunRecorder):
 def execute_run(
     config: ExperimentConfig, spec: RunSpec, bundle: DatasetBundle, run_dir: Path | None
 ) -> MetricsReport:
-    hyper = config.hyper.replace(**{SWEEP_AXES[a]: v for a, v in spec.sweep})
+    hyper = replace(config.hyper, **{SWEEP_AXES[a]: v for a, v in spec.sweep})
     recorder = RunRecorder()
     if run_dir is not None:
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -362,12 +348,12 @@ def _metrics_csv(spec: RunSpec, report: MetricsReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_one(payload: tuple[ExperimentConfig, RunSpec, Path | None]) -> MetricsReport | str:
-    """One run; the unit of work of the serial loop and of a --jobs worker.
-    A run that raises LabError returns its message, so the others go on."""
-    config, spec, run_dir = payload
+def _run_one(payload: tuple) -> MetricsReport | str:
+    """One run of execute_run's arguments; the unit of work of the serial
+    loop and of a --jobs worker. A run that raises LabError returns its
+    message, so the others go on."""
     try:
-        return execute_run(config, spec, fetch_bundle(config.dataset), run_dir)
+        return execute_run(*payload)
     except LabError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -381,18 +367,26 @@ class RunOutcome:
 
 
 def run(config: ExperimentConfig, out_dir: str | Path | None = None, jobs: int = 1) -> RunOutcome:
-    """Execute every (seed, variant, order, sweep point) combination. A failed
-    run does not stop the others; the manifest gives each run's status."""
+    """Execute every (seed, variant, order, sweep point) combination on the
+    config's dataset, read once by this call. A failed run does not stop the
+    others; the manifest gives each run's status."""
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     out = out_dir if out_dir is not None else config.out
     out_path = Path(out) if out is not None else None
-    bundle = fetch_bundle(config.dataset)
+    if "synthetic" in config.dataset:
+        bundle = generate(SyntheticSpec(**config.dataset["synthetic"]))
+    else:
+        bundle = load_dataset(config.dataset["features"])
     if len(bundle.test) == 0:
         raise ConfigError("the dataset's test split is empty, so no run could be scored")
+    if not has_scorable_query(bundle.test, config.gallery_rule):
+        where = "twice" if config.gallery_rule == "none" else "in two cameras"
+        raise ConfigError(f"no test identity appears {where}, so under gallery_rule "
+                          f"{config.gallery_rule!r} no run could be scored")
     specs = enumerate_runs(config, bundle.n_cameras)
     payloads = [
-        (config, spec, None if out_path is None else out_path / "runs" / spec.run_id)
+        (config, spec, bundle, None if out_path is None else out_path / "runs" / spec.run_id)
         for spec in specs
     ]
     if jobs > 1 and len(specs) > 1:

@@ -49,8 +49,9 @@ class IdentityMemory:
 
     rows: (n, dim) float64 array, each row unit L2 norm.
     provenance: optional per-row ground-truth identity tags, stored as an
-        (n,) int64 array; tags of any integer dtype are taken, float and
-        bool tags are rejected. Diagnostics only; no algorithm reads them.
+        (n,) int64 array; tags of any integer dtype are taken. Float and
+        bool tags, a bool among int tags, and uint64 tags beyond int64 are
+        rejected. Diagnostics only; no algorithm reads them.
     """
 
     rows: np.ndarray
@@ -65,6 +66,13 @@ class IdentityMemory:
             tags = np.asarray(self.provenance)
             if tags.size and tags.dtype.kind not in "iu":
                 raise ShapeMismatch(f"provenance tags must be integers, got dtype {tags.dtype}")
+            # numpy reads [0, True] as int64, so a sequence's bools are found by entry.
+            if not isinstance(self.provenance, np.ndarray) and any(
+                isinstance(t, (bool, np.bool_)) for t in self.provenance
+            ):
+                raise ShapeMismatch("provenance tags must be integers, got a bool")
+            if tags.dtype == np.uint64 and tags.size and tags.max() > np.iinfo(np.int64).max:
+                raise ShapeMismatch(f"provenance tag {tags.max()} does not fit in int64")
             if tags.shape != (rows.shape[0],):
                 raise ShapeMismatch(f"provenance shape {tags.shape} != row count {rows.shape[0]}")
             self.provenance = tags.astype(np.int64, copy=False)

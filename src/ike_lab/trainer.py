@@ -90,8 +90,11 @@ POLICIES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hyperparams:
+    """Training hyperparameters, checked when built: a Hyperparams that
+    exists is valid, and dataclasses.replace builds (and checks) a new one."""
+
     tau: float = 0.05
     omega: float = 0.1
     lam: float = 0.25
@@ -102,7 +105,7 @@ class Hyperparams:
     epochs: int = 30
     batch_size: int = 64
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_field_types(self)  # every float field finite
         if self.tau <= 0:
             raise ConfigError("tau must be positive")
@@ -119,10 +122,6 @@ class Hyperparams:
 
     def lr_at(self, epoch: int) -> float:
         return self.lr * self.lr_decay ** (epoch // self.lr_step)
-
-    def replace(self, **kw) -> "Hyperparams":
-        d = self.__dict__ | kw
-        return Hyperparams(**d)
 
 
 @dataclass
@@ -143,7 +142,6 @@ def init_state(
     hyper: Hyperparams,
     seed: int | np.random.SeedSequence = 0,
 ) -> TrainState:
-    hyper.validate()
     rng = np.random.default_rng(seed)
     encoder = init_encoder([input_dim, *hidden, embed_dim], rng)
     return TrainState(encoder, empty_memory(embed_dim), hyper, rng)
@@ -258,7 +256,6 @@ def train_camera(
     """One incremental step: adapt a copy of the historical model to this
     camera, then evolve the historical memory and promote the model."""
     hyper = state.hyper
-    hyper.validate()
     if len(dataset) == 0:
         raise ConfigError("cannot train on an empty camera dataset")
     policy = POLICIES[variant]

@@ -15,6 +15,7 @@ from ike_lab.evaluation import (
     MetricsReport,
     average_precision,
     evaluate_map,
+    has_scorable_query,
 )
 from ike_lab.trainer import Hyperparams, precision_matrix
 
@@ -95,6 +96,22 @@ class TestEvaluateMap:
                         evaluate_map(params, split, rule)
                     continue
                 assert evaluate_map(params, split, rule) == pytest.approx(want, abs=1e-12)
+
+    @given(data=st.data(), n=st.integers(0, 12), rule=st.sampled_from(GALLERY_RULES))
+    @settings(max_examples=300, deadline=None)
+    def test_scorable_rule_agrees_with_evaluate_map(self, data, n, rule):
+        # has_scorable_query reads only the tags; evaluate_map raises
+        # EmptyGallery exactly when it finds no query to score. Few
+        # identities and cameras make both outcomes common.
+        gids = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        cams = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        split = TestSplit(np.random.default_rng(n).normal(size=(n, 5)), gids, cams)
+        try:
+            evaluate_map(init_encoder([5, 6, 6, 4], np.random.default_rng(0)), split, rule)
+            scored = True
+        except EmptyGallery:
+            scored = False
+        assert has_scorable_query(split, rule) == scored
 
     @pytest.mark.parametrize("rule", GALLERY_RULES)
     def test_matches_oracle_under_every_rule_with_ties(self, rng, rule):

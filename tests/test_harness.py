@@ -20,7 +20,7 @@ from ike_lab.association import one_way_match
 from ike_lab.datasets import SyntheticSpec, generate, save_dataset
 from ike_lab.errors import ConfigError, EmptyGallery
 from ike_lab.encoder import grad_check
-from ike_lab.evaluation import evaluate_map
+from ike_lab.evaluation import GALLERY_RULES, evaluate_map
 from ike_lab.harness import (
     GRAD_TERMS,
     ORDER_PRESETS,
@@ -278,6 +278,23 @@ class TestRun:
         for rid, rep in serial.reports.items():
             assert parallel.reports[rid] == rep
 
+    def test_features_rewritten_at_one_path_are_read_afresh(self, tmp_path):
+        # Each run() reads its dataset, so a second run in one process, after
+        # the features at the config's path were rewritten, trains on the
+        # new ones, as a run on a fresh path does.
+        synthetic = tiny_config()["dataset"]["synthetic"]
+        path, fresh = tmp_path / "data", tmp_path / "fresh"
+        cfg = ExperimentConfig.from_dict(tiny_config(dataset={"features": str(path)}))
+        save_dataset(generate(SyntheticSpec(**synthetic)), path)
+        before = run(cfg).reports
+        rewritten = generate(SyntheticSpec(**{**synthetic, "seed": 12}))
+        save_dataset(rewritten, path)
+        save_dataset(rewritten, fresh)
+        after = run(cfg).reports
+        fresh_cfg = ExperimentConfig.from_dict(tiny_config(dataset={"features": str(fresh)}))
+        assert after == run(fresh_cfg).reports
+        assert after != before
+
     def test_no_output_dir(self):
         cfg = ExperimentConfig.from_dict(tiny_config())
         outcome = run(cfg, out_dir=None)
@@ -394,7 +411,7 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config()))
         rc = cli.main([
-            "sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+            "run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
             "--axis", "lambda=0,0.5,1.0",
         ])
         assert rc == 0
@@ -404,7 +421,7 @@ class TestCli:
     def test_sweep_bad_axis_exit_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config()))
-        assert cli.main(["sweep", "--config", str(cfg_path), "--axis", "gamma=1"]) == 2
+        assert cli.main(["run", "--config", str(cfg_path), "--axis", "gamma=1"]) == 2
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exit_2_before_any_work(self, tmp_path, capsys, jobs):
@@ -475,7 +492,7 @@ class TestCli:
             out = Path(tmp) / "out"
             if through_sweep_command:
                 cfg_path.write_text(json.dumps(tiny_config()))
-                argv = ["sweep", "--config", str(cfg_path), "--out", str(out),
+                argv = ["run", "--config", str(cfg_path), "--out", str(out),
                         "--axis", f"{axis}={good!r},{bad!r}"]
             else:
                 cfg_path.write_text(json.dumps(tiny_config(sweep={axis: [good, bad]})))
@@ -607,13 +624,56 @@ class TestCli:
         assert "test split is empty" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rule", GALLERY_RULES)
+    @pytest.mark.parametrize("kind", ["features", "synthetic"])
+    def test_unscorable_test_split_exit_2_before_any_run(self, tmp_path, capsys, kind, rule):
+        # Test rows of one camera only, one per identity: no query has a
+        # relevant gallery item under any rule, so each run would train and
+        # checkpoint, then fail with EmptyGallery.
+        doc = tiny_config(gallery_rule=rule)
+        if kind == "features":
+            data = tmp_path / "data"
+            save_dataset(generate(SyntheticSpec(**doc["dataset"]["synthetic"])), data)
+            header, *rows = (data / "test.csv").read_text().splitlines()
+            rows = [r for r in rows if r.split(",")[0] == "0"]
+            (data / "test.csv").write_text("\n".join([header, *rows]) + "\n")
+            doc["dataset"] = {"features": str(data)}
+        else:
+            doc["dataset"]["synthetic"]["n_cameras"] = 1
+            doc["orders"] = [[0]]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        where = "twice" if rule == "none" else "in two cameras"
+        assert (f"no test identity appears {where}, so under gallery_rule {rule!r} no run "
+                "could be scored") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_axis_and_preset_are_config_overrides(self, tmp_path):
+        # Together the three flags give the runs of a config whose seeds,
+        # sweep and orders say the same.
+        doc = tiny_config(hyperparams={"epochs": 1, "batch_size": 8})
+        doc["dataset"]["synthetic"].update({"n_cameras": 6, "n_global": 24, "ids_per_camera": 6})
+        flags, keys = tmp_path / "flags.json", tmp_path / "keys.json"
+        flags.write_text(json.dumps(doc))
+        keys.write_text(json.dumps(
+            {**doc, "seeds": [7], "sweep": {"lambda": [0.0, 0.5]}, "orders": ["T1", "T2"]}
+        ))
+        assert cli.main(["run", "--config", str(flags), "--out", str(tmp_path / "a"), "--seed", "7",
+                         "--axis", "lambda=0,0.5", "--preset", "T1,T2"]) == 0
+        assert cli.main(["run", "--config", str(keys), "--out", str(tmp_path / "b")]) == 0
+        a, b = (json.loads((tmp_path / d / "manifest.json").read_text()) for d in "ab")
+        assert len(a["runs"]) == 4 and {r["seed"] for r in a["runs"]} == {7}
+        assert a["runs"] == b["runs"]
+
     def test_orders_subcommand(self, tmp_path):
         doc = tiny_config()
         doc["dataset"]["synthetic"].update({"n_cameras": 6, "n_global": 24, "ids_per_camera": 6})
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         rc = cli.main([
-            "orders", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+            "run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
             "--preset", "T1,T2",
         ])
         assert rc == 0
@@ -633,7 +693,7 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config()))
         out = tmp_path / "out"
-        rc = cli.main(["sweep", "--config", str(cfg_path), "--out", str(out),
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out),
                        "--axis", "lambda=0.1", "--axis", "lambda=0.9"])
         assert rc == 2
         assert "'lambda' given twice" in capsys.readouterr().err
@@ -645,6 +705,6 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         out = tmp_path / "out"
-        assert cli.main(["orders", "--config", str(cfg_path), "--out", str(out), "--preset", "T5..T1"]) == 2
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out), "--preset", "T5..T1"]) == 2
         assert "'T5..T1' runs backwards" in capsys.readouterr().err
         assert not out.exists()

@@ -70,11 +70,19 @@ class TestProvenanceTags:
 
     @pytest.mark.parametrize("tags", [
         [1.7, 0.0, 2.0], np.array([1.0, 0.0, 2.0]), np.array([1, 0, 2], dtype=np.float32),
-        [True, False, True], np.ones(3, dtype=bool),
-    ], ids=["float-list", "float64", "float32", "bool-list", "bool"])
+        [True, False, True], np.ones(3, dtype=bool), [0, True, 5], [0, np.True_, 5],
+    ], ids=["float-list", "float64", "float32", "bool-list", "bool", "int-bool-list",
+            "int-numpy-bool-list"])
     def test_float_and_bool_rejected(self, tags):
         with pytest.raises(ShapeMismatch, match="provenance tags must be integers"):
             IdentityMemory(MEM, tags)
+
+    def test_uint64_beyond_int64_rejected(self):
+        # The int64 cast would wrap 2**63 + 5 to -9223372036854775803.
+        with pytest.raises(ShapeMismatch, match=f"provenance tag {2 ** 63 + 5} does not fit"):
+            IdentityMemory(MEM, np.array([7, 0, 2 ** 63 + 5], dtype=np.uint64))
+        tags = np.array([7, 0, 2 ** 63 - 1], dtype=np.uint64)
+        assert IdentityMemory(MEM, tags).provenance.tolist() == [7, 0, 2 ** 63 - 1]
 
     def test_one_tag_per_row(self):
         with pytest.raises(ShapeMismatch, match="provenance shape"):

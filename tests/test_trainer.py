@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -59,13 +60,20 @@ class TestHyperparams:
     ])
     def test_validation(self, bad):
         with pytest.raises(ConfigError):
-            Hyperparams(**bad).validate()
+            Hyperparams(**bad)
 
     @given(st.sampled_from(["tau", "lr", "weight_decay"]),
            st.sampled_from([math.nan, math.inf, -math.inf]))
     def test_non_finite_rejected_by_name(self, key, value):
         with pytest.raises(ConfigError, match=key):
-            Hyperparams(**{key: value}).validate()
+            Hyperparams(**{key: value})
+
+    def test_fields_cannot_be_assigned(self):
+        # A built Hyperparams was checked; assigning would skip the checks.
+        h = Hyperparams()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            h.tau = 0.0
+        assert h.tau == 0.05
 
 
 class TestTrainCamera:
@@ -121,7 +129,7 @@ class TestTrainCamera:
         assert probe.checked == FAST.epochs
 
     def test_history_rotated_into_trained_space(self, rng):
-        state = init_state(6, [8, 8, 8], 8, FAST.replace(lam=1.0), seed=0)
+        state = init_state(6, [8, 8, 8], 8, dataclasses.replace(FAST, lam=1.0), seed=0)
         train_camera(state, manual_camera(rng, 5, 3, 6), Variant.IKE)
         before = state.memory.rows.copy()
         train_camera(state, manual_camera(rng, 5, 3, 6, globals_offset=2), Variant.IKE)
@@ -282,7 +290,7 @@ class TestRunSequence:
         # this large overflows the encoder after the first step: either way
         # the losses turn NaN in the first camera's first epoch, and the run
         # stops there, naming both, before anything is evaluated.
-        hyper = FAST.replace(**push)
+        hyper = dataclasses.replace(FAST, **push)
         with np.errstate(all="ignore"), pytest.raises(
             NonFiniteLoss, match=f"^camera {order[0]}, epoch 0: "
         ):
@@ -328,8 +336,8 @@ class TestStateDigests:
 
         monkeypatch.setattr(trainer, "iku_merge", counting_merge)
         recorder = StateDigests()
-        run_sequence(tiny_bundle(), [0, 1, 2], variant, FAST.replace(lam=0.25), [8, 8, 8], 8,
-                     seed=0, recorder=recorder)
+        run_sequence(tiny_bundle(), [0, 1, 2], variant, dataclasses.replace(FAST, lam=0.25),
+                     [8, 8, 8], 8, seed=0, recorder=recorder)
         assert recorder.digests == self.DIGESTS[variant]
         if variant is Variant.IKE_A:
             # One-way matching sends two identities to one history row, so
