@@ -2,7 +2,9 @@
 and the oracle checks.
 
 A config describes a dataset, camera orders, variants, seeds, and optional
-sweep grids; the harness runs every combination, writes per-run artifacts
+sweep grids. ExperimentConfig is that document as one frozen record that
+checks itself when built; the manifest stores it whole, so it reads back as
+the same grid. The harness runs every combination, writes per-run artifacts
 (metrics.json/csv, training log, checkpoints) plus an aggregate summary.csv
 and manifest.json, and stays bitwise deterministic per (config, seed). Each
 call to run reads its dataset afresh, once for the whole grid.
@@ -19,7 +21,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,33 +55,29 @@ ORDER_PRESETS: dict[str, list[int]] = {
 # sweep axis name -> Hyperparams field
 SWEEP_AXES = {"lambda": "lam", "tau": "tau", "omega": "omega"}
 
-_CONFIG_KEYS = {
-    "dataset", "orders", "variants", "seeds", "hyperparams",
-    "encoder", "sweep", "gallery_rule", "out",
-}
+
+def _default_encoder() -> dict:
+    return {"hidden": [32, 32, 32], "embed_dim": 64}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """An experiment grid, checked when built: its fields are the config
+    document's keys, so asdict of a config is a complete document and
+    from_dict of that document builds an equal config."""
+
     dataset: dict
-    orders: list
-    variants: list[str]
-    seeds: list[int]
-    hyper: Hyperparams
-    hidden: list[int]
-    embed_dim: int
+    orders: list = field(default_factory=lambda: ["T1"])
+    variants: list[str] = field(default_factory=lambda: ["IKE"])
+    seeds: list[int] = field(default_factory=lambda: [0])
+    hyperparams: Hyperparams = field(default_factory=Hyperparams)
+    encoder: dict = field(default_factory=_default_encoder)
     sweep: dict[str, list[float]] | None = None
     gallery_rule: str = "camera"
     out: str | None = None
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"a config must be a JSON object, got {doc!r}")
-        unknown = set(doc) - _CONFIG_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        dataset = doc.get("dataset")
+    def __post_init__(self) -> None:
+        dataset = self.dataset
         if not isinstance(dataset, dict) or len(dataset) != 1 or next(iter(dataset)) not in ("synthetic", "features"):
             raise ConfigError('dataset must be {"synthetic": {...}} or {"features": "path"}')
         if "synthetic" in dataset:
@@ -89,61 +87,62 @@ class ExperimentConfig:
                 raise ConfigError(f"bad synthetic spec: {exc}") from exc
         if "features" in dataset:
             check_kind("dataset.features", dataset["features"], "str")
-        variants = doc.get("variants", ["IKE"])
-        if isinstance(variants, str):
-            variants = [variants]
-        if not isinstance(variants, list) or not variants:
+        if not isinstance(self.variants, list) or not self.variants:
             raise ConfigError("variants must be a nonempty list")
-        for v in variants:
+        for v in self.variants:
             if v not in VARIANT_NAMES:
                 raise ConfigError(f"unknown variant {v!r}; choose from {VARIANT_NAMES}")
-        seeds = _int_list("seeds", doc.get("seeds", [0]))
-        if len(set(seeds)) != len(seeds):
+        _int_list("seeds", self.seeds)
+        if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
-        orders = doc.get("orders", ["T1"])
-        if not isinstance(orders, list) or not orders:
+        if not isinstance(self.orders, list) or not self.orders:
             raise ConfigError("orders must be a nonempty list")
-        for entry in orders:
+        for entry in self.orders:
             if not isinstance(entry, str):
                 _int_list("orders", entry)
-        try:
-            hyper = Hyperparams(**doc.get("hyperparams", {}))
-        except TypeError as exc:
-            raise ConfigError(f"bad hyperparams: {exc}") from exc
-        enc = doc.get("encoder", {})
-        if not isinstance(enc, dict) or set(enc) - {"hidden", "embed_dim"}:
+        if not isinstance(self.hyperparams, Hyperparams):
+            raise ConfigError(f"bad hyperparams: {self.hyperparams!r} is not a Hyperparams")
+        enc = self.encoder
+        if not isinstance(enc, dict) or set(enc) != {"hidden", "embed_dim"}:
             raise ConfigError(f'encoder must be an object of "hidden" and "embed_dim", got {enc!r}')
-        hidden = _int_list("encoder.hidden", enc.get("hidden", [32, 32, 32]))
-        embed_dim = enc.get("embed_dim", 64)
-        check_kind("encoder.embed_dim", embed_dim, "int")
-        if len(hidden) < 2 or min(hidden) < 1 or embed_dim < 1:
+        _int_list("encoder.hidden", enc["hidden"])
+        check_kind("encoder.embed_dim", enc["embed_dim"], "int")
+        if len(enc["hidden"]) < 2 or min(enc["hidden"]) < 1 or enc["embed_dim"] < 1:
             raise ConfigError("encoder needs >= 2 hidden widths and a positive embed_dim")
-        sweep = doc.get("sweep")
-        if sweep is not None:
-            if not isinstance(sweep, dict) or not sweep:
+        if self.sweep is not None:
+            if not isinstance(self.sweep, dict) or not self.sweep:
                 raise ConfigError("sweep must be a nonempty mapping of axis -> values")
-            for axis, values in sweep.items():
+            for axis, values in self.sweep.items():
                 if axis not in SWEEP_AXES:
                     raise ConfigError(f"unknown sweep axis {axis!r}; choose from {sorted(SWEEP_AXES)}")
                 if not isinstance(values, list) or not values:
                     raise ConfigError(f"sweep axis {axis!r} needs a nonempty value list")
-        gallery_rule = doc.get("gallery_rule", "camera")
-        if gallery_rule not in GALLERY_RULES:
+        if self.gallery_rule not in GALLERY_RULES:
             raise ConfigError(f"gallery_rule must be one of {GALLERY_RULES}")
-        if doc.get("out") is not None:
-            check_kind("out", doc["out"], "str")
-        return cls(
-            dataset=dataset,
-            orders=orders,
-            variants=list(variants),
-            seeds=list(seeds),
-            hyper=hyper,
-            hidden=list(hidden),
-            embed_dim=embed_dim,
-            sweep=sweep,
-            gallery_rule=gallery_rule,
-            out=doc.get("out"),
-        )
+        if self.out is not None:
+            check_kind("out", self.out, "str")
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        """The config a JSON document describes: its objects become the
+        fields' types, a lone variant name a list of one, and encoder keys
+        it leaves out take their defaults."""
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a config must be a JSON object, got {doc!r}")
+        unknown = set(doc) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        doc = {"dataset": None, **doc}  # a missing dataset is rejected by name
+        if "hyperparams" in doc:
+            try:
+                doc["hyperparams"] = Hyperparams(**doc["hyperparams"])
+            except TypeError as exc:
+                raise ConfigError(f"bad hyperparams: {exc}") from exc
+        if isinstance(doc.get("variants"), str):
+            doc["variants"] = [doc["variants"]]
+        if isinstance(doc.get("encoder"), dict):
+            doc["encoder"] = _default_encoder() | doc["encoder"]
+        return cls(**doc)
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "ExperimentConfig":
@@ -153,19 +152,6 @@ class ExperimentConfig:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(doc | overrides if isinstance(doc, dict) else doc)
-
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "orders": self.orders,
-            "variants": self.variants,
-            "seeds": self.seeds,
-            "hyperparams": asdict(self.hyper),
-            "encoder": {"hidden": self.hidden, "embed_dim": self.embed_dim},
-            "sweep": self.sweep,
-            "gallery_rule": self.gallery_rule,
-            "out": self.out,
-        }
 
 
 def _int_list(key: str, value) -> list[int]:
@@ -236,7 +222,7 @@ def enumerate_runs(config: ExperimentConfig, n_cameras: int) -> list[RunSpec]:
     for axis in sorted(config.sweep or {}):
         for v in config.sweep[axis]:
             try:
-                replace(config.hyper, **{SWEEP_AXES[axis]: v})
+                replace(config.hyperparams, **{SWEEP_AXES[axis]: v})
             except ConfigError as exc:
                 raise ConfigError(f"sweep axis {axis!r}: value {v!r} rejected: {exc}") from exc
         points = [pt + ((axis, float(v)),) for pt in points for v in config.sweep[axis]]
@@ -308,7 +294,7 @@ class DiskRecorder(RunRecorder):
 def execute_run(
     config: ExperimentConfig, spec: RunSpec, bundle: DatasetBundle, run_dir: Path | None
 ) -> MetricsReport:
-    hyper = replace(config.hyper, **{SWEEP_AXES[a]: v for a, v in spec.sweep})
+    hyper = replace(config.hyperparams, **{SWEEP_AXES[a]: v for a, v in spec.sweep})
     recorder = RunRecorder()
     if run_dir is not None:
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -318,8 +304,8 @@ def execute_run(
         list(spec.order),
         Variant(spec.variant),
         hyper,
-        config.hidden,
-        config.embed_dim,
+        config.encoder["hidden"],
+        config.encoder["embed_dim"],
         derive_run_seed(spec),
         recorder=recorder,
         gallery_rule=config.gallery_rule,
@@ -374,6 +360,11 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None, jobs: int =
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     out = out_dir if out_dir is not None else config.out
     out_path = Path(out) if out is not None else None
+    if out_path is not None:
+        # A file on the way to runs/ would stop the first run's mkdir, after the data was built.
+        nearest = next(p for p in (out_path / "runs", out_path, *out_path.parents) if p.exists())
+        if not nearest.is_dir():
+            raise ConfigError(f"output path {nearest} exists and is not a directory")
     if "synthetic" in config.dataset:
         bundle = generate(SyntheticSpec(**config.dataset["synthetic"]))
     else:
@@ -403,7 +394,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None, jobs: int =
         out_path.mkdir(parents=True, exist_ok=True)
         _write_atomic(out_path / "summary.csv", _summary_csv(config, summary_rows))
         manifest = {
-            "config": config.to_dict(),
+            "config": asdict(config),
             "runs": [
                 {"run_id": s.run_id, "variant": s.variant, "order": s.order_name,
                  "seed": s.seed, "sweep": {a: v for a, v in s.sweep},

@@ -8,17 +8,13 @@ optimization direction is invariant to batch size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyBatch, EmptyMemory, LabelOutOfRange, ShapeMismatch, check_range
 from .memory import NO_MATCH, IdentityMemory
-
-
-# The loss terms, in the order a training step sums them.
-TERMS = ("id", "id_hist", "kd", "mkd")
 
 
 @dataclass(frozen=True)
@@ -36,6 +32,10 @@ class LossBreakdown:
 
     def as_row(self) -> tuple[float, ...]:
         return (*(getattr(self, term) for term in TERMS), self.total)
+
+
+# The loss terms, in the order a training step sums them.
+TERMS = tuple(f.name for f in fields(LossBreakdown))
 
 
 def _contrastive(

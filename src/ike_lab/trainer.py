@@ -164,10 +164,8 @@ class RunRecorder:
 
 @dataclass
 class CameraResult:
-    camera_id: int
     assoc: np.ndarray
     assoc_precision: float | None
-    nh_after: int
 
 
 def _associate(policy: Policy, cur: IdentityMemory, hist: IdentityMemory) -> np.ndarray:
@@ -317,12 +315,7 @@ def train_camera(
     state.encoder = cur_params
     state.memory = new_hist
     state.camera_index += 1
-    result = CameraResult(
-        camera_id=dataset.camera_id,
-        assoc=assoc,
-        assoc_precision=prec,
-        nh_after=len(new_hist),
-    )
+    result = CameraResult(assoc=assoc, assoc_precision=prec)
     recorder.on_camera(state.camera_index - 1, dataset.camera_id, state, result)
     return result
 
@@ -350,7 +343,7 @@ def run_sequence(
     for cam_idx in order:
         result = train_camera(state, bundle.cameras[cam_idx], variant, recorder)
         maps.append(evaluate_map(state.encoder, bundle.test, gallery_rule))
-        nhs.append(result.nh_after)
+        nhs.append(len(state.memory))
         precs.append(result.assoc_precision)
     return MetricsReport(maps, nhs, precs)
 

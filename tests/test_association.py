@@ -14,9 +14,9 @@ from ike_lab.association import (
 from ike_lab.datasets import CameraDataset
 from ike_lab.errors import EmptyMemory, LabelOutOfRange, MissingProvenance, ShapeMismatch
 from ike_lab.harness import check_cycle_match
-from ike_lab.memory import NO_MATCH, IdentityMemory, empty_memory
+from ike_lab.memory import NO_MATCH, IdentityMemory, empty_memory, unit_rows
 
-from conftest import manual_camera, unit_rows
+from builders import manual_camera
 
 
 class TestCycleMatch:

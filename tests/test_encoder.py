@@ -18,8 +18,7 @@ from ike_lab.encoder import (
     save_encoder,
 )
 from ike_lab.errors import ConfigError, DegenerateEmbedding, ShapeMismatch
-
-from conftest import unit_rows
+from ike_lab.memory import unit_rows
 
 
 def quadratic_closure(X, target):

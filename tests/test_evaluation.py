@@ -17,9 +17,10 @@ from ike_lab.evaluation import (
     evaluate_map,
     has_scorable_query,
 )
+from ike_lab.memory import unit_rows
 from ike_lab.trainer import Hyperparams, precision_matrix
 
-from conftest import tiny_bundle, unit_rows
+from builders import tiny_bundle
 
 
 def per_query_map(emb, gids, cams, rule):

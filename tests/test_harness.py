@@ -63,7 +63,7 @@ class TestConfigValidation:
     def test_valid_config_parses(self):
         cfg = ExperimentConfig.from_dict(tiny_config())
         assert cfg.variants == ["IKE"]
-        assert cfg.embed_dim == 8
+        assert cfg.encoder["embed_dim"] == 8
 
     @pytest.mark.parametrize("mutate", [
         {"unknown_key": 1},
@@ -86,6 +86,43 @@ class TestConfigValidation:
     def test_rejected_before_any_work(self, mutate):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(tiny_config(**mutate))
+
+    def test_manifest_config_reads_back_as_the_grid(self, tmp_path):
+        # A lone variant name and a partial encoder are written out whole,
+        # so the manifest's config is a complete config for the same runs.
+        doc = tiny_config(variants="IKE", orders=[[1, 0], [0, 1]], sweep={"lambda": [0.0, 0.5]},
+                          encoder={"hidden": [8, 8]})
+        cfg = ExperimentConfig.from_dict(doc)
+        run(cfg, out_dir=tmp_path / "a")
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert manifest["config"]["variants"] == ["IKE"]
+        assert manifest["config"]["encoder"] == {"hidden": [8, 8], "embed_dim": 64}
+        again = ExperimentConfig.from_dict(manifest["config"])
+        assert again == cfg
+        run(again, out_dir=tmp_path / "b")
+        assert (tmp_path / "b" / "manifest.json").read_bytes() == (tmp_path / "a" / "manifest.json").read_bytes()
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = ExperimentConfig.from_dict(tiny_config())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seeds = [1]
+
+    def test_defaults_match_an_empty_document(self):
+        dataset = tiny_config()["dataset"]
+        assert ExperimentConfig(dataset) == ExperimentConfig.from_dict({"dataset": dataset})
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seeds": [1, 1]}, "seeds must be distinct"),
+        ({"encoder": {"embed_dim": 8}}, 'encoder must be an object of "hidden" and "embed_dim"'),
+        ({"encoder": {"hidden": [8], "embed_dim": 8}}, "encoder needs >= 2 hidden widths"),
+        ({"variants": "IKE"}, "variants must be a nonempty list"),
+        ({"hyperparams": {"epochs": 2}}, "bad hyperparams"),
+        ({"dataset": None}, "dataset must be"),
+        ({"sweep": {"gamma": [1.0]}}, "unknown sweep axis 'gamma'"),
+    ])
+    def test_built_in_python_checked_as_from_dict(self, kwargs, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig(**{"dataset": tiny_config()["dataset"], **kwargs})
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -432,6 +469,30 @@ class TestCli:
         assert rc == 2
         assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("taken, out", [("out", "out"), ("out/runs", "out"), ("out", "out/sub")])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_out_naming_a_file_exit_2_before_any_data(self, tmp_path, capsys, monkeypatch, taken, out, jobs):
+        # A file where the output directory, its runs/ or an ancestor belongs
+        # would stop the first run's mkdir, after the dataset was built.
+        monkeypatch.setattr(harness, "generate", lambda spec: pytest.fail("dataset generated"))
+        (tmp_path / taken).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / taken).write_text("kept")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(variants=["BASELINE", "IKE"])))
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / out), "--jobs", jobs])
+        assert rc == 2
+        assert f"output path {tmp_path / taken} exists and is not a directory" in capsys.readouterr().err
+        assert (tmp_path / taken).read_text() == "kept"
+
+    def test_config_out_naming_a_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(out=str(out))))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert f"output path {out} exists and is not a directory" in capsys.readouterr().err
+        assert out.read_text() == "kept"
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_diverging_run_exit_1_and_no_nan_written(self, tmp_path, capsys, jobs):

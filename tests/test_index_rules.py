@@ -13,9 +13,7 @@ from ike_lab.datasets import CameraDataset
 from ike_lab.encoder import init_encoder, load_encoder, save_encoder
 from ike_lab.errors import IndexOutOfRange, LabelOutOfRange, ParseError, ShapeMismatch
 from ike_lab.losses import loss_id, loss_id_hist
-from ike_lab.memory import IdentityMemory, iku_merge, load_memory, momentum_update
-
-from conftest import unit_rows
+from ike_lab.memory import IdentityMemory, iku_merge, load_memory, momentum_update, unit_rows
 
 N = 3
 _draw = np.random.default_rng(0)

@@ -6,9 +6,7 @@ import pytest
 from ike_lab.encoder import grad_check
 from ike_lab.errors import EmptyBatch, EmptyMemory, LabelOutOfRange, ShapeMismatch
 from ike_lab.losses import LossBreakdown, loss_id, loss_id_hist, loss_kd, loss_mkd
-from ike_lab.memory import NO_MATCH, IdentityMemory, empty_memory
-
-from conftest import unit_rows
+from ike_lab.memory import NO_MATCH, IdentityMemory, empty_memory, unit_rows
 
 
 class TestLossId:

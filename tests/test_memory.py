@@ -27,9 +27,10 @@ from ike_lab.memory import (
     load_memory,
     momentum_update,
     save_memory,
+    unit_rows,
 )
 
-from conftest import manual_camera, unit_rows
+from builders import manual_camera
 
 
 class TestCosineScores:

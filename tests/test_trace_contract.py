@@ -14,7 +14,7 @@ import pytest
 
 from ike_lab.trainer import Hyperparams, Variant, run_sequence
 
-from conftest import tiny_bundle
+from builders import tiny_bundle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

@@ -27,7 +27,7 @@ from ike_lab.trainer import (
     train_joint_upperbound,
 )
 
-from conftest import manual_camera, tiny_bundle
+from builders import manual_camera, tiny_bundle
 
 FAST = Hyperparams(epochs=3, batch_size=16)
 
