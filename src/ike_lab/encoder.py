@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (
     DEGENERATE_NORM, ConfigError, DegenerateEmbedding, DimensionMismatch, ParseError,
-    ShapeMismatch, check_kind, read_json_object,
+    ShapeMismatch, check_kind, read_json_object, write_atomic,
 )
 
 # Blocks whose outputs are exposed as middle features.
@@ -245,7 +245,7 @@ def save_encoder(params: EncoderParams, path: str | Path) -> None:
             for W, b in zip(params.weights, params.biases)
         ],
     }
-    Path(path).write_text(json.dumps(doc))
+    write_atomic(Path(path), json.dumps(doc))
 
 
 # Snapshot entries and their kinds.

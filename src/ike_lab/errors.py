@@ -1,10 +1,11 @@
 """Exception types shared across the library, the degenerate-norm threshold,
-the one type rule for configuration fields and JSON files, and the one range
-rule for identity indices."""
+the one type rule for configuration fields and JSON files, the one write
+rule for output files, and the one range rule for identity indices."""
 
 import dataclasses
 import json
 import numbers
+import os
 import sys
 from pathlib import Path
 
@@ -109,6 +110,14 @@ def read_json_object(
         if doc.get(key) is None:
             raise ParseError(f"{path.name}: no {key} entry")
     return doc
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write text to path through a temporary file beside it, then rename, so
+    a killed writer leaves the old file or none, never a truncated one."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
 
 
 def check_range(what: str, values, n: int, error: type[LabError]) -> None:

@@ -5,9 +5,10 @@ A config describes a dataset, camera orders, variants, seeds, and optional
 sweep grids. ExperimentConfig is that document as one frozen record that
 checks itself when built; the manifest stores it whole, so it reads back as
 the same grid. The harness runs every combination, writes per-run artifacts
-(metrics.json/csv, training log, checkpoints) plus an aggregate summary.csv
-and manifest.json, and stays bitwise deterministic per (config, seed). Each
-call to run reads its dataset afresh, once for the whole grid.
+(metrics.json/csv, training log, the final camera's snapshot) plus an
+aggregate summary.csv and manifest.json, and stays bitwise deterministic per
+(config, seed). Each call to run reads its dataset afresh, once for the
+whole grid, and checks every output path before any run starts.
 
 The four oracle checks (check_cycle_match, check_memory_algebra, check_map,
 check_gradients) compare the fast paths with the reference implementations
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -29,7 +29,7 @@ import numpy as np
 from .association import cycle_match
 from .datasets import DatasetBundle, SyntheticSpec, TestSplit, generate, load_dataset
 from .encoder import EncoderParams, forward_batch, grad_check, init_encoder, save_encoder
-from .errors import ConfigError, EmptyGallery, LabError, check_kind
+from .errors import ConfigError, EmptyGallery, LabError, check_kind, write_atomic
 from .evaluation import GALLERY_RULES, MetricsReport, evaluate_map, has_scorable_query
 from .losses import TERMS
 from .memory import IdentityMemory, empty_memory, iku_merge, momentum_update, save_memory, unit_rows
@@ -259,18 +259,15 @@ def derive_run_seed(spec: RunSpec) -> np.random.SeedSequence:
     return np.random.SeedSequence(int.from_bytes(digest[:16], "big"))
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 class DiskRecorder(RunRecorder):
-    """Writes the per-epoch training log and per-camera checkpoints."""
+    """Writes the per-epoch training log and the final camera's snapshot:
+    the encoder and memory left once the camera at final_step is merged.
+    No program path reads an earlier camera's, so none is written."""
 
-    def __init__(self, run_id: str, run_dir: Path) -> None:
+    def __init__(self, run_id: str, run_dir: Path, final_step: int) -> None:
         self.run_id = run_id
         self.run_dir = run_dir
+        self.final_step = final_step
         self.epoch_rows: list[str] = []
 
     def on_epoch(self, camera_step, camera_id, epoch, mean_breakdown, lr) -> None:
@@ -281,6 +278,8 @@ class DiskRecorder(RunRecorder):
         )
 
     def on_camera(self, camera_step, camera_id, state, result) -> None:
+        if camera_step != self.final_step:
+            return
         ckpt = self.run_dir / "checkpoints" / f"step{camera_step:02d}_cam{camera_id}"
         ckpt.mkdir(parents=True, exist_ok=True)
         save_encoder(state.encoder, ckpt / "encoder.json")
@@ -288,7 +287,7 @@ class DiskRecorder(RunRecorder):
 
     def flush(self) -> None:
         header = ",".join(["run_id", "camera", "epoch", *TERMS, "total", "lr"])
-        _write_atomic(self.run_dir / "train_log.csv", "\n".join([header] + self.epoch_rows) + "\n")
+        write_atomic(self.run_dir / "train_log.csv", "\n".join([header] + self.epoch_rows) + "\n")
 
 
 def execute_run(
@@ -298,7 +297,7 @@ def execute_run(
     recorder = RunRecorder()
     if run_dir is not None:
         run_dir.mkdir(parents=True, exist_ok=True)
-        recorder = DiskRecorder(spec.run_id, run_dir)
+        recorder = DiskRecorder(spec.run_id, run_dir, len(spec.order) - 1)
     report = run_sequence(
         bundle,
         list(spec.order),
@@ -317,8 +316,8 @@ def execute_run(
                **report.to_dict(),
                "meta": {"run_id": spec.run_id, "order_name": spec.order_name,
                         "sweep": {a: v for a, v in spec.sweep}}}
-        _write_atomic(run_dir / "metrics.json", json.dumps(doc, indent=2) + "\n")
-        _write_atomic(run_dir / "metrics.csv", _metrics_csv(spec, report))
+        write_atomic(run_dir / "metrics.json", json.dumps(doc, indent=2) + "\n")
+        write_atomic(run_dir / "metrics.csv", _metrics_csv(spec, report))
     return report
 
 
@@ -344,6 +343,13 @@ def _run_one(payload: tuple) -> MetricsReport | str:
         return f"{type(exc).__name__}: {exc}"
 
 
+def _check_output(path: Path, directory: bool) -> None:
+    """ConfigError naming path if it exists but is not of the kind the grid
+    writes there: a directory, or a file when directory is False."""
+    if path.exists() and path.is_dir() != directory:
+        raise ConfigError(f"output path {path} exists and is {'not ' if directory else ''}a directory")
+
+
 @dataclass
 class RunOutcome:
     out_dir: Path | None
@@ -354,17 +360,21 @@ class RunOutcome:
 
 def run(config: ExperimentConfig, out_dir: str | Path | None = None, jobs: int = 1) -> RunOutcome:
     """Execute every (seed, variant, order, sweep point) combination on the
-    config's dataset, read once by this call. A failed run does not stop the
+    config's dataset, read once by this call. An output path of the wrong
+    kind (summary.csv, manifest.json, runs/ or a run's directory) raises
+    ConfigError before any run starts. A failed run does not stop the
     others; the manifest gives each run's status."""
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     out = out_dir if out_dir is not None else config.out
     out_path = Path(out) if out is not None else None
     if out_path is not None:
-        # A file on the way to runs/ would stop the first run's mkdir, after the data was built.
+        # A file on the way to runs/ would stop the first run's mkdir, and a
+        # directory at summary.csv the last write, after the data was built.
         nearest = next(p for p in (out_path / "runs", out_path, *out_path.parents) if p.exists())
-        if not nearest.is_dir():
-            raise ConfigError(f"output path {nearest} exists and is not a directory")
+        _check_output(nearest, directory=True)
+        for name in ("summary.csv", "manifest.json"):
+            _check_output(out_path / name, directory=False)
     if "synthetic" in config.dataset:
         bundle = generate(SyntheticSpec(**config.dataset["synthetic"]))
     else:
@@ -376,10 +386,10 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None, jobs: int =
         raise ConfigError(f"no test identity appears {where}, so under gallery_rule "
                           f"{config.gallery_rule!r} no run could be scored")
     specs = enumerate_runs(config, bundle.n_cameras)
-    payloads = [
-        (config, spec, bundle, None if out_path is None else out_path / "runs" / spec.run_id)
-        for spec in specs
-    ]
+    run_dirs = [None if out_path is None else out_path / "runs" / spec.run_id for spec in specs]
+    for run_dir in filter(None, run_dirs):
+        _check_output(run_dir, directory=True)
+    payloads = [(config, spec, bundle, run_dir) for spec, run_dir in zip(specs, run_dirs)]
     if jobs > 1 and len(specs) > 1:
         import multiprocessing as mp
 
@@ -392,7 +402,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None, jobs: int =
     summary_rows = summarize([s for s in specs if s.run_id in reports], reports)
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
-        _write_atomic(out_path / "summary.csv", _summary_csv(config, summary_rows))
+        write_atomic(out_path / "summary.csv", _summary_csv(config, summary_rows))
         manifest = {
             "config": asdict(config),
             "runs": [
@@ -404,7 +414,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None, jobs: int =
             ],
             "summary": "summary.csv",
         }
-        _write_atomic(out_path / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+        write_atomic(out_path / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     return RunOutcome(out_path, reports, summary_rows, failures)
 
 

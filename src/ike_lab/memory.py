@@ -30,6 +30,7 @@ from .errors import (
     check_kind,
     check_range,
     read_json_object,
+    write_atomic,
 )
 
 if TYPE_CHECKING:
@@ -273,7 +274,7 @@ def save_memory(memory: IdentityMemory, path: str | Path) -> None:
         "rows": memory.rows.tolist(),
         "provenance": None if memory.provenance is None else memory.provenance.tolist(),
     }
-    Path(path).write_text(json.dumps(doc))
+    write_atomic(Path(path), json.dumps(doc))
 
 
 # Snapshot entries and their kinds.

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +203,23 @@ class TestSnapshot:
         loaded = load_encoder(path)
         assert loaded.widths == small_encoder.widths
         assert (loaded.flat == small_encoder.flat).all()
+
+    def test_interrupted_write_keeps_the_previous_snapshot(self, tmp_path, small_encoder, monkeypatch):
+        # A writer killed halfway through the text leaves a truncated
+        # temporary file beside the snapshot, never a truncated snapshot.
+        path = tmp_path / "encoder.json"
+        save_encoder(small_encoder, path)
+
+        def killed(self, text):
+            with open(self, "w") as f:
+                f.write(text[: len(text) // 2])
+            raise RuntimeError("killed")
+
+        monkeypatch.setattr(Path, "write_text", killed)
+        with pytest.raises(RuntimeError, match="killed"):
+            save_encoder(small_encoder.copy(), path)
+        monkeypatch.undo()
+        assert (load_encoder(path).flat == small_encoder.flat).all()
 
     def test_json_bytes_unchanged(self, tmp_path):
         params = EncoderParams(

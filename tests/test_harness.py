@@ -19,7 +19,7 @@ import ike_lab.harness as harness
 from ike_lab.association import one_way_match
 from ike_lab.datasets import SyntheticSpec, generate, save_dataset
 from ike_lab.errors import ConfigError, EmptyGallery
-from ike_lab.encoder import grad_check
+from ike_lab.encoder import grad_check, load_encoder
 from ike_lab.evaluation import GALLERY_RULES, evaluate_map
 from ike_lab.harness import (
     GRAD_TERMS,
@@ -38,7 +38,7 @@ from ike_lab.harness import (
     selftest,
 )
 from ike_lab.losses import TERMS
-from ike_lab.memory import IdentityMemory, iku_merge
+from ike_lab.memory import UNIT_TOL, IdentityMemory, iku_merge, load_memory
 from ike_lab.trainer import Hyperparams
 
 
@@ -197,13 +197,30 @@ class TestRun:
         assert (run_dir / "metrics.json").exists()
         assert (run_dir / "metrics.csv").exists()
         assert (run_dir / "train_log.csv").exists()
-        ckpts = sorted((run_dir / "checkpoints").iterdir())
-        assert len(ckpts) == 2
-        assert (ckpts[0] / "encoder.json").exists()
-        assert (ckpts[0] / "memory.json").exists()
+        # One snapshot: the final camera's, step 1 of the order [0, 1].
+        ckpts = list((run_dir / "checkpoints").iterdir())
+        assert [c.name for c in ckpts] == ["step01_cam1"]
+        assert sorted(p.name for p in ckpts[0].iterdir()) == ["encoder.json", "memory.json"]
         # metrics.csv has one row per camera step
         lines = (run_dir / "metrics.csv").read_text().strip().splitlines()
         assert len(lines) == 3
+
+    def test_final_snapshot_encoder_rescores_fmap_bitwise(self, tmp_path):
+        doc = tiny_config()
+        run(ExperimentConfig.from_dict(doc), out_dir=tmp_path)
+        run_dir = tmp_path / "runs" / "IKE__o01__s0"
+        fmap = json.loads((run_dir / "metrics.json").read_text())["fmap"]
+        params = load_encoder(run_dir / "checkpoints" / "step01_cam1" / "encoder.json")
+        test = generate(SyntheticSpec(**doc["dataset"]["synthetic"])).test
+        assert evaluate_map(params, test) == fmap
+
+    def test_final_snapshot_memory_holds_the_final_unit_rows(self, tmp_path):
+        run(ExperimentConfig.from_dict(tiny_config()), out_dir=tmp_path)
+        run_dir = tmp_path / "runs" / "IKE__o01__s0"
+        nh = json.loads((run_dir / "metrics.json").read_text())["nh_trajectory"]
+        memory = load_memory(run_dir / "checkpoints" / "step01_cam1" / "memory.json")
+        assert len(memory) == nh[-1]
+        assert memory.max_unit_error() <= UNIT_TOL
 
     def test_single_camera_single_row(self, tmp_path):
         doc = tiny_config()
@@ -308,12 +325,20 @@ class TestRun:
             "9c3e7786548a7d63f626e30a5c269f29abee3d91d3c1561470426ca9f8764bf5")
 
     def test_parallel_jobs_match_serial(self, tmp_path):
+        # The reports, and the output trees file by file.
         doc = tiny_config(variants=["BASELINE", "IKE"], seeds=[0, 1])
         cfg = ExperimentConfig.from_dict(doc)
-        serial = run(cfg, out_dir=None, jobs=1)
-        parallel = run(cfg, out_dir=None, jobs=2)
+        serial = run(cfg, out_dir=tmp_path / "serial", jobs=1)
+        parallel = run(cfg, out_dir=tmp_path / "parallel", jobs=2)
         for rid, rep in serial.reports.items():
             assert parallel.reports[rid] == rep
+        trees = [
+            {p.relative_to(out): hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in out.rglob("*") if p.is_file()}
+            for out in (tmp_path / "serial", tmp_path / "parallel")
+        ]
+        assert trees[0] == trees[1]
+        assert len(trees[0]) == 2 + 4 * 5  # summary, manifest; per run 3 files and 1 snapshot
 
     def test_features_rewritten_at_one_path_are_read_afresh(self, tmp_path):
         # Each run() reads its dataset, so a second run in one process, after
@@ -485,6 +510,35 @@ class TestCli:
         assert f"output path {tmp_path / taken} exists and is not a directory" in capsys.readouterr().err
         assert (tmp_path / taken).read_text() == "kept"
 
+    @pytest.mark.parametrize("name", ["summary.csv", "manifest.json"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_summary_path_naming_a_directory_exit_2_before_any_data(self, tmp_path, capsys, monkeypatch,
+                                                                    name, jobs):
+        # The grid's last writes would fail there, after every run trained.
+        monkeypatch.setattr(harness, "generate", lambda spec: pytest.fail("dataset generated"))
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(variants=["BASELINE", "IKE"])))
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out), "--jobs", jobs])
+        assert rc == 2
+        assert f"output path {out / name} exists and is a directory" in capsys.readouterr().err
+        assert not (out / "runs").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_run_directory_naming_a_file_exit_2_before_any_run(self, tmp_path, capsys, jobs):
+        out = tmp_path / "out"
+        taken = out / "runs" / "IKE__o01__s0"
+        taken.parent.mkdir(parents=True)
+        taken.write_text("kept")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(variants=["BASELINE", "IKE"])))
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out), "--jobs", jobs])
+        assert rc == 2
+        assert f"output path {taken} exists and is not a directory" in capsys.readouterr().err
+        assert list((out / "runs").iterdir()) == [taken]
+        assert taken.read_text() == "kept"
+
     def test_config_out_naming_a_file_exit_2(self, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("kept")
@@ -507,6 +561,7 @@ class TestCli:
         assert rc == 1
         assert "camera 0, epoch 0: mean loss term" in capsys.readouterr().err
         assert not list(out.rglob("metrics.json"))
+        assert not list(out.rglob("checkpoints"))
         for path in out.rglob("*"):
             if path.is_file():
                 assert "nan" not in path.read_text().lower(), path

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -417,6 +418,26 @@ class TestSnapshotRoundTrip:
         want = {"dim": 6, "rows": [[float(v) for v in row] for row in rows],
                 "provenance": [0, 1, 2, 3]}
         assert path.read_text() == json.dumps(want)
+
+    def test_interrupted_write_keeps_the_previous_snapshot(self, rng, tmp_path, monkeypatch):
+        # A writer killed halfway through the text leaves a truncated
+        # temporary file beside the snapshot, never a truncated snapshot.
+        mem = IdentityMemory(unit_rows(rng, 5, 7), [3, 1, 4, 1, 5])
+        path = tmp_path / "memory.json"
+        save_memory(mem, path)
+
+        def killed(self, text):
+            with open(self, "w") as f:
+                f.write(text[: len(text) // 2])
+            raise RuntimeError("killed")
+
+        monkeypatch.setattr(Path, "write_text", killed)
+        with pytest.raises(RuntimeError, match="killed"):
+            save_memory(IdentityMemory(unit_rows(rng, 6, 7)), path)
+        monkeypatch.undo()
+        loaded = load_memory(path)
+        assert (loaded.rows == mem.rows).all()
+        assert loaded.provenance.tolist() == mem.provenance.tolist()
 
     def test_roundtrip_without_provenance(self, rng, tmp_path):
         mem = IdentityMemory(unit_rows(rng, 2, 3), None)
