@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (
     DEGENERATE_NORM, ConfigError, DimensionMismatch, LabelOutOfRange, MissingProvenance,
-    ParseError, check_field_types, check_range, read_json_object,
+    ParseError, check_field_types, check_range, read_json_object, write_atomic,
 )
 from .memory import _unit
 
@@ -28,6 +28,8 @@ CSV_HEADER_PREFIX = ["camera", "local_id", "global_id"]
 # where sequential fine-tuning visibly forgets while per-identity means
 # still match across cameras.
 DISTORTION_GAIN = 1.25
+# No two identity prototypes are placed closer than this cosine.
+MAX_PAIR_COS = 0.8
 
 
 @dataclass
@@ -45,7 +47,6 @@ class SyntheticSpec:
     noise: float = 0.05
     overlap_bias: float = 0.6
     seed: int = 0
-    max_pair_cos: float = 0.8
 
     def validate(self) -> None:
         check_field_types(self)
@@ -63,8 +64,6 @@ class SyntheticSpec:
             raise ConfigError("camera_shift and noise must be nonnegative")
         if not 0.0 <= self.overlap_bias <= 1.0:
             raise ConfigError("overlap_bias must lie in [0, 1]")
-        if not 0.0 < self.max_pair_cos <= 1.0:
-            raise ConfigError("max_pair_cos must lie in (0, 1]")
 
 
 @dataclass
@@ -155,12 +154,12 @@ def _sample_prototypes(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndar
             if norm < DEGENERATE_NORM:
                 continue
             cand /= norm
-            if g == 0 or float(np.max(protos[:g] @ cand)) <= spec.max_pair_cos:
+            if g == 0 or float(np.max(protos[:g] @ cand)) <= MAX_PAIR_COS:
                 protos[g] = cand
                 break
         else:
             raise ConfigError(
-                f"could not place {spec.n_global} prototypes with pairwise cosine <= {spec.max_pair_cos}"
+                f"could not place {spec.n_global} prototypes with pairwise cosine <= {MAX_PAIR_COS}"
             )
     return protos
 
@@ -251,20 +250,19 @@ def _csv_text(tags: np.ndarray, X: np.ndarray) -> str:
 
 
 def save_dataset(bundle: DatasetBundle, out_dir: str | Path) -> Path:
-    """Write train.csv, test.csv, and manifest.json; returns the manifest path."""
+    """Write train.csv, test.csv and manifest.json atomically; returns the manifest path."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     train_tags = [
         np.column_stack([np.full(len(cam), cam.camera_id), cam.labels,
                          np.full(len(cam), -1) if cam.global_ids is None else cam.global_ids])
         for cam in bundle.cameras
     ]
     train_X = np.concatenate([cam.X for cam in bundle.cameras])
-    (out / "train.csv").write_text(_csv_text(np.concatenate(train_tags), train_X))
+    write_atomic(out / "train.csv", _csv_text(np.concatenate(train_tags), train_X))
     t = bundle.test
     local = np.full(len(t), -1) if t.local_ids is None else t.local_ids
     test_tags = np.column_stack([t.camera_ids, local, t.global_ids])
-    (out / "test.csv").write_text(_csv_text(test_tags, t.X))
+    write_atomic(out / "test.csv", _csv_text(test_tags, t.X))
     manifest = {
         "format": "ike-lab-features-v1",
         "cameras": bundle.n_cameras,
@@ -274,7 +272,7 @@ def save_dataset(bundle: DatasetBundle, out_dir: str | Path) -> Path:
         "test": "test.csv",
     }
     mpath = out / "manifest.json"
-    mpath.write_text(json.dumps(manifest, indent=2))
+    write_atomic(mpath, json.dumps(manifest, indent=2))
     return mpath
 
 

@@ -275,4 +275,7 @@ def load_encoder(path: str | Path) -> EncoderParams:
             raise DimensionMismatch(f"block {l + 1} shape {W.shape} disagrees with widths")
         weights.append(W)
         biases.append(b)
-    return EncoderParams(weights, biases)
+    try:
+        return EncoderParams(weights, biases)
+    except (ShapeMismatch, ConfigError) as exc:
+        raise ParseError(f"{path.name}: {exc}") from exc

@@ -113,8 +113,9 @@ def read_json_object(
 
 
 def write_atomic(path: Path, text: str) -> None:
-    """Write text to path through a temporary file beside it, then rename, so
-    a killed writer leaves the old file or none, never a truncated one."""
+    """Make path's directory, then write text to a temporary file beside it
+    and rename that, so a killed writer never leaves a truncated file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)

@@ -3,12 +3,13 @@ and the oracle checks.
 
 A config describes a dataset, camera orders, variants, seeds, and optional
 sweep grids. ExperimentConfig is that document as one frozen record that
-checks itself when built; the manifest stores it whole, so it reads back as
-the same grid. The harness runs every combination, writes per-run artifacts
-(metrics.json/csv, training log, the final camera's snapshot) plus an
-aggregate summary.csv and manifest.json, and stays bitwise deterministic per
-(config, seed). Each call to run reads its dataset afresh, once for the
-whole grid, and checks every output path before any run starts.
+checks itself when built, its grid of runs included; the manifest stores it
+whole, so it reads back as the same grid. The harness runs every
+combination, writes per-run artifacts (metrics.json/csv, training log, the
+final camera's snapshot; RunSpec.files names where) plus an aggregate
+summary.csv and manifest.json, and stays bitwise deterministic per (config,
+seed). Each call to run checks every file the grid writes, then reads its
+dataset afresh, once for the whole grid.
 
 The four oracle checks (check_cycle_match, check_memory_algebra, check_map,
 check_gradients) compare the fast paths with the reference implementations
@@ -62,9 +63,9 @@ def _default_encoder() -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """An experiment grid, checked when built: its fields are the config
-    document's keys, so asdict of a config is a complete document and
-    from_dict of that document builds an equal config."""
+    """An experiment grid, checked when built, its runs included: its fields
+    are the config document's keys, so asdict of a config is a complete
+    document and from_dict of that document builds an equal config."""
 
     dataset: dict
     orders: list = field(default_factory=lambda: ["T1"])
@@ -121,6 +122,7 @@ class ExperimentConfig:
             raise ConfigError(f"gallery_rule must be one of {GALLERY_RULES}")
         if self.out is not None:
             check_kind("out", self.out, "str")
+        enumerate_runs(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -162,18 +164,15 @@ def _int_list(key: str, value) -> list[int]:
     return value
 
 
-def resolve_order(entry, n_cameras: int) -> tuple[str, list[int]]:
-    """An order entry is either a preset name or an explicit permutation."""
+def resolve_order(entry) -> tuple[str, list[int]]:
+    """An order entry is either a preset name or a permutation of 0..len-1."""
     if isinstance(entry, str):
         if entry not in ORDER_PRESETS:
             raise ConfigError(f"unknown order preset {entry!r}; presets: {sorted(ORDER_PRESETS)}")
-        order = ORDER_PRESETS[entry]
-        if n_cameras != len(order):
-            raise ConfigError(f"preset {entry} is for {len(order)} cameras, dataset has {n_cameras}")
-        return entry, list(order)
+        return entry, list(ORDER_PRESETS[entry])
     order = list(entry)
-    if sorted(order) != list(range(n_cameras)):
-        raise ConfigError(f"order {entry} is not a permutation of 0..{n_cameras - 1}")
+    if sorted(order) != list(range(len(order))):
+        raise ConfigError(f"order {entry} is not a permutation of 0..{len(order) - 1}")
     return "o" + "".join(str(i) for i in order), order
 
 
@@ -188,13 +187,7 @@ def expand_presets(text: str) -> list[str]:
         if names.index(hi) < names.index(lo):
             raise ConfigError(f"preset range {text!r} runs backwards; write {hi}..{lo}")
         return names[names.index(lo) : names.index(hi) + 1]
-    names = [t.strip() for t in text.split(",") if t.strip()]
-    for name in names:
-        if name not in ORDER_PRESETS:
-            raise ConfigError(f"unknown preset {name!r}")
-    if not names:
-        raise ConfigError("empty preset selection")
-    return names
+    return [t.strip() for t in text.split(",") if t.strip()]
 
 
 @dataclass(frozen=True)
@@ -211,13 +204,22 @@ class RunSpec:
         parts += [f"{axis}{value:g}" for axis, value in self.sweep]
         return "__".join(parts)
 
+    def files(self, out: Path) -> dict[str, Path]:
+        """Each file the run writes under out, by name: the run tree's one
+        layout. The snapshot names the final step and its dataset index."""
+        run_dir = out / "runs" / self.run_id
+        snapshot = run_dir / "checkpoints" / f"step{len(self.order) - 1:02d}_cam{self.order[-1]}"
+        parents = {"metrics.json": run_dir, "metrics.csv": run_dir, "train_log.csv": run_dir,
+                   "encoder.json": snapshot, "memory.json": snapshot}
+        return {name: parent / name for name, parent in parents.items()}
 
-def enumerate_runs(config: ExperimentConfig, n_cameras: int) -> list[RunSpec]:
-    """Every run of the grid, all checked before any run starts. Each sweep
-    value must be a number that Hyperparams accepts on its axis; otherwise
-    ConfigError names the axis and the value. ConfigError also names a run
-    id given to two runs (ids name the run directories) and two order
-    entries that are one permutation (runs are seeded by order)."""
+
+def enumerate_runs(config: ExperimentConfig) -> list[RunSpec]:
+    """Every run of the grid, enumerated when the config is built. Each
+    sweep value must be a number that Hyperparams accepts on its axis;
+    otherwise ConfigError names the axis and the value. ConfigError also
+    names a run id given to two runs (ids name the run directories) and two
+    order entries that are one permutation (runs are seeded by order)."""
     points: list[tuple[tuple[str, float], ...]] = [()]
     for axis in sorted(config.sweep or {}):
         for v in config.sweep[axis]:
@@ -229,7 +231,7 @@ def enumerate_runs(config: ExperimentConfig, n_cameras: int) -> list[RunSpec]:
     specs = []
     named: dict[tuple[int, ...], tuple[str, object]] = {}
     for entry in config.orders:
-        order_name, order = resolve_order(entry, n_cameras)
+        order_name, order = resolve_order(entry)
         first_name, first = named.setdefault(tuple(order), (order_name, entry))
         if first_name != order_name:
             raise ConfigError(f"orders {first!r} and {entry!r} are the same camera order; "
@@ -264,9 +266,9 @@ class DiskRecorder(RunRecorder):
     the encoder and memory left once the camera at final_step is merged.
     No program path reads an earlier camera's, so none is written."""
 
-    def __init__(self, run_id: str, run_dir: Path, final_step: int) -> None:
+    def __init__(self, run_id: str, files: dict[str, Path], final_step: int) -> None:
         self.run_id = run_id
-        self.run_dir = run_dir
+        self.files = files
         self.final_step = final_step
         self.epoch_rows: list[str] = []
 
@@ -280,24 +282,21 @@ class DiskRecorder(RunRecorder):
     def on_camera(self, camera_step, camera_id, state, result) -> None:
         if camera_step != self.final_step:
             return
-        ckpt = self.run_dir / "checkpoints" / f"step{camera_step:02d}_cam{camera_id}"
-        ckpt.mkdir(parents=True, exist_ok=True)
-        save_encoder(state.encoder, ckpt / "encoder.json")
-        save_memory(state.memory, ckpt / "memory.json")
+        save_encoder(state.encoder, self.files["encoder.json"])
+        save_memory(state.memory, self.files["memory.json"])
 
     def flush(self) -> None:
         header = ",".join(["run_id", "camera", "epoch", *TERMS, "total", "lr"])
-        write_atomic(self.run_dir / "train_log.csv", "\n".join([header] + self.epoch_rows) + "\n")
+        write_atomic(self.files["train_log.csv"], "\n".join([header] + self.epoch_rows) + "\n")
 
 
 def execute_run(
-    config: ExperimentConfig, spec: RunSpec, bundle: DatasetBundle, run_dir: Path | None
+    config: ExperimentConfig, spec: RunSpec, bundle: DatasetBundle, files: dict[str, Path] | None
 ) -> MetricsReport:
     hyper = replace(config.hyperparams, **{SWEEP_AXES[a]: v for a, v in spec.sweep})
     recorder = RunRecorder()
-    if run_dir is not None:
-        run_dir.mkdir(parents=True, exist_ok=True)
-        recorder = DiskRecorder(spec.run_id, run_dir, len(spec.order) - 1)
+    if files is not None:
+        recorder = DiskRecorder(spec.run_id, files, len(spec.order) - 1)
     report = run_sequence(
         bundle,
         list(spec.order),
@@ -309,15 +308,15 @@ def execute_run(
         recorder=recorder,
         gallery_rule=config.gallery_rule,
     )
-    if run_dir is not None:
+    if files is not None:
         recorder.flush()
         # seed is the grid seed, from which the run's stream derives.
         doc = {"variant": spec.variant, "seed": spec.seed, "order": list(spec.order),
                **report.to_dict(),
                "meta": {"run_id": spec.run_id, "order_name": spec.order_name,
                         "sweep": {a: v for a, v in spec.sweep}}}
-        write_atomic(run_dir / "metrics.json", json.dumps(doc, indent=2) + "\n")
-        write_atomic(run_dir / "metrics.csv", _metrics_csv(spec, report))
+        write_atomic(files["metrics.json"], json.dumps(doc, indent=2) + "\n")
+        write_atomic(files["metrics.csv"], _metrics_csv(spec, report))
     return report
 
 
@@ -343,11 +342,14 @@ def _run_one(payload: tuple) -> MetricsReport | str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _check_output(path: Path, directory: bool) -> None:
-    """ConfigError naming path if it exists but is not of the kind the grid
-    writes there: a directory, or a file when directory is False."""
-    if path.exists() and path.is_dir() != directory:
-        raise ConfigError(f"output path {path} exists and is {'not ' if directory else ''}a directory")
+def _check_writable(path: Path) -> None:
+    """ConfigError naming what would stop a write to path: path as a
+    directory, or the nearest existing entry above it as anything else."""
+    if path.is_dir():
+        raise ConfigError(f"output path {path} exists and is a directory")
+    nearest = next(p for p in path.parents if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"output path {nearest} exists and is not a directory")
 
 
 @dataclass
@@ -360,21 +362,19 @@ class RunOutcome:
 
 def run(config: ExperimentConfig, out_dir: str | Path | None = None, jobs: int = 1) -> RunOutcome:
     """Execute every (seed, variant, order, sweep point) combination on the
-    config's dataset, read once by this call. An output path of the wrong
-    kind (summary.csv, manifest.json, runs/ or a run's directory) raises
-    ConfigError before any run starts. A failed run does not stop the
+    config's dataset, read once by this call and with as many cameras as
+    every order. Every file the grid writes is checked by _check_writable
+    before the dataset is built or read. A failed run does not stop the
     others; the manifest gives each run's status."""
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+    specs = enumerate_runs(config)
     out = out_dir if out_dir is not None else config.out
     out_path = Path(out) if out is not None else None
     if out_path is not None:
-        # A file on the way to runs/ would stop the first run's mkdir, and a
-        # directory at summary.csv the last write, after the data was built.
-        nearest = next(p for p in (out_path / "runs", out_path, *out_path.parents) if p.exists())
-        _check_output(nearest, directory=True)
-        for name in ("summary.csv", "manifest.json"):
-            _check_output(out_path / name, directory=False)
+        summary_path, manifest_path = out_path / "summary.csv", out_path / "manifest.json"
+        for path in [summary_path, manifest_path, *(p for s in specs for p in s.files(out_path).values())]:
+            _check_writable(path)
     if "synthetic" in config.dataset:
         bundle = generate(SyntheticSpec(**config.dataset["synthetic"]))
     else:
@@ -385,11 +385,11 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None, jobs: int =
         where = "twice" if config.gallery_rule == "none" else "in two cameras"
         raise ConfigError(f"no test identity appears {where}, so under gallery_rule "
                           f"{config.gallery_rule!r} no run could be scored")
-    specs = enumerate_runs(config, bundle.n_cameras)
-    run_dirs = [None if out_path is None else out_path / "runs" / spec.run_id for spec in specs]
-    for run_dir in filter(None, run_dirs):
-        _check_output(run_dir, directory=True)
-    payloads = [(config, spec, bundle, run_dir) for spec, run_dir in zip(specs, run_dirs)]
+    for spec in specs:
+        if len(spec.order) != bundle.n_cameras:
+            raise ConfigError(f"order {spec.order_name} is for {len(spec.order)} cameras, "
+                              f"dataset has {bundle.n_cameras}")
+    payloads = [(config, s, bundle, None if out_path is None else s.files(out_path)) for s in specs]
     if jobs > 1 and len(specs) > 1:
         import multiprocessing as mp
 
@@ -401,8 +401,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None, jobs: int =
     failures = {s.run_id: r for s, r in zip(specs, results) if isinstance(r, str)}
     summary_rows = summarize([s for s in specs if s.run_id in reports], reports)
     if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
-        write_atomic(out_path / "summary.csv", _summary_csv(config, summary_rows))
+        write_atomic(summary_path, _summary_csv(config, summary_rows))
         manifest = {
             "config": asdict(config),
             "runs": [
@@ -414,7 +413,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None, jobs: int =
             ],
             "summary": "summary.csv",
         }
-        write_atomic(out_path / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+        write_atomic(manifest_path, json.dumps(manifest, indent=2) + "\n")
     return RunOutcome(out_path, reports, summary_rows, failures)
 
 

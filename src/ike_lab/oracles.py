@@ -14,49 +14,30 @@ import math
 import numpy as np
 
 
+def _first_argmax(values) -> int:
+    """Index of the first maximum of a nonempty sequence, by a plain scan."""
+    best = 0
+    for k in range(1, len(values)):
+        if values[k] > values[best]:
+            best = k
+    return best
+
+
 def mutual_argmax_oracle(cur_rows: np.ndarray, hist_rows: np.ndarray) -> list[int]:
     """Exhaustive mutual-argmax matching; -1 where no mutual pair exists.
     First maximum wins on ties in both directions."""
-    n_c = cur_rows.shape[0]
-    n_h = hist_rows.shape[0]
-    if n_h == 0:
-        return [-1] * n_c
+    if hist_rows.shape[0] == 0:
+        return [-1] * cur_rows.shape[0]
     scores = np.matmul(cur_rows, hist_rows.T).tolist()
-    row_best = []
-    for i in range(n_c):
-        best_j = 0
-        best = scores[i][0]
-        for j in range(1, n_h):
-            if scores[i][j] > best:
-                best = scores[i][j]
-                best_j = j
-        row_best.append(best_j)
-    col_best = []
-    for j in range(n_h):
-        best_i = 0
-        best = scores[0][j]
-        for i in range(1, n_c):
-            if scores[i][j] > best:
-                best = scores[i][j]
-                best_i = i
-        col_best.append(best_i)
-    return [row_best[i] if col_best[row_best[i]] == i else -1 for i in range(n_c)]
+    row_best = [_first_argmax(row) for row in scores]
+    col_best = [_first_argmax(col) for col in zip(*scores)]
+    return [j if col_best[j] == i else -1 for i, j in enumerate(row_best)]
 
 
 def one_way_argmax_oracle(cur_rows: np.ndarray, hist_rows: np.ndarray) -> list[int]:
     if hist_rows.shape[0] == 0:
         return [-1] * cur_rows.shape[0]
-    scores = np.matmul(cur_rows, hist_rows.T).tolist()
-    out = []
-    for row in scores:
-        best_j = 0
-        best = row[0]
-        for j in range(1, len(row)):
-            if row[j] > best:
-                best = row[j]
-                best_j = j
-        out.append(best_j)
-    return out
+    return [_first_argmax(row) for row in np.matmul(cur_rows, hist_rows.T).tolist()]
 
 
 def ap_oracle(scores, relevance) -> float | None:

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ike_lab.datasets import CameraDataset, SyntheticSpec, generate, load_dataset, save_dataset
+from ike_lab.datasets import (
+    MAX_PAIR_COS, CameraDataset, SyntheticSpec, generate, load_dataset, save_dataset,
+)
 from ike_lab.errors import ConfigError, DimensionMismatch, LabelOutOfRange, ParseError
 
 
@@ -75,7 +77,7 @@ class TestGenerate:
         bundle = generate(small_spec())
         P = bundle.prototypes
         sims = P @ P.T - np.eye(P.shape[0])
-        assert sims.max() <= 0.8 + 1e-12
+        assert sims.max() <= MAX_PAIR_COS + 1e-12
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
@@ -143,6 +145,32 @@ class TestSaveLoad:
         assert (loaded.test.X == bundle.test.X).all()
         assert (loaded.test.global_ids == bundle.test.global_ids).all()
         assert (loaded.test.camera_ids == bundle.test.camera_ids).all()
+
+    @pytest.mark.parametrize("killed_at", [0, 1, 2])
+    def test_interrupted_write_keeps_the_previous_files(self, tmp_path, monkeypatch, killed_at):
+        # A writer killed halfway through a file leaves a truncated temporary
+        # file beside it; each data file holds its old text or its new one.
+        names = ("train.csv", "test.csv", "manifest.json")
+        save_dataset(generate(small_spec(seed=6)), tmp_path / "new")
+        new = {name: (tmp_path / "new" / name).read_bytes() for name in names}
+        out = tmp_path / "bench"
+        save_dataset(generate(small_spec()), out)
+        old = {name: (out / name).read_bytes() for name in names}
+        write_text, calls = Path.write_text, []
+
+        def killed(self, text):
+            calls.append(self)
+            if len(calls) > killed_at:
+                write_text(self, text[: len(text) // 2])
+                raise RuntimeError("killed")
+            return write_text(self, text)
+
+        monkeypatch.setattr(Path, "write_text", killed)
+        with pytest.raises(RuntimeError, match="killed"):
+            save_dataset(generate(small_spec(seed=6)), out)
+        monkeypatch.undo()
+        for k, name in enumerate(names):
+            assert (out / name).read_bytes() == (new[name] if k < killed_at else old[name]), name
 
     def test_load_from_directory(self, tmp_path):
         bundle = generate(small_spec())

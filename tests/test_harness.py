@@ -82,6 +82,11 @@ class TestConfigValidation:
         {"gallery_rule": "nope"},
         {"encoder": {"hidden": [8]}},
         {"encoder": {"bogus": 3}},
+        {"sweep": {"lambda": [0.5, 2.0]}},
+        {"orders": ["T9"]},
+        {"orders": [[0, 0]]},
+        {"orders": ["T1", [0, 1, 2, 3, 4, 5]]},
+        {"variants": ["IKE", "IKE"]},
     ])
     def test_rejected_before_any_work(self, mutate):
         with pytest.raises(ConfigError):
@@ -119,6 +124,13 @@ class TestConfigValidation:
         ({"hyperparams": {"epochs": 2}}, "bad hyperparams"),
         ({"dataset": None}, "dataset must be"),
         ({"sweep": {"gamma": [1.0]}}, "unknown sweep axis 'gamma'"),
+        # The grid of runs is checked too, with no dataset read.
+        ({"sweep": {"lambda": [0.5, 2.0]}}, "sweep axis 'lambda': value 2.0 rejected"),
+        ({"orders": ["T9"]}, "unknown order preset 'T9'"),
+        ({"orders": [[0, 0]]}, "order [0, 0] is not a permutation of 0..1"),
+        ({"orders": ["T1", [0, 1, 2, 3, 4, 5]]},
+         "orders 'T1' and [0, 1, 2, 3, 4, 5] are the same camera order"),
+        ({"variants": ["IKE", "IKE"]}, "two runs share the run id 'IKE__T1__s0'"),
     ])
     def test_built_in_python_checked_as_from_dict(self, kwargs, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -146,32 +158,41 @@ class TestOrders:
         assert ORDER_PRESETS["T1"] == [0, 1, 2, 3, 4, 5]
 
     def test_resolve_explicit(self):
-        name, order = resolve_order([1, 0], 2)
+        name, order = resolve_order([1, 0])
         assert name == "o10"
         assert order == [1, 0]
 
-    def test_resolve_preset_wrong_camera_count(self):
-        with pytest.raises(ConfigError):
-            resolve_order("T1", 3)
+    def test_resolve_preset_wrong_camera_count(self, tmp_path, capsys):
+        # Only the dataset knows its camera count, so run checks it, once the
+        # data is read and before any run directory exists.
+        cfg_path = tmp_path / "cfg.json"
+        doc = tiny_config()
+        doc["dataset"]["synthetic"]["n_cameras"] = 3
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out), "--preset", "T1"]) == 2
+        assert "order T1 is for 6 cameras, dataset has 3" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ConfigError, match="order o01 is for 2 cameras, dataset has 3"):
+            run(ExperimentConfig.from_dict(doc), out_dir=out)
+        assert not out.exists()
 
     def test_non_permutation_rejected(self):
         with pytest.raises(ConfigError):
-            resolve_order([0, 0], 2)
+            resolve_order([0, 0])
 
     def test_expand_presets(self):
         assert expand_presets("T2") == ["T2"]
         assert expand_presets("T1,T3") == ["T1", "T3"]
         assert expand_presets("T1..T5") == ["T1", "T2", "T3", "T4", "T5"]
-        with pytest.raises(ConfigError):
-            expand_presets("T9")
 
 
 class TestSeeding:
     def test_stable_under_added_runs(self):
         cfg1 = ExperimentConfig.from_dict(tiny_config())
         cfg2 = ExperimentConfig.from_dict(tiny_config(variants=["BASELINE", "IKE"], seeds=[0, 1]))
-        runs1 = {s.run_id: s for s in enumerate_runs(cfg1, 2)}
-        runs2 = {s.run_id: s for s in enumerate_runs(cfg2, 2)}
+        runs1 = {s.run_id: s for s in enumerate_runs(cfg1)}
+        runs2 = {s.run_id: s for s in enumerate_runs(cfg2)}
         shared = set(runs1) & set(runs2)
         assert shared
         for rid in shared:
@@ -181,7 +202,7 @@ class TestSeeding:
 
     def test_different_runs_different_streams(self):
         cfg = ExperimentConfig.from_dict(tiny_config(variants=["BASELINE", "IKE"]))
-        specs = enumerate_runs(cfg, 2)
+        specs = enumerate_runs(cfg)
         seeds = {derive_run_seed(s).entropy for s in specs}
         assert len(seeds) == len(specs)
 
@@ -357,6 +378,28 @@ class TestRun:
         assert after == run(fresh_cfg).reports
         assert after != before
 
+    @pytest.mark.parametrize("dataset", ["synthetic", "features"])
+    def test_check_reads_every_file_written(self, tmp_path, monkeypatch, dataset):
+        # The pre-run check and the writers take a run's paths from one
+        # place, so a writer that adds or moves a file unchecked fails here.
+        # The features name their cameras 5 and 15; the snapshot is named by
+        # the camera's index, which is known before the data is read.
+        doc = tiny_config(variants=["BASELINE", "IKE"])
+        if dataset == "features":
+            data = tmp_path / "data"
+            save_dataset(generate(SyntheticSpec(**doc["dataset"]["synthetic"])), data)
+            for name in ("train.csv", "test.csv"):
+                header, *rows = (data / name).read_text().splitlines()
+                rows = [",".join([str(10 * int(r.split(",")[0]) + 5), *r.split(",")[1:]]) for r in rows]
+                (data / name).write_text("\n".join([header, *rows]) + "\n")
+            doc["dataset"] = {"features": str(data)}
+        checked, check = [], harness._check_writable
+        monkeypatch.setattr(harness, "_check_writable", lambda path: checked.append(path) or check(path))
+        out = tmp_path / "out"
+        run(ExperimentConfig.from_dict(doc), out_dir=out)
+        assert sorted(checked) == sorted(p for p in out.rglob("*") if p.is_file())
+        assert len(checked) == 2 + 2 * 5  # summary, manifest; per run 3 files and 1 snapshot
+
     def test_no_output_dir(self):
         cfg = ExperimentConfig.from_dict(tiny_config())
         outcome = run(cfg, out_dir=None)
@@ -495,11 +538,12 @@ class TestCli:
         assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("taken, out", [("out", "out"), ("out/runs", "out"), ("out", "out/sub")])
+    @pytest.mark.parametrize("taken, out", [("out", "out"), ("out/runs", "out"), ("out", "out/sub"),
+                                            ("out/runs/IKE__o01__s0/checkpoints", "out")])
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_out_naming_a_file_exit_2_before_any_data(self, tmp_path, capsys, monkeypatch, taken, out, jobs):
-        # A file where the output directory, its runs/ or an ancestor belongs
-        # would stop the first run's mkdir, after the dataset was built.
+        # A file where the output directory, a directory in it or an ancestor
+        # belongs would stop a run's first write, after the dataset was built.
         monkeypatch.setattr(harness, "generate", lambda spec: pytest.fail("dataset generated"))
         (tmp_path / taken).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / taken).write_text("kept")
@@ -510,23 +554,29 @@ class TestCli:
         assert f"output path {tmp_path / taken} exists and is not a directory" in capsys.readouterr().err
         assert (tmp_path / taken).read_text() == "kept"
 
-    @pytest.mark.parametrize("name", ["summary.csv", "manifest.json"])
+    @pytest.mark.parametrize("name", [
+        "summary.csv", "manifest.json",
+        *(f"runs/IKE__o01__s0/{name}" for name in ("metrics.json", "metrics.csv", "train_log.csv")),
+        *(f"runs/IKE__o01__s0/checkpoints/step01_cam1/{name}" for name in ("encoder.json", "memory.json")),
+    ])
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_summary_path_naming_a_directory_exit_2_before_any_data(self, tmp_path, capsys, monkeypatch,
                                                                     name, jobs):
-        # The grid's last writes would fail there, after every run trained.
+        # The write there would fail, after the run or the whole grid trained.
         monkeypatch.setattr(harness, "generate", lambda spec: pytest.fail("dataset generated"))
         out = tmp_path / "out"
         (out / name).mkdir(parents=True)
+        before = sorted(out.rglob("*"))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config(variants=["BASELINE", "IKE"])))
         rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out), "--jobs", jobs])
         assert rc == 2
         assert f"output path {out / name} exists and is a directory" in capsys.readouterr().err
-        assert not (out / "runs").exists()
+        assert sorted(out.rglob("*")) == before
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_run_directory_naming_a_file_exit_2_before_any_run(self, tmp_path, capsys, jobs):
+    def test_run_directory_naming_a_file_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch, jobs):
+        monkeypatch.setattr(harness, "generate", lambda spec: pytest.fail("dataset generated"))
         out = tmp_path / "out"
         taken = out / "runs" / "IKE__o01__s0"
         taken.parent.mkdir(parents=True)
@@ -813,6 +863,18 @@ class TestCli:
                        "--axis", "lambda=0.1", "--axis", "lambda=0.9"])
         assert rc == 2
         assert "'lambda' given twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("preset, message", [
+        ("T9", "unknown order preset 'T9'"), (",", "orders must be a nonempty list"),
+    ])
+    def test_bad_preset_exit_2_before_any_data(self, tmp_path, capsys, monkeypatch, preset, message):
+        monkeypatch.setattr(harness, "generate", lambda spec: pytest.fail("dataset generated"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config()))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out), "--preset", preset]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_reversed_preset_range_exit_2(self, tmp_path, capsys):

@@ -118,10 +118,15 @@ MEMORY_DOC = {"dim": 2, "rows": [[1.0, 0.0], [0.0, 1.0]], "provenance": [4, 9]}
      r"widths\[2\] must be int"),
     ("encoder.json", lambda doc: {**doc, "blocks": [{"W": [[1.0, 0.0]] * 3}] * 3}, load_encoder,
      "block 1: KeyError"),
+    ("encoder.json", lambda doc: {**doc, "blocks": [
+        doc["blocks"][0], {**doc["blocks"][1], "b": doc["blocks"][1]["b"][:-1]}, doc["blocks"][2],
+    ]}, load_encoder, "block 2 has inconsistent shapes"),
+    ("encoder.json", lambda doc: {"widths": doc["widths"][:3], "blocks": doc["blocks"][:2]}, load_encoder,
+     "encoder needs at least 3 blocks"),
 ], ids=["memory-bad-json", "memory-not-object", "memory-no-dim", "memory-no-rows",
         "memory-float-tag", "memory-bool-tag", "memory-tag-count", "memory-bad-value",
         "encoder-bad-json", "encoder-no-widths", "encoder-few-widths", "encoder-many-widths",
-        "encoder-float-width", "encoder-no-bias"])
+        "encoder-float-width", "encoder-no-bias", "encoder-short-bias", "encoder-two-blocks"])
 def test_malformed_snapshot_named(tmp_path, name, text, load, match):
     if callable(text):
         text = json.dumps(text(_encoder_doc(tmp_path)))
