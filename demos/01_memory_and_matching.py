@@ -11,7 +11,6 @@ import numpy as np
 from ike_lab import (
     IdentityMemory,
     association_precision,
-    cosine_scores,
     cycle_match,
     iku_merge,
     momentum_update,
@@ -40,7 +39,7 @@ cur = IdentityMemory(
 )
 
 print("similarity of current identity 1 (person B) to history rows (A, B, C):")
-print("  ", np.round(cosine_scores(cur.rows[1], hist), 3))
+print("  ", np.round(hist.rows @ cur.rows[1], 3))
 
 assoc = cycle_match(cur, hist)
 print("\nmutual-argmax matches (current index -> historical index, -1 = new):")
@@ -51,9 +50,9 @@ print(f"association precision: {prec.correct}/{prec.discovered} = {prec.precisio
 
 # A fresh observation of person B nudges its memory row (90% new feature).
 f_new = unit(people["B"] + 0.05 * rng.normal(size=8))
-before = cosine_scores(f_new, cur)[1]
+before = (cur.rows @ f_new)[1]
 momentum_update(cur, np.array([1]), f_new[None], omega=0.1)
-after = cosine_scores(f_new, cur)[1]
+after = (cur.rows @ f_new)[1]
 print(f"\nmomentum update moved row B toward the new feature: {before:.4f} -> {after:.4f}")
 
 merged = iku_merge(hist, cur, assoc, lam=0.25)

@@ -31,5 +31,5 @@ hyper = Hyperparams()
 print("\nmax relative error, analytic vs central finite differences (step 1e-5):")
 for term in GRAD_TERMS:
     closure = make_loss_closure(term, hist_params, X, y, y_hist, cur_mem, hist_mem, hyper)
-    err = grad_check(params, closure, step=1e-5)
+    err = grad_check(params, closure)
     print(f"  {term:<8} {err:.3e}")

@@ -69,7 +69,6 @@ from .losses import LossBreakdown, loss_id, loss_id_hist, loss_kd, loss_mkd
 from .memory import (
     NO_MATCH,
     IdentityMemory,
-    cosine_scores,
     empty_memory,
     init_memory,
     iku_merge,

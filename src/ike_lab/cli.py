@@ -25,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute the configured experiment grid")
     p_run.add_argument("--config", required=True, help="experiment config (JSON)")
     p_run.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-    p_run.add_argument("--out", default=None, help="output directory (overrides config)")
+    p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override the seed list with one seed")
     p_run.add_argument(
         "--axis", action="append", metavar="NAME=V0,V1,...",

@@ -32,6 +32,9 @@ MIDDLE_TAPS = (2, 3)
 # Adam's moment decay rates and denominator guard.
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
+# grad_check's central-difference step.
+FD_STEP = 1e-5
+
 
 def _block_views(flat: np.ndarray, widths: tuple[int, ...]):
     """Weight and bias views of each block, laid out in flat as
@@ -187,9 +190,10 @@ def backward(
     return grads
 
 
-def grad_check(params, loss_closure, step: float = 1e-5) -> float:
+def grad_check(params, loss_closure) -> float:
     """Max relative error between the closure's analytic gradients and
-    central finite differences, the one finite-difference rule.
+    central finite differences of step FD_STEP, the one finite-difference
+    rule.
 
     loss_closure(params) -> (scalar value, gradient). params is EncoderParams
     with ParamGrads gradients, or any float array with a gradient array of
@@ -200,12 +204,12 @@ def grad_check(params, loss_closure, step: float = 1e-5) -> float:
     max_err = 0.0
     for k in range(len(flat)):
         orig = flat[k]
-        flat[k] = orig + step
+        flat[k] = orig + FD_STEP
         fp = loss_closure(params)[0]
-        flat[k] = orig - step
+        flat[k] = orig - FD_STEP
         fm = loss_closure(params)[0]
         flat[k] = orig
-        numeric = (fp - fm) / (2.0 * step)
+        numeric = (fp - fm) / (2.0 * FD_STEP)
         err = abs(gflat[k] - numeric) / max(1.0, abs(numeric))
         if err > max_err:
             max_err = err

@@ -112,11 +112,16 @@ def read_json_object(
     return doc
 
 
+def temporary_path(path: Path) -> Path:
+    """The file beside path that write_atomic writes and renames to path."""
+    return path.with_name(path.name + ".tmp")
+
+
 def write_atomic(path: Path, text: str) -> None:
-    """Make path's directory, then write text to a temporary file beside it
-    and rename that, so a killed writer never leaves a truncated file."""
+    """Make path's directory, then write text to temporary_path(path) and
+    rename that, so a killed writer never leaves a truncated file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = temporary_path(path)
     tmp.write_text(text)
     os.replace(tmp, path)
 

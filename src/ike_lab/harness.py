@@ -30,7 +30,7 @@ import numpy as np
 from .association import cycle_match
 from .datasets import DatasetBundle, SyntheticSpec, TestSplit, generate, load_dataset
 from .encoder import EncoderParams, forward_batch, grad_check, init_encoder, save_encoder
-from .errors import ConfigError, EmptyGallery, LabError, check_kind, write_atomic
+from .errors import ConfigError, EmptyGallery, LabError, check_kind, temporary_path, write_atomic
 from .evaluation import GALLERY_RULES, MetricsReport, evaluate_map, has_scorable_query
 from .losses import TERMS
 from .memory import IdentityMemory, empty_memory, iku_merge, momentum_update, save_memory, unit_rows
@@ -75,7 +75,6 @@ class ExperimentConfig:
     encoder: dict = field(default_factory=_default_encoder)
     sweep: dict[str, list[float]] | None = None
     gallery_rule: str = "camera"
-    out: str | None = None
 
     def __post_init__(self) -> None:
         dataset = self.dataset
@@ -120,8 +119,6 @@ class ExperimentConfig:
                     raise ConfigError(f"sweep axis {axis!r} needs a nonempty value list")
         if self.gallery_rule not in GALLERY_RULES:
             raise ConfigError(f"gallery_rule must be one of {GALLERY_RULES}")
-        if self.out is not None:
-            check_kind("out", self.out, "str")
         enumerate_runs(self)
 
     @classmethod
@@ -343,10 +340,12 @@ def _run_one(payload: tuple) -> MetricsReport | str:
 
 
 def _check_writable(path: Path) -> None:
-    """ConfigError naming what would stop a write to path: path as a
-    directory, or the nearest existing entry above it as anything else."""
-    if path.is_dir():
-        raise ConfigError(f"output path {path} exists and is a directory")
+    """ConfigError naming what would stop write_atomic writing path: path or
+    its temporary file as a directory, or the nearest existing entry above
+    them as anything else."""
+    for target in (path, temporary_path(path)):
+        if target.is_dir():
+            raise ConfigError(f"output path {target} exists and is a directory")
     nearest = next(p for p in path.parents if p.exists())
     if not nearest.is_dir():
         raise ConfigError(f"output path {nearest} exists and is not a directory")
@@ -369,8 +368,7 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None, jobs: int =
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     specs = enumerate_runs(config)
-    out = out_dir if out_dir is not None else config.out
-    out_path = Path(out) if out is not None else None
+    out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         summary_path, manifest_path = out_path / "summary.csv", out_path / "manifest.json"
         for path in [summary_path, manifest_path, *(p for s in specs for p in s.files(out_path).values())]:
@@ -511,20 +509,15 @@ def grad_fixture(rng: np.random.Generator, widths: list[int]):
     return params, hist_params, X, y, y_hist, cur_memory, hist_memory
 
 
-def check_gradients(rng: np.random.Generator, widths: list[int], batches: int, fault: str | None):
+def check_gradients(rng: np.random.Generator, widths: list[int], batches: int):
     """Worst relative error per term between analytic gradients and central
-    differences; fault names a term whose gradient is perturbed first."""
+    differences."""
     worst = dict.fromkeys(GRAD_TERMS, 0.0)
     for _ in range(batches):
         params, *rest = grad_fixture(rng, widths)
         for term in GRAD_TERMS:
             closure = make_loss_closure(term, *rest, Hyperparams(tau=0.05))
-            if term == fault:
-                def closure(p, exact=closure):
-                    value, grads = exact(p)
-                    grads.weights[0][...] += 1e-3
-                    return value, grads
-            worst[term] = max(worst[term], grad_check(params, closure, step=1e-5))
+            worst[term] = max(worst[term], grad_check(params, closure))
     return worst
 
 
@@ -626,10 +619,9 @@ class SelftestReport:
 SELFTEST_SEED = 2024
 
 
-def selftest(fault: str | None = None) -> SelftestReport:
+def selftest() -> SelftestReport:
     """The four oracle checks at small sizes (acceptance criteria 1-4 run
-    them at full size). fault names a loss term whose analytic gradient is
-    perturbed before checking; used as a negative control in tests."""
+    them at full size)."""
     report = SelftestReport()
     rng = np.random.default_rng(SELFTEST_SEED)
     report.add("cycle-match", "mismatches", check_cycle_match(rng, 200, 39, [8, 16])[0], 0)
@@ -641,6 +633,6 @@ def selftest(fault: str | None = None) -> SelftestReport:
     report.add("retrieval-map", "disagree", disagreements, 0)
     report.add("retrieval-map", "unscored", 40 - n_scored, 0)
     # Four blocks make tap 3 a tanh output; criterion 2's three, the pre-normalization one.
-    for term, err in check_gradients(rng, [6, 8, 8, 8, 6], 1, fault).items():
+    for term, err in check_gradients(rng, [6, 8, 8, 8, 6], 1).items():
         report.add("gradients", term, err, 1e-6)
     return report

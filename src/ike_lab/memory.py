@@ -1,6 +1,6 @@
 """Identity memory: one unit-norm embedding row per identity, plus the rules
-that score, build, and evolve it (momentum blending, rotation into a new
-model's space, and merge/expansion).
+that build and evolve it (momentum blending, rotation into a new model's
+space, and merge/expansion).
 
 Building, blending and merging all normalize through one rule, _unit. Each
 works on whole arrays and is bitwise the per-identity or per-sample loop
@@ -18,10 +18,10 @@ import numpy as np
 
 from .errors import (
     DEGENERATE_NORM,
+    DegenerateEmbedding,
     DegenerateMean,
     DimensionMismatch,
     EmptyBatch,
-    EmptyMemory,
     IndexOutOfRange,
     LabError,
     MissingLabel,
@@ -108,25 +108,13 @@ def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return M / np.linalg.norm(M, axis=1, keepdims=True)
 
 
-def cosine_scores(f: np.ndarray, memory: IdentityMemory) -> np.ndarray:
-    """Similarity of one embedding against every memory row.
-
-    Rows and f are unit vectors, so the dot product is the cosine; higher
-    means more similar.
-    """
-    if len(memory) == 0:
-        raise EmptyMemory("cannot score against a memory with no identities")
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (memory.dim,):
-        raise ShapeMismatch(f"embedding shape {f.shape} vs memory dim {memory.dim}")
-    return memory.rows @ f
-
-
 def init_memory(params: "EncoderParams", dataset: "CameraDataset") -> IdentityMemory:
     """Build a memory from a dataset: row y = normalized mean embedding of
     all images labelled y. Row order follows the label index. Each sum
     starts from the identity's first row and adds the others in order of
-    occurrence, as feats[labels == y].mean(axis=0) does."""
+    occurrence, as feats[labels == y].mean(axis=0) does. An embedding that
+    is not finite (a model that diverged on its last step) raises
+    DegenerateEmbedding naming the camera."""
     from .encoder import forward_batch
 
     if dataset.X.shape[0] == 0:
@@ -136,6 +124,8 @@ def init_memory(params: "EncoderParams", dataset: "CameraDataset") -> IdentityMe
     if not counts.all():
         raise MissingLabel(f"label {np.flatnonzero(counts == 0)[0]} has no images")
     feats = forward_batch(params, dataset.X).embeddings
+    if not np.isfinite(feats).all():
+        raise DegenerateEmbedding(f"camera {dataset.camera_id}: an embedding is not finite")
     first = np.unique(labels, return_index=True)[1]
     rest = np.delete(np.arange(labels.size), first)
     sums = feats[first]

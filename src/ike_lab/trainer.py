@@ -90,6 +90,11 @@ POLICIES = {
 }
 
 
+# The optimizer recipe: Adam's L2 weight decay, and the step schedule that
+# multiplies the learning rate by LR_DECAY every LR_STEP epochs.
+WEIGHT_DECAY, LR_DECAY, LR_STEP = 5e-4, 0.1, 15
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Training hyperparameters, checked when built: a Hyperparams that
@@ -99,9 +104,6 @@ class Hyperparams:
     omega: float = 0.1
     lam: float = 0.25
     lr: float = 3.5e-4
-    weight_decay: float = 5e-4
-    lr_decay: float = 0.1
-    lr_step: int = 15
     epochs: int = 30
     batch_size: int = 64
 
@@ -113,15 +115,13 @@ class Hyperparams:
             raise ConfigError("omega must lie in [0, 1]")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError("lambda must lie in [0, 1]")
-        if self.lr <= 0 or self.weight_decay < 0:
-            raise ConfigError("lr must be positive and weight_decay nonnegative")
-        if not 0.0 < self.lr_decay <= 1.0 or self.lr_step < 1:
-            raise ConfigError("lr_decay in (0, 1] and lr_step >= 1 required")
+        if self.lr <= 0:
+            raise ConfigError("lr must be positive")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs >= 0 and batch_size >= 1 required")
 
     def lr_at(self, epoch: int) -> float:
-        return self.lr * self.lr_decay ** (epoch // self.lr_step)
+        return self.lr * LR_DECAY ** (epoch // LR_STEP)
 
 
 @dataclass
@@ -279,7 +279,7 @@ def train_camera(
         hist_feats = (out_h.embeddings, *out_h.middles)
         del out_h
 
-    opt = Adam(cur_params, hyper.weight_decay)
+    opt = Adam(cur_params, WEIGHT_DECAY)
     N = len(dataset)
     for epoch in range(hyper.epochs):
         lr = hyper.lr_at(epoch)

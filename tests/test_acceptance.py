@@ -69,7 +69,7 @@ class TestCriterion1CycleMatchOracle:
 class TestCriterion2GradientSuite:
     def test_finite_difference_all_terms(self):
         t0 = time.perf_counter()
-        worst = check_gradients(np.random.default_rng(77), [6, 8, 8, 6], 50, None)
+        worst = check_gradients(np.random.default_rng(77), [6, 8, 8, 6], 50)
         elapsed = time.perf_counter() - t0
         ok = all(v <= 1e-6 for v in worst.values()) and elapsed < 30.0
         detail = ", ".join(f"{t}={v:.2e}" for t, v in worst.items())

@@ -108,7 +108,7 @@ class TestBackward:
         params = init_encoder([4, 6, 6, 5], rng)
         X = rng.normal(size=(3, 4))
         target = unit_rows(rng, 3, 5)
-        err = grad_check(params, quadratic_closure(X, target), step=1e-5)
+        err = grad_check(params, quadratic_closure(X, target))
         assert err <= 1e-6
 
     @pytest.mark.parametrize("widths,tap_dims", [
@@ -129,7 +129,7 @@ class TestBackward:
             grads = backward(out, np.zeros_like(out.embeddings), d2, d3)
             return value, grads
 
-        assert grad_check(params, closure, step=1e-5) <= 1e-6
+        assert grad_check(params, closure) <= 1e-6
 
     def test_normalization_jacobian_orthogonal_to_embedding(self, rng, small_encoder):
         # Numeric directional derivative of the embedding along itself (via

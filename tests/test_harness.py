@@ -136,6 +136,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=re.escape(message)):
             ExperimentConfig(**{"dataset": tiny_config()["dataset"], **kwargs})
 
+    def test_readme_config_builds(self):
+        # The README's example is a config, checked as one, so the document
+        # and the config keys cannot drift apart.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        assert len(blocks) == 1
+        cfg = ExperimentConfig.from_dict(json.loads(blocks[0]))
+        assert len(enumerate_runs(cfg)) == 2 * 6 * 5 * 5  # orders, variants, seeds, lambdas
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file(tmp_path / "none.json")
@@ -415,8 +424,23 @@ class TestSelftest:
         assert "PASS" in table
 
     @pytest.mark.parametrize("term", GRAD_TERMS)
-    def test_fault_injection_fails_named_term(self, term):
-        report = selftest(fault=term)
+    def test_fault_injection_fails_named_term(self, monkeypatch, term):
+        make_exact = harness.make_loss_closure
+
+        def make_faulty(name, *args):
+            exact = make_exact(name, *args)
+            if name != term:
+                return exact
+
+            def closure(p):
+                value, grads = exact(p)
+                grads.weights[0][...] += 1e-3
+                return value, grads
+
+            return closure
+
+        monkeypatch.setattr(harness, "make_loss_closure", make_faulty)
+        report = selftest()
         assert not report.passed
         failing = {(suite, detail) for suite, detail, *_, ok in report.rows if not ok}
         assert failing == {("gradients", term)}
@@ -425,7 +449,7 @@ class TestSelftest:
     def test_grad_check_walks_the_whole_vector(self, term):
         params, *rest = grad_fixture(np.random.default_rng(7), [6, 8, 8, 8, 6])
         closure = make_loss_closure(term, *rest, Hyperparams(tau=0.05))
-        assert grad_check(params, closure, step=1e-5) <= 1e-6
+        assert grad_check(params, closure) <= 1e-6
         # A fault in the first or the last entry of the vector must show.
         for k in (0, params.flat.size - 1):
             def faulty(p, k=k):
@@ -433,7 +457,7 @@ class TestSelftest:
                 grads.flat[k] += 1e-3
                 return value, grads
 
-            assert grad_check(params, faulty, step=1e-5) >= 1e-4
+            assert grad_check(params, faulty) >= 1e-4
 
     def test_term_closures_sum_to_the_training_step(self):
         # The per-term closures cut IKE's row to one term; summed in TERMS
@@ -555,8 +579,9 @@ class TestCli:
         assert (tmp_path / taken).read_text() == "kept"
 
     @pytest.mark.parametrize("name", [
-        "summary.csv", "manifest.json",
-        *(f"runs/IKE__o01__s0/{name}" for name in ("metrics.json", "metrics.csv", "train_log.csv")),
+        "summary.csv", "manifest.json", "summary.csv.tmp",
+        *(f"runs/IKE__o01__s0/{name}" for name in ("metrics.json", "metrics.csv", "train_log.csv",
+                                                   "metrics.json.tmp")),
         *(f"runs/IKE__o01__s0/checkpoints/step01_cam1/{name}" for name in ("encoder.json", "memory.json")),
     ])
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -590,26 +615,33 @@ class TestCli:
         assert taken.read_text() == "kept"
 
     def test_config_out_naming_a_file_exit_2(self, tmp_path, capsys):
+        # --out alone names the output directory; a config that names one
+        # too is rejected, and the file it names is left as it was.
         out = tmp_path / "taken"
         out.write_text("kept")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config(out=str(out))))
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
-        assert f"output path {out} exists and is not a directory" in capsys.readouterr().err
+        assert "unknown config keys: ['out']" in capsys.readouterr().err
         assert out.read_text() == "kept"
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_diverging_run_exit_1_and_no_nan_written(self, tmp_path, capsys, jobs):
+    @pytest.mark.parametrize("hyper, message", [
         # lr = 1e300 overflows the encoder after the first step, so every
         # run's losses turn NaN in camera 0's first epoch.
+        ({"epochs": 2, "batch_size": 8, "lr": 1e300}, "camera 0, epoch 0: mean loss term"),
+        # One batch per epoch: the epoch's mean loss is finite, and its one
+        # step sends the embeddings that rebuild the memory non-finite.
+        ({"epochs": 1, "batch_size": 64, "lr": 1e308}, "camera 0: an embedding is not finite"),
+    ], ids=["loss", "embedding"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_diverging_run_exit_1_and_no_nan_written(self, tmp_path, capsys, jobs, hyper, message):
         cfg_path = tmp_path / "cfg.json"
-        hyper = {"epochs": 2, "batch_size": 8, "lr": 1e300}
         cfg_path.write_text(json.dumps(tiny_config(variants=["BASELINE", "IKE"], hyperparams=hyper)))
         out = tmp_path / "out"
         with np.errstate(all="ignore"):
             rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out), "--jobs", str(jobs)])
         assert rc == 1
-        assert "camera 0, epoch 0: mean loss term" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not list(out.rglob("metrics.json"))
         assert not list(out.rglob("checkpoints"))
         for path in out.rglob("*"):
@@ -748,6 +780,9 @@ class TestCli:
         (tiny_config(dataset={"features": 5}), "dataset.features"),
         (tiny_config(out=5), "out"),
         (tiny_config(hyperparams=[1]), "hyperparams"),
+        # The optimizer recipe is fixed, not a setting.
+        *((tiny_config(hyperparams={key: value}), f"unexpected keyword argument '{key}'")
+          for key, value in (("weight_decay", 5e-4), ("lr_decay", 0.1), ("lr_step", 15))),
     ])
     def test_config_of_wrong_shape_exit_2(self, tmp_path, capsys, doc, key):
         cfg_path = tmp_path / "cfg.json"

@@ -13,7 +13,6 @@ from ike_lab.encoder import forward_batch, init_encoder
 from ike_lab.errors import (
     DegenerateMean,
     DimensionMismatch,
-    EmptyMemory,
     IndexOutOfRange,
     MissingLabel,
     ShapeMismatch,
@@ -21,8 +20,6 @@ from ike_lab.errors import (
 from ike_lab.memory import (
     IdentityMemory,
     align_memory,
-    cosine_scores,
-    empty_memory,
     init_memory,
     iku_merge,
     load_memory,
@@ -32,37 +29,6 @@ from ike_lab.memory import (
 )
 
 from builders import manual_camera
-
-
-class TestCosineScores:
-    def test_orthonormal_basis(self):
-        M = IdentityMemory(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        scores = cosine_scores(np.array([1.0, 0.0]), M)
-        assert scores.tolist() == [1.0, 0.0]
-
-    def test_self_similarity_is_unique_max(self, rng):
-        M = IdentityMemory(unit_rows(rng, 6, 5))
-        k = 3
-        scores = cosine_scores(M.rows[k], M)
-        assert scores[k] == pytest.approx(1.0, abs=1e-12)
-        assert np.argmax(scores) == k
-        assert (np.delete(scores, k) < scores[k]).all()
-
-    def test_matches_dot_product_oracle(self, rng):
-        M = IdentityMemory(unit_rows(rng, 32, 8))
-        f = unit_rows(rng, 1, 8)[0]
-        want = np.array([math.fsum(float(a) * float(b) for a, b in zip(f, row)) for row in M.rows])
-        got = cosine_scores(f, M)
-        assert np.max(np.abs(got - want)) <= 1e-12
-
-    def test_empty_memory_rejected(self):
-        with pytest.raises(EmptyMemory):
-            cosine_scores(np.array([1.0, 0.0]), empty_memory(2))
-
-    def test_dimension_mismatch(self, rng):
-        M = IdentityMemory(unit_rows(rng, 3, 4))
-        with pytest.raises(ShapeMismatch):
-            cosine_scores(np.ones(5), M)
 
 
 class TestInitMemory:

@@ -44,8 +44,10 @@ class TestHyperparams:
     def test_defaults_match_contract(self):
         h = Hyperparams()
         assert (h.tau, h.omega, h.lam) == (0.05, 0.1, 0.25)
-        assert (h.lr, h.weight_decay) == (3.5e-4, 5e-4)
-        assert (h.lr_decay, h.lr_step, h.epochs, h.batch_size) == (0.1, 15, 30, 64)
+        assert (h.lr, h.epochs, h.batch_size) == (3.5e-4, 30, 64)
+        assert [f.name for f in dataclasses.fields(h)] == ["tau", "omega", "lam", "lr", "epochs", "batch_size"]
+        # The optimizer recipe is fixed, not a setting.
+        assert (trainer.WEIGHT_DECAY, trainer.LR_DECAY, trainer.LR_STEP) == (5e-4, 0.1, 15)
 
     def test_lr_schedule(self):
         h = Hyperparams()
@@ -56,13 +58,13 @@ class TestHyperparams:
 
     @pytest.mark.parametrize("bad", [
         dict(tau=0.0), dict(omega=1.5), dict(lam=-0.1), dict(lr=0.0),
-        dict(lr_decay=0.0), dict(lr_step=0), dict(epochs=-1), dict(batch_size=0),
+        dict(omega=-0.1), dict(lam=1.5), dict(epochs=-1), dict(batch_size=0),
     ])
     def test_validation(self, bad):
         with pytest.raises(ConfigError):
             Hyperparams(**bad)
 
-    @given(st.sampled_from(["tau", "lr", "weight_decay"]),
+    @given(st.sampled_from(["tau", "omega", "lam", "lr"]),
            st.sampled_from([math.nan, math.inf, -math.inf]))
     def test_non_finite_rejected_by_name(self, key, value):
         with pytest.raises(ConfigError, match=key):
