@@ -50,7 +50,8 @@ class EmptyBatch(LabError):
 
 
 class DegenerateEmbedding(LabError):
-    """The pre-normalization encoder output has near-zero norm."""
+    """An encoder output is unusable: near-zero norm before normalization,
+    or not finite."""
 
 
 class ConfigError(LabError):

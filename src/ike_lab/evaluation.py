@@ -6,9 +6,11 @@ queries with no relevant item are skipped rather than scored zero. Queries
 are ranked one camera block at a time against the block's shared gallery,
 with one gemm score block per chunk of query rows. The ranking reads only a
 row's relevant pairs, the few gallery items that share its identity, and
-the items scoring at or above the lowest of them. A relevant item's rank is
-the number of gallery items that score above it, plus those that tie with
-it at a lower gallery index; equal embeddings tie exactly.
+the items scoring at or above the lowest of them, ordered by one stable sort
+per chunk. A relevant item's rank is the number of gallery items that score
+above it, plus those that tie with it at a lower gallery index; equal
+embeddings tie exactly. Each AP is summed over the prefix of its row's zero
+vector that holds its terms, which gives the bits of the whole vector's sum.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import TestSplit
-from .errors import ConfigError, EmptyGallery, NoRelevant, ShapeMismatch
+from .errors import ConfigError, DegenerateEmbedding, EmptyGallery, NoRelevant, ShapeMismatch
 from .encoder import EncoderParams, forward_batch
 
 GALLERY_RULES = ("camera", "camera-id", "none")
@@ -75,8 +77,12 @@ def evaluate_map(
     gallery items scoring above it plus those scoring the same at a lower
     gallery index, the order a stable sort on -score gives. Only items
     scoring at or above a row's lowest relevant score can precede a
-    relevant item, so one lexsort of those on (row, -score), stable in
-    gallery index, gives every relevant rank of the chunk.
+    relevant item, so one stable sort of those on a complex key, row plus
+    -score times i, gives every relevant rank of the chunk. Each row's AP
+    terms are summed over the prefix of its zero vector that numpy's
+    pairwise sum adds to the same bits as the whole vector.
+
+    An embedding that is not finite raises DegenerateEmbedding.
     """
     if gallery_rule not in GALLERY_RULES:
         raise ConfigError(f"gallery_rule must be one of {GALLERY_RULES}")
@@ -84,6 +90,8 @@ def evaluate_map(
     if N == 0:
         raise EmptyGallery("empty test split")
     F = forward_batch(params, test.X).embeddings
+    if not np.isfinite(F).all():
+        raise DegenerateEmbedding("evaluation: an embedding is not finite")
     # Adding 0.0 turns -0.0 into 0.0, so equal embeddings have equal bytes.
     row_bytes = (F + 0.0).view(np.dtype((np.void, F.itemsize * F.shape[1])))[:, 0]
     embedding_of = np.unique(row_bytes, return_inverse=True)[1]
@@ -160,7 +168,12 @@ def _block_aps(
     """AP of each C-contiguous score row against its gallery, NaN for a row
     with nothing relevant. (pair_rows, pair_cols) are the relevant cells, in
     any order. A row's gallery is lengths[row] of its columns; the others
-    hold -inf. scores is overwritten: its buffer is reused for the AP sums."""
+    hold -inf. scores is overwritten: its buffer is reused for the AP sums.
+
+    The cells scoring at or above a row's lowest relevant score are ranked
+    by one stable sort on the complex key row + i * (-score). Each AP sums
+    only the prefix of its row's zero vector that holds its terms, which
+    gives the bits average_precision gives over the whole vector."""
     R, L = scores.shape
     flat = scores.reshape(-1)
     cells = pair_rows * L + pair_cols
@@ -174,7 +187,13 @@ def _block_aps(
     # lowest, so each is found in it.
     relevant = np.zeros(at.size, dtype=bool)
     relevant[np.searchsorted(at, cells)] = True
-    order = np.lexsort((-flat[at], at_row))
+    # numpy sorts complex numbers by real part, then imaginary part, so one
+    # stable sort of (row, -score) orders the cells as a lexsort would, ties
+    # in gallery order since at is.
+    key = np.empty(at.size, dtype=np.complex128)
+    key.real = at_row
+    np.negative(flat[at], out=key.imag)
+    order = np.argsort(key, kind="stable")
     hits = np.flatnonzero(relevant[order])
     row = at_row[order[hits]]
     rank = hits - (np.cumsum(counts) - counts)[row]
@@ -183,16 +202,34 @@ def _block_aps(
     # Each row's terms go into a zero vector as long as its gallery and are
     # summed pairwise, as average_precision does, so AP does not depend on
     # how the ranks were found. Rows are grouped by gallery length for that,
-    # and each group's zero block is laid out in the scores' buffer.
+    # and the prefix of each group's zero block that holds its terms is laid
+    # out in the scores' buffer.
     aps = np.full(R, np.nan)
     for length in np.unique(lengths[n_rel > 0]):
         group = np.flatnonzero((lengths == length) & (n_rel > 0))
         mine = lengths[row] == length
-        block = flat[: group.size * length].reshape(group.size, length)
+        width = _summed_prefix(int(length), int(rank[mine].max()) + 1)
+        block = flat[: group.size * width].reshape(group.size, width)
         block.fill(0.0)
         block[np.searchsorted(group, row[mine]), rank[mine]] = terms[mine]
         aps[group] = block.sum(axis=1) / n_rel[group]
     return aps
+
+
+def _summed_prefix(length: int, depth: int) -> int:
+    """How many leading entries of a length-long vector whose nonzero
+    entries all lie in its first depth sum, pairwise, to the same bits as the
+    whole vector. numpy's pairwise sum splits a vector of more than 128
+    entries at half its length, rounded down to a multiple of 8, and adds the
+    halves' sums; a right half of zeros sums to exactly 0.0, so the left half
+    alone has the whole sum."""
+    width = length
+    while width > 128:
+        half = width // 2 - width // 2 % 8
+        if half < depth:
+            break
+        width = half
+    return width
 
 
 @dataclass

@@ -8,8 +8,20 @@ from hypothesis import strategies as st
 
 from ike_lab import evaluation, oracles
 from ike_lab.datasets import TestSplit
-from ike_lab.encoder import EncoderParams, forward_batch, init_encoder
-from ike_lab.errors import ConfigError, EmptyGallery, NoRelevant, ShapeMismatch
+from ike_lab.encoder import (
+    EncoderParams,
+    forward_batch,
+    init_encoder,
+    load_encoder,
+    save_encoder,
+)
+from ike_lab.errors import (
+    ConfigError,
+    DegenerateEmbedding,
+    EmptyGallery,
+    NoRelevant,
+    ShapeMismatch,
+)
 from ike_lab.evaluation import (
     GALLERY_RULES,
     MetricsReport,
@@ -251,6 +263,89 @@ class TestEvaluateMap:
             pair_rows, pair_cols = np.nonzero(same_id & keep)
             got = evaluation._block_aps(given_scores, pair_rows, pair_cols, lengths)
             np.testing.assert_array_equal(got, want)
+
+    def test_long_rows_with_shallow_ranks_bitwise_equal_to_average_precision(self, rng):
+        # As above, but galleries up to 3,000 long with a few relevant items
+        # scoring near the top, so each row's terms fill only a short prefix
+        # of its zero vector and the sum is cut at several levels of the
+        # pairwise tree. The 0.05 grid makes relevant items tie with
+        # irrelevant ones, so the sort's tie order decides ranks too.
+        for trial in range(20):
+            R, L = 12, int(rng.integers(130, 3000))
+            scores = np.round(rng.uniform(-1, 1, size=(R, L)) * 20) / 20
+            same_id = np.zeros((R, L), dtype=bool)
+            for r in range(1, R):  # row 0 has nothing relevant
+                cols = rng.choice(L, size=int(rng.integers(1, 5)), replace=False)
+                same_id[r, cols] = True
+                scores[r, cols] = np.round(rng.uniform(0.4, 1.0, size=cols.size) * 20) / 20
+            excluded = np.zeros((R, L), dtype=bool) if trial % 2 else rng.random((R, L)) < 0.2
+            keep = ~excluded
+            want = np.full(R, np.nan)
+            for r in range(R):
+                order = np.argsort(-scores[r, keep[r]], kind="stable")
+                relevance = same_id[r, keep[r]][order]
+                if relevance.any():
+                    want[r] = average_precision(relevance, int(relevance.sum()))
+            given_scores = np.where(excluded, -np.inf, scores)
+            lengths = L - np.count_nonzero(excluded, axis=1)
+            pair_rows, pair_cols = np.nonzero(same_id & keep)
+            got = evaluation._block_aps(given_scores, pair_rows, pair_cols, lengths)
+            np.testing.assert_array_equal(got, want)
+
+    def test_prefix_sums_bitwise_equal_to_full_length_sums(self, rng):
+        # _block_aps sums the rows of one gallery length over the shortest
+        # prefix that numpy's pairwise sum adds up to the same bits as the
+        # whole rows, given the deepest term. If numpy ever splits its sums
+        # differently, this fails here instead of the mAP drifting. Every
+        # gallery length from 1 to 2,100 is checked with the deepest term at
+        # the top, at the bottom, at random and either side of each split
+        # above the 128-entry leaves; terms above it fill a quarter of the
+        # ranks. A call holds one depth per length, so each length's row is
+        # cut at that depth; the columns past a row's length hold -inf.
+        slots = {}
+        for length in range(1, 2101):
+            depths = {1, length, int(rng.integers(1, length + 1))}
+            width = length
+            while width > 128:
+                width = width // 2 - width // 2 % 8
+                depths |= {width, width + 1, width + 3}
+            for slot, depth in enumerate(sorted(depths)):
+                slots.setdefault(slot, []).append((length, depth))
+        # Lengths go 100 to a call, so little of a call is padding.
+        for cases in (c[i : i + 100] for c in slots.values() for i in range(0, len(c), 100)):
+            lengths = np.array([length for length, _ in cases])
+            R, L = lengths.size, lengths.max()
+            # Row r's column j ranks at ranks[r, j]; its padding ranks at L.
+            ranks = np.full((R, L), L)
+            relevance = np.zeros((R, L + 1), dtype=bool)
+            for r, (length, depth) in enumerate(cases):
+                ranks[r, :length] = rng.permutation(length)
+                relevance[r, :depth] = rng.random(depth) < 0.25
+                relevance[r, depth - 1] = True
+            scores = np.where(ranks < L, -ranks.astype(float), -np.inf)
+            pair_rows, pair_cols = np.nonzero(np.take_along_axis(relevance, ranks, axis=1))
+            want = [
+                average_precision(rel[:length], int(rel.sum()))
+                for rel, length in zip(relevance, lengths)
+            ]
+            got = evaluation._block_aps(scores, pair_rows, pair_cols, lengths)
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("source", ["init_encoder", "load_encoder"])
+    @pytest.mark.parametrize("rule", GALLERY_RULES)
+    def test_non_finite_embedding_named(self, tmp_path, rule, source):
+        # A NaN weight makes every embedding NaN. It is named before any
+        # ranking, whether the model was built in memory or read from a
+        # snapshot holding JSON NaN.
+        params = init_encoder([6, 8, 8, 6], np.random.default_rng(0))
+        params.biases[0][0] = np.nan
+        if source == "load_encoder":
+            path = tmp_path / "encoder.json"
+            save_encoder(params, path)
+            assert "NaN" in path.read_text()
+            params = load_encoder(path)
+        with pytest.raises(DegenerateEmbedding, match="an embedding is not finite"):
+            evaluate_map(params, tiny_bundle().test, rule)
 
     @pytest.mark.parametrize("rule", GALLERY_RULES)
     def test_peak_allocation_below_a_square_score_matrix(self, rule):
