@@ -4,7 +4,11 @@ Evaluation is strict cross-camera retrieval by default: a query's gallery is
 every test image from other cameras, relevance is same global identity, and
 queries with no relevant item are skipped rather than scored zero. Queries
 are ranked one camera block at a time against the block's shared gallery,
-with one gemm score block per chunk of query rows. The ranking reads only a
+with one gemm score block per chunk of query rows. The chunks of all blocks
+form one pipeline: one helper thread runs the next chunk's gemm while the
+calling thread ranks the current one, unless the call has a single chunk or
+runs in a process that may use one CPU only or that multiprocessing
+started. The ranking reads only a
 row's relevant pairs, the few gallery items that share its identity, and
 the items scoring at or above the lowest of them, ordered by one stable sort
 per chunk. A relevant item's rank is the number of gallery items that score
@@ -15,7 +19,10 @@ vector that holds its terms, which gives the bits of the whole vector's sum.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -57,16 +64,28 @@ def evaluate_map(
     for single-camera splits.
 
     Queries are ranked one camera block at a time. Under "camera" all
-    queries of camera c share one gallery, the other cameras. Under the
-    other rules a block's candidates are all images. Each chunk of query
-    rows, as many as fit in _BLOCK_ELEMENTS scores (at least one), is scored
-    with one gemm, F[rows] @ F[candidates].T, into a buffer allocated once
-    per call, so no N x N matrix is built. A BLAS kernel can score equal
-    embeddings an ulp apart, so each copy of an embedding takes the score of
-    its first copy among the candidates: copies tie exactly.
+    queries of camera c share one gallery, the other cameras, built per
+    block. Under the other rules every block's candidates are all images,
+    so their gallery is built once per call and scored against F.T. Each
+    chunk of query rows, as many as fit in its buffer's share of
+    _BLOCK_ELEMENTS scores (at least one), is scored with one gemm,
+    F[rows] @ F[candidates].T, so no N x N matrix is built. The chunks of
+    all blocks form one sequence: while this thread ranks chunk k, one
+    helper thread runs chunk k + 1's gemm into the other of two buffers of
+    half the budget each. Where no core is free for the helper, calls rank
+    inline with one buffer, each gemm run just before its chunk is ranked:
+    in a process that may use one CPU only, and in a process that
+    multiprocessing started, whose sibling processes already hold the
+    cores. So does a call with a single chunk. The helper thread lives only
+    for the call. The two paths cut chunks of different sizes, and a gemm
+    can round a score differently with its row count, so their ranks could
+    differ only where two gallery items score within an ulp of each other.
+    A BLAS kernel can score equal embeddings an ulp apart, so each copy of
+    an embedding takes the score of its first copy among the candidates:
+    copies tie exactly.
 
     A row's relevant pairs are found without comparing identities across
-    the chunk: the block's candidate identities are sorted once, and each
+    the chunk: a gallery's candidate identities are sorted once, and each
     row's run of equal identities is a searchsorted range of them. The
     items a row excludes under "camera-id" and "none" are all among those
     pairs (same-camera same-identity items, or the query itself), so they
@@ -96,49 +115,44 @@ def evaluate_map(
     row_bytes = (F + 0.0).view(np.dtype((np.void, F.itemsize * F.shape[1])))[:, 0]
     embedding_of = np.unique(row_bytes, return_inverse=True)[1]
     gids, cams = test.global_ids, test.camera_ids
-    # A chunk holds at most max(_BLOCK_ELEMENTS, L) scores for L <= N
-    # candidates, and never more than N x N.
-    buffer = np.empty(min(max(_BLOCK_ELEMENTS, N), N * N))
+    pipelined = _usable_cpus() > 1 and not _started_by_multiprocessing()
+    budget = _BLOCK_ELEMENTS // 2 if pipelined else _BLOCK_ELEMENTS
+    plan = _chunks(cams, gallery_rule, budget)
+    # One chunk at half the budget is also one chunk at the whole budget,
+    # so it is ranked inline as it is.
+    pipelined = pipelined and len(plan) > 1
+    chunks = _with_galleries(plan, F, embedding_of, gids, cams, gallery_rule)
+    # A chunk holds at most max(budget, L) scores for L <= N candidates, and
+    # never more than N x N.
+    size = min(max(budget, N), N * N)
     aps = np.full(N, np.nan)
-    for c in np.unique(cams):
-        queries = np.flatnonzero(cams == c)
-        cols = np.flatnonzero(cams != c) if gallery_rule == "camera" else np.arange(N)
-        L = cols.size
-        if L == 0:
-            continue
-        _, first, copy_of = np.unique(
-            embedding_of[cols], return_index=True, return_inverse=True
-        )
-        source = first[copy_of]
-        copies = np.flatnonzero(source != np.arange(L))
-        gallery_T = F[cols].T
-        by_id = np.argsort(gids[cols], kind="stable")
-        sorted_ids = gids[cols][by_id]
-        step = max(1, _BLOCK_ELEMENTS // L)
-        for start in range(0, queries.size, step):
-            rows = queries[start : start + step]
-            R = rows.size
-            scores = np.matmul(F[rows], gallery_T, out=buffer[: R * L].reshape(R, L))
-            scores[:, copies] = scores[:, source[copies]]
-            # Row r's pairs are the columns by_id[lo[r] : lo[r] + n_pairs[r]],
-            # in column order.
-            ids = gids[rows]
-            lo = np.searchsorted(sorted_ids, ids, side="left")
-            n_pairs = np.searchsorted(sorted_ids, ids, side="right") - lo
-            pair_rows = np.repeat(np.arange(R), n_pairs)
-            offsets = np.repeat(lo - (np.cumsum(n_pairs) - n_pairs), n_pairs)
-            pair_cols = by_id[np.arange(pair_rows.size) + offsets]
-            lengths = np.full(R, L)
-            if gallery_rule != "camera":
-                if gallery_rule == "camera-id":
-                    excluded = cams[cols[pair_cols]] == c
-                else:
-                    excluded = cols[pair_cols] == rows[pair_rows]
-                # -inf lies below every relevant score, so these never rank.
-                scores[pair_rows[excluded], pair_cols[excluded]] = -np.inf
-                lengths -= np.bincount(pair_rows[excluded], minlength=R)
-                pair_rows, pair_cols = pair_rows[~excluded], pair_cols[~excluded]
-            aps[rows] = _block_aps(scores, pair_rows, pair_cols, lengths)
+
+    def rank(chunk, scores):
+        c, gallery, rows = chunk
+        aps[rows] = _chunk_aps(scores, rows, c, gallery, gids, cams, gallery_rule)
+
+    if pipelined:
+        # Imported on first use, so a process that never pipelines, such as
+        # a pool worker, does not hold the module in memory.
+        from concurrent.futures import ThreadPoolExecutor
+
+        buffers = (np.empty(size), np.empty(size))
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            previous = None
+            for k, chunk in enumerate(chunks):
+                _, gallery, rows = chunk
+                out = _scores_view(buffers[k % 2], rows, gallery)
+                gemm = helper.submit(np.matmul, F[rows], gallery.embeddings_T, out=out)
+                if previous is not None:
+                    rank(previous[0], previous[1].result())
+                previous = chunk, gemm
+            rank(previous[0], previous[1].result())
+    else:
+        buffer = np.empty(size)
+        for chunk in chunks:
+            _, gallery, rows = chunk
+            out = _scores_view(buffer, rows, gallery)
+            rank(chunk, np.matmul(F[rows], gallery.embeddings_T, out=out))
     scored = aps[~np.isnan(aps)]
     if scored.size == 0:
         raise EmptyGallery("no query had a nonempty gallery with relevant items")
@@ -157,9 +171,132 @@ def has_scorable_query(test: TestSplit, gallery_rule: str = "camera") -> bool:
     return np.unique(pairs[:, 0]).size < len(pairs)
 
 
-# Scores per chunk of query rows: 2 MB of float64. The ranking's index
-# arrays can reach a few times that when relevant items score low.
+# Scores in flight per call: 2 MB of float64. A call that ranks inline holds
+# them in one buffer; a pipelined call holds them in two buffers of half that,
+# one being ranked while the next chunk's gemm fills the other. A buffer
+# grows to one gallery row when a row is longer than its share. The ranking's
+# index arrays can reach a few times a chunk's scores when relevant items
+# score low.
 _BLOCK_ELEMENTS = 1 << 18
+
+
+class _Gallery(NamedTuple):
+    """The candidates that one camera block, or under "camera-id" and
+    "none" every block, ranks against: their indices, their embeddings
+    transposed for the gemm, the columns holding a copy of an earlier
+    column's embedding and the columns they copy, and the column order that
+    sorts the candidate identities, with the identities in that order."""
+
+    cols: np.ndarray
+    embeddings_T: np.ndarray
+    copies: np.ndarray
+    sources: np.ndarray
+    by_id: np.ndarray
+    sorted_ids: np.ndarray
+
+
+def _gallery(
+    cols: np.ndarray, embeddings_T: np.ndarray, embedding_of: np.ndarray, gids: np.ndarray
+) -> _Gallery:
+    _, first, copy_of = np.unique(embedding_of[cols], return_index=True, return_inverse=True)
+    source = first[copy_of]
+    copies = np.flatnonzero(source != np.arange(cols.size))
+    by_id = np.argsort(gids[cols], kind="stable")
+    return _Gallery(cols, embeddings_T, copies, source[copies], by_id, gids[cols][by_id])
+
+
+def _chunks(cams: np.ndarray, gallery_rule: str, budget: int) -> list[tuple[int, np.ndarray]]:
+    """(camera, query rows) of each chunk, camera block by camera block: as
+    many of the block's rows as fit in budget scores against its L
+    candidates, at least one. A block with no candidates has no chunk."""
+    N = cams.size
+    plan = []
+    for c in np.unique(cams):
+        queries = np.flatnonzero(cams == c)
+        L = N - queries.size if gallery_rule == "camera" else N
+        if L > 0:
+            step = max(1, budget // L)
+            plan += [(c, queries[s : s + step]) for s in range(0, queries.size, step)]
+    return plan
+
+
+def _with_galleries(
+    plan: list[tuple[int, np.ndarray]],
+    F: np.ndarray,
+    embedding_of: np.ndarray,
+    gids: np.ndarray,
+    cams: np.ndarray,
+    gallery_rule: str,
+) -> Iterator[tuple[int, _Gallery, np.ndarray]]:
+    """Each chunk of plan as (camera, gallery, rows). Under "camera" a
+    block's gallery, the other cameras, is built when its first chunk is
+    reached. Under the other rules one gallery of every image, scored
+    against F.T, serves every block."""
+    if gallery_rule != "camera":
+        gallery = _gallery(np.arange(cams.size), F.T, embedding_of, gids)
+    block = None
+    for c, rows in plan:
+        if gallery_rule == "camera" and c != block:
+            cols = np.flatnonzero(cams != c)
+            gallery = _gallery(cols, F[cols].T, embedding_of, gids)
+            block = c
+        yield c, gallery, rows
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _started_by_multiprocessing() -> bool:
+    """Whether multiprocessing started this process. Its start-up code runs
+    inside the multiprocessing package, so a process that has not imported
+    it was not started by it, and need not pay for the import."""
+    mp = sys.modules.get("multiprocessing")
+    return mp is not None and mp.parent_process() is not None
+
+
+def _scores_view(buffer: np.ndarray, rows: np.ndarray, gallery: _Gallery) -> np.ndarray:
+    """The rows x candidates block at the start of buffer."""
+    R, L = rows.size, gallery.cols.size
+    return buffer[: R * L].reshape(R, L)
+
+
+def _chunk_aps(
+    scores: np.ndarray,
+    rows: np.ndarray,
+    c: int,
+    gallery: _Gallery,
+    gids: np.ndarray,
+    cams: np.ndarray,
+    gallery_rule: str,
+) -> np.ndarray:
+    """AP of each query row of camera c against gallery, NaN for a row with
+    nothing relevant, from its freshly computed scores, which it overwrites."""
+    R, L = scores.shape
+    cols = gallery.cols
+    scores[:, gallery.copies] = scores[:, gallery.sources]
+    # Row r's pairs are the columns by_id[lo[r] : lo[r] + n_pairs[r]], in
+    # column order.
+    ids = gids[rows]
+    lo = np.searchsorted(gallery.sorted_ids, ids, side="left")
+    n_pairs = np.searchsorted(gallery.sorted_ids, ids, side="right") - lo
+    pair_rows = np.repeat(np.arange(R), n_pairs)
+    offsets = np.repeat(lo - (np.cumsum(n_pairs) - n_pairs), n_pairs)
+    pair_cols = gallery.by_id[np.arange(pair_rows.size) + offsets]
+    lengths = np.full(R, L)
+    if gallery_rule != "camera":
+        if gallery_rule == "camera-id":
+            excluded = cams[cols[pair_cols]] == c
+        else:
+            excluded = cols[pair_cols] == rows[pair_rows]
+        # -inf lies below every relevant score, so these never rank.
+        scores[pair_rows[excluded], pair_cols[excluded]] = -np.inf
+        lengths -= np.bincount(pair_rows[excluded], minlength=R)
+        pair_rows, pair_cols = pair_rows[~excluded], pair_cols[~excluded]
+    return _block_aps(scores, pair_rows, pair_cols, lengths)
 
 
 def _block_aps(

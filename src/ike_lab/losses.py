@@ -50,6 +50,21 @@ def _contrastive(
     return value, (np.exp(logp) @ rows - rows[y]) / (tau * B)
 
 
+def _check_batch(
+    name: str, what: str, F: np.ndarray, labels: np.ndarray, memory: IdentityMemory
+) -> int:
+    """The batch size B of F, once F holds a row per sample, labels is of
+    shape (B,) and the memory rows are as wide as the features."""
+    B = F.shape[0]
+    if B == 0:
+        raise EmptyBatch(f"{name} on an empty batch")
+    if labels.shape != (B,):
+        raise ShapeMismatch(f"{what} shape {labels.shape} vs batch {B}")
+    if F.ndim != 2 or memory.dim != F.shape[1]:
+        raise ShapeMismatch(f"memory shape {memory.rows.shape} vs features {F.shape}")
+    return B
+
+
 def loss_id(
     F: np.ndarray, labels: np.ndarray, memory: IdentityMemory, tau: float
 ) -> tuple[float, np.ndarray]:
@@ -60,13 +75,9 @@ def loss_id(
     """
     F = np.asarray(F, dtype=np.float64)
     labels = np.asarray(labels)
-    B = F.shape[0]
-    if B == 0:
-        raise EmptyBatch("loss_id on an empty batch")
+    B = _check_batch("loss_id", "labels", F, labels, memory)
     if len(memory) == 0:
         raise EmptyMemory("loss_id needs a nonempty memory")
-    if labels.shape != (B,):
-        raise ShapeMismatch(f"labels shape {labels.shape} vs batch {B}")
     check_range("label", labels, len(memory), LabelOutOfRange)
     return _contrastive(F, labels, memory.rows, tau, B)
 
@@ -79,9 +90,7 @@ def loss_id_hist(
     matched terms is divided by the full batch size."""
     F = np.asarray(F, dtype=np.float64)
     hist_labels = np.asarray(hist_labels)
-    B = F.shape[0]
-    if B == 0:
-        raise EmptyBatch("loss_id_hist on an empty batch")
+    B = _check_batch("loss_id_hist", "hist_labels", F, hist_labels, hist)
     grad = np.zeros_like(F)
     mask = hist_labels != NO_MATCH
     if len(hist) == 0 or not mask.any():

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import threading
 import tracemalloc
 
 import numpy as np
@@ -236,6 +238,80 @@ class TestEvaluateMap:
                         evaluate_map(params, split, rule)
                 else:
                     assert evaluate_map(params, split, rule) == want, rule
+
+    @pytest.mark.parametrize(
+        "no_free_core",
+        [("_started_by_multiprocessing", True), ("_usable_cpus", 1)],
+        ids=["worker", "one-cpu"],
+    )
+    @pytest.mark.parametrize("block_elements", [1, 40, 500])
+    @pytest.mark.parametrize("rule", GALLERY_RULES)
+    def test_inline_ranking_bitwise_equal_to_per_query_loop(
+        self, monkeypatch, rng, rule, block_elements, no_free_core
+    ):
+        # A process that multiprocessing started, or that may use one CPU
+        # only, ranks every chunk inline, with one buffer, however many
+        # chunks a call has.
+        monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", block_elements)
+        name, value = no_free_core
+        monkeypatch.setattr(evaluation, name, lambda: value)
+        n = 400
+        params = init_encoder([5, 8, 8, 16], np.random.default_rng(1))
+        X = rng.normal(size=(n, 5))
+        gids = rng.integers(12, size=n)
+        cams = rng.integers(4, size=n)
+        emb = forward_batch(params, X).embeddings
+        want = per_query_map(emb, gids, cams, rule)
+        threads = threading.active_count()
+        real = evaluation._block_aps
+
+        def no_helper(*args):
+            assert threading.active_count() == threads
+            return real(*args)
+
+        monkeypatch.setattr(evaluation, "_block_aps", no_helper)
+        assert evaluate_map(params, TestSplit(X, gids, cams), rule) == want
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_pool_workers_rank_inline(self, method):
+        # The harness's --jobs workers are forked; either way a worker is
+        # known to be one, and this process is not.
+        assert not evaluation._started_by_multiprocessing()
+        with multiprocessing.get_context(method).Pool(1) as pool:
+            assert pool.apply(evaluation._started_by_multiprocessing)
+
+    @pytest.mark.parametrize("fail_at", [None, 3])
+    def test_no_thread_outlives_a_call(self, monkeypatch, rng, fail_at):
+        # On two CPUs at 40 scores per call, a call has many chunks, each
+        # gemm but the first run by one helper thread while this thread ranks
+        # the chunk before. The helper is gone when the call returns, and
+        # when a ranking raises mid-call, the error reaching the caller.
+        monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", 40)
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+        params = init_encoder([5, 8, 8, 16], np.random.default_rng(1))
+        n = 60
+        split = TestSplit(rng.normal(size=(n, 5)), rng.integers(6, size=n), rng.integers(3, size=n))
+        threads = threading.active_count()
+        seen = []
+        real = evaluation._block_aps
+
+        def ranked(*args):
+            seen.append((threading.current_thread(), threading.active_count()))
+            if len(seen) == fail_at:
+                raise RuntimeError("ranking failed")
+            return real(*args)
+
+        monkeypatch.setattr(evaluation, "_block_aps", ranked)
+        if fail_at is None:
+            evaluate_map(params, split, "camera")
+            assert len(seen) > 2
+        else:
+            with pytest.raises(RuntimeError, match="ranking failed"):
+                evaluate_map(params, split, "camera")
+            assert len(seen) == fail_at
+        assert threading.active_count() == threads
+        assert {thread for thread, _ in seen} == {threading.current_thread()}
+        assert {count for _, count in seen} == {threads + 1}
 
     def test_block_rows_bitwise_equal_to_average_precision(self, rng):
         # Each row of a block, ranked with its excluded columns dropped, is

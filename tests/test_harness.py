@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ike_lab.cli as cli
+import ike_lab.evaluation as evaluation
 import ike_lab.harness as harness
 from ike_lab.association import one_way_match
 from ike_lab.datasets import SyntheticSpec, generate, save_dataset
@@ -356,6 +357,25 @@ class TestRun:
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         # The reports, and the output trees file by file.
+        trees = self._serial_and_parallel_trees(tmp_path)
+        assert len(trees[0]) == 2 + 4 * 5  # summary, manifest; per run 3 files and 1 snapshot
+
+    def test_parallel_jobs_match_serial_with_several_chunks_per_evaluation(
+        self, tmp_path, monkeypatch
+    ):
+        # At 40 scores per call every evaluate_map call has several chunks.
+        # This process pipelines them when it may use two CPUs; the pool
+        # workers, forked with the patched value, rank them inline with one
+        # buffer, so a gemm that overwrote the chunk being ranked would
+        # change their reports.
+        monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", 40)
+        self._serial_and_parallel_trees(tmp_path)
+
+    @staticmethod
+    def _serial_and_parallel_trees(tmp_path):
+        """Runs a four-run grid under --jobs 1 and --jobs 2, checks that the
+        reports and the output trees, file by file, are equal, and returns
+        the trees."""
         doc = tiny_config(variants=["BASELINE", "IKE"], seeds=[0, 1])
         cfg = ExperimentConfig.from_dict(doc)
         serial = run(cfg, out_dir=tmp_path / "serial", jobs=1)
@@ -368,7 +388,7 @@ class TestRun:
             for out in (tmp_path / "serial", tmp_path / "parallel")
         ]
         assert trees[0] == trees[1]
-        assert len(trees[0]) == 2 + 4 * 5  # summary, manifest; per run 3 files and 1 snapshot
+        return trees
 
     def test_features_rewritten_at_one_path_are_read_afresh(self, tmp_path):
         # Each run() reads its dataset, so a second run in one process, after

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,23 @@ class TestLossIdHist:
         assert v0 == v1
         assert (g0[[0, 2]] == g1[[0, 2]]).all()
         assert (g1[1] == 0).all()
+
+
+class TestContrastiveShapes:
+    @pytest.mark.parametrize("hist_labels", [np.array([0, 1, NO_MATCH]), np.array([[0, 1], [NO_MATCH, 2]])])
+    def test_hist_labels_not_one_per_row_named(self, rng, hist_labels):
+        # Three labels for four rows, or a 2 x 2 label array.
+        hist = IdentityMemory(unit_rows(rng, 4, 5))
+        message = f"hist_labels shape {hist_labels.shape} vs batch 4"
+        with pytest.raises(ShapeMismatch, match=re.escape(message)):
+            loss_id_hist(unit_rows(rng, 4, 5), hist_labels, hist, tau=0.05)
+
+    @pytest.mark.parametrize("loss", [loss_id, loss_id_hist])
+    def test_memory_of_another_width_named(self, rng, loss):
+        mem = IdentityMemory(unit_rows(rng, 3, 6))
+        message = "memory shape (3, 6) vs features (4, 8)"
+        with pytest.raises(ShapeMismatch, match=re.escape(message)):
+            loss(unit_rows(rng, 4, 8), np.array([0, 1, 2, 0]), mem, tau=0.05)
 
 
 class TestLossKd:
