@@ -8,7 +8,7 @@ finite differences for every loss term, composed through the encoder.
 import numpy as np
 
 from ike_lab import IdentityMemory, forward_batch, grad_check, init_encoder, unit_rows
-from ike_lab.harness import GRAD_TERMS, make_loss_closure
+from ike_lab.checks import GRAD_TERMS, make_loss_closure
 from ike_lab.trainer import Hyperparams
 
 rng = np.random.default_rng(7)

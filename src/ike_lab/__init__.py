@@ -57,13 +57,12 @@ from .evaluation import (
     average_precision,
     evaluate_map,
 )
+from .checks import SelftestReport, selftest
 from .harness import (
     ORDER_PRESETS,
     ExperimentConfig,
     RunSpec,
-    SelftestReport,
     run,
-    selftest,
 )
 from .losses import LossBreakdown, loss_id, loss_id_hist, loss_kd, loss_mkd
 from .memory import (

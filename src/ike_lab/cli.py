@@ -16,7 +16,8 @@ import argparse
 import sys
 
 from .errors import ConfigError, LabError
-from .harness import SWEEP_AXES, ExperimentConfig, expand_presets, run, selftest
+from .checks import selftest
+from .harness import SWEEP_AXES, ExperimentConfig, expand_presets, run
 
 
 def build_parser() -> argparse.ArgumentParser:

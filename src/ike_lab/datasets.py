@@ -50,6 +50,8 @@ class SyntheticSpec:
 
     def validate(self) -> None:
         check_field_types(self)
+        if self.seed < 0:
+            raise ConfigError(f"seed={self.seed} must be nonnegative")
         if self.n_global < 1 or self.n_cameras < 1:
             raise ConfigError("need at least one identity and one camera")
         if self.ids_per_camera < 1 or self.ids_per_camera > self.n_global:
@@ -203,15 +205,21 @@ def _choose_identities(
 
 def _draw_images(
     protos: np.ndarray, A: np.ndarray, ids: np.ndarray, per_id: int,
-    noise: float, rng: np.random.Generator,
+    spec: SyntheticSpec, rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """per_id unit images of each identity, in identity order, and their
     local labels. One noise draw covers the camera, the same stream as one
-    draw per image. An image the noise cancelled raises ConfigError."""
+    draw per image. An image the noise cancelled, or one whose norm
+    overflows, raises ConfigError."""
     base = np.repeat([A @ protos[g] for g in ids], per_id, axis=0)
     labels = np.repeat(np.arange(len(ids)), per_id)
-    X = base + noise * rng.normal(size=base.shape)
-    return _unit(X, ids[labels], "noisy image", ConfigError), labels
+    X = base + spec.noise * rng.normal(size=base.shape)
+    images = _unit(X, ids[labels], "noisy image", ConfigError)
+    # An overflowed norm divides its row to zeros, or to NaN where X holds inf.
+    if not np.all(np.abs(images).max(axis=1) > 0):
+        raise ConfigError(f"image norms overflow under camera_shift={spec.camera_shift!r} "
+                          f"and noise={spec.noise!r}")
+    return images, labels
 
 
 def generate(spec: SyntheticSpec) -> DatasetBundle:
@@ -226,9 +234,9 @@ def generate(spec: SyntheticSpec) -> DatasetBundle:
         A = _camera_matrix(spec, rng)
         ids = _choose_identities(spec, seen_counts, rng)
         seen_counts[ids] += 1
-        X, labels = _draw_images(protos, A, ids, spec.images_per_id, spec.noise, rng)
+        X, labels = _draw_images(protos, A, ids, spec.images_per_id, spec, rng)
         cameras.append(CameraDataset(c, X, labels, ids.size, ids))
-        Xt, lt = _draw_images(protos, A, ids, spec.test_images_per_id, spec.noise, rng)
+        Xt, lt = _draw_images(protos, A, ids, spec.test_images_per_id, spec, rng)
         test_parts.append((Xt, ids[lt], np.full(lt.shape, c), lt))
     test = TestSplit(*(np.concatenate(cols) for cols in zip(*test_parts)))
     return DatasetBundle(cameras, test, spec=spec, prototypes=protos)

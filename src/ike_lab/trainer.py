@@ -142,6 +142,8 @@ def init_state(
     hyper: Hyperparams,
     seed: int | np.random.SeedSequence = 0,
 ) -> TrainState:
+    if not isinstance(seed, np.random.SeedSequence) and seed < 0:
+        raise ConfigError(f"seed={seed} must be nonnegative")
     rng = np.random.default_rng(seed)
     encoder = init_encoder([input_dim, *hidden, embed_dim], rng)
     return TrainState(encoder, empty_memory(embed_dim), hyper, rng)

@@ -12,9 +12,8 @@ import pytest
 
 from ike_lab.datasets import SyntheticSpec, generate
 from ike_lab.trainer import precision_matrix
-from ike_lab.harness import (
-    ExperimentConfig, check_cycle_match, check_gradients, check_map, check_memory_algebra, run,
-)
+from ike_lab.checks import check_cycle_match, check_gradients, check_map, check_memory_algebra
+from ike_lab.harness import ExperimentConfig, run
 from ike_lab.trainer import Hyperparams, RunRecorder, Variant, init_state, run_sequence, train_camera
 
 HIDDEN = [32, 32, 32]

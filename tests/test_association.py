@@ -11,9 +11,9 @@ from ike_lab.association import (
     cycle_match,
     one_way_match,
 )
+from ike_lab.checks import check_cycle_match
 from ike_lab.datasets import CameraDataset
 from ike_lab.errors import EmptyMemory, LabelOutOfRange, MissingProvenance, ShapeMismatch
-from ike_lab.harness import check_cycle_match
 from ike_lab.memory import NO_MATCH, IdentityMemory, empty_memory, unit_rows
 
 from builders import manual_camera

@@ -86,6 +86,13 @@ class TestGenerate:
             generate(small_spec(overlap_bias=1.5))
         with pytest.raises(ConfigError):
             generate(small_spec(obs_dim=4))
+        with pytest.raises(ConfigError, match="seed=-1 must be nonnegative"):
+            generate(small_spec(seed=-1))
+        # Each image's norm overflows to inf, which would divide it to zeros
+        # (or NaN) rather than to a unit image.
+        for overrides in ({"camera_shift": 1e200}, {"camera_shift": 1e308}, {"noise": 1e160}):
+            with np.errstate(over="ignore"), pytest.raises(ConfigError, match="image norms overflow"):
+                generate(small_spec(**overrides))
 
 
 def bundle_digest(bundle) -> str:

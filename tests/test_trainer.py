@@ -253,6 +253,12 @@ class TestRunSequence:
         with pytest.raises(ConfigError):
             run_sequence(bundle, [0, 1, 1], Variant.IKE, FAST, [8, 8, 8], 8, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed=-1 must be nonnegative"):
+            run_sequence(tiny_bundle(), [0, 1, 2], Variant.IKE, FAST, [8, 8, 8], 8, seed=-1)
+        with pytest.raises(ConfigError, match="seed=-2 must be nonnegative"):
+            init_state(6, [8, 8, 8], 8, FAST, seed=-2)
+
     def test_permuted_order_runs(self):
         class CameraIds(RunRecorder):
             def __init__(self):
