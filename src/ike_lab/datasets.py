@@ -116,6 +116,9 @@ class TestSplit:
         self.X = np.asarray(self.X, dtype=np.float64)
         self.global_ids = np.asarray(self.global_ids, dtype=np.int64)
         self.camera_ids = np.asarray(self.camera_ids, dtype=np.int64)
+        for tags in (self.global_ids, self.camera_ids, self.local_ids):
+            if tags is not None and np.shape(tags) != self.X.shape[:1]:
+                raise DimensionMismatch("every tag array needs one entry per test image")
 
     def __len__(self) -> int:
         return self.X.shape[0]

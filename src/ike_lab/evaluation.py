@@ -8,13 +8,13 @@ with one gemm score block per chunk of query rows. The chunks of all blocks
 form one pipeline: one helper thread runs the next chunk's gemm while the
 calling thread ranks the current one, unless the call has a single chunk or
 runs in a process that may use one CPU only or that multiprocessing
-started. The ranking reads only a
-row's relevant pairs, the few gallery items that share its identity, and
-the items scoring at or above the lowest of them, ordered by one stable sort
-per chunk. A relevant item's rank is the number of gallery items that score
-above it, plus those that tie with it at a lower gallery index; equal
-embeddings tie exactly. Each AP is summed over the prefix of its row's zero
-vector that holds its terms, which gives the bits of the whole vector's sum.
+started. The ranking reads only a row's relevant pairs, the few gallery
+items that share its identity, and the items scoring at or above the lowest
+of them, ordered by one stable sort per chunk. A relevant item's rank is the
+number of gallery items that score above it, plus those that tie with it at
+a lower gallery index; equal embeddings tie exactly. Each AP is summed over
+the prefix of its row's zero vector that holds its terms, which gives the
+bits of the whole vector's sum.
 """
 
 from __future__ import annotations
@@ -67,22 +67,19 @@ def evaluate_map(
     queries of camera c share one gallery, the other cameras, built per
     block. Under the other rules every block's candidates are all images,
     so their gallery is built once per call and scored against F.T. Each
-    chunk of query rows, as many as fit in its buffer's share of
-    _BLOCK_ELEMENTS scores (at least one), is scored with one gemm,
-    F[rows] @ F[candidates].T, so no N x N matrix is built. The chunks of
-    all blocks form one sequence: while this thread ranks chunk k, one
-    helper thread runs chunk k + 1's gemm into the other of two buffers of
-    half the budget each. Where no core is free for the helper, calls rank
-    inline with one buffer, each gemm run just before its chunk is ranked:
-    in a process that may use one CPU only, and in a process that
-    multiprocessing started, whose sibling processes already hold the
+    chunk of query rows, as many as fit in _BLOCK_ELEMENTS scores (at
+    least one), is scored with one gemm, F[rows] @ F[candidates].T, so no
+    N x N matrix is built. The chunks of all blocks form one sequence: while
+    this thread ranks chunk k, one helper thread runs chunk k + 1's gemm
+    into the other of two buffers. Where no core is free for the helper,
+    calls rank inline with one buffer, each gemm run just before its chunk
+    is ranked: in a process that may use one CPU only, and in a process
+    that multiprocessing started, whose sibling processes already hold the
     cores. So does a call with a single chunk. The helper thread lives only
-    for the call. The two paths cut chunks of different sizes, and a gemm
-    can round a score differently with its row count, so their ranks could
-    differ only where two gallery items score within an ulp of each other.
-    A BLAS kernel can score equal embeddings an ulp apart, so each copy of
-    an embedding takes the score of its first copy among the candidates:
-    copies tie exactly.
+    for the call. Both paths cut the same chunks, so they run the same
+    gemms and give the same bits. A BLAS kernel can score equal embeddings
+    an ulp apart, so each copy of an embedding takes the score of its first
+    copy among the candidates: copies tie exactly.
 
     A row's relevant pairs are found without comparing identities across
     the chunk: a gallery's candidate identities are sorted once, and each
@@ -115,16 +112,12 @@ def evaluate_map(
     row_bytes = (F + 0.0).view(np.dtype((np.void, F.itemsize * F.shape[1])))[:, 0]
     embedding_of = np.unique(row_bytes, return_inverse=True)[1]
     gids, cams = test.global_ids, test.camera_ids
-    pipelined = _usable_cpus() > 1 and not _started_by_multiprocessing()
-    budget = _BLOCK_ELEMENTS // 2 if pipelined else _BLOCK_ELEMENTS
-    plan = _chunks(cams, gallery_rule, budget)
-    # One chunk at half the budget is also one chunk at the whole budget,
-    # so it is ranked inline as it is.
-    pipelined = pipelined and len(plan) > 1
+    plan = _chunks(cams, gallery_rule)
+    pipelined = len(plan) > 1 and _usable_cpus() > 1 and not _started_by_multiprocessing()
     chunks = _with_galleries(plan, F, embedding_of, gids, cams, gallery_rule)
-    # A chunk holds at most max(budget, L) scores for L <= N candidates, and
-    # never more than N x N.
-    size = min(max(budget, N), N * N)
+    # A chunk holds at most max(_BLOCK_ELEMENTS, L) scores for L <= N
+    # candidates, and never more than N x N.
+    size = min(max(_BLOCK_ELEMENTS, N), N * N)
     aps = np.full(N, np.nan)
 
     def rank(chunk, scores):
@@ -171,12 +164,11 @@ def has_scorable_query(test: TestSplit, gallery_rule: str = "camera") -> bool:
     return np.unique(pairs[:, 0]).size < len(pairs)
 
 
-# Scores in flight per call: 2 MB of float64. A call that ranks inline holds
-# them in one buffer; a pipelined call holds them in two buffers of half that,
-# one being ranked while the next chunk's gemm fills the other. A buffer
-# grows to one gallery row when a row is longer than its share. The ranking's
-# index arrays can reach a few times a chunk's scores when relevant items
-# score low.
+# Scores per chunk buffer: 2 MB of float64. A call that ranks inline holds
+# one buffer, 2 MB of scores in flight; a pipelined call holds two, 4 MB, one
+# being ranked while the next chunk's gemm fills the other. A buffer grows to
+# one gallery row when a row is longer. The ranking's index arrays can reach
+# a few times a chunk's scores when relevant items score low.
 _BLOCK_ELEMENTS = 1 << 18
 
 
@@ -205,9 +197,9 @@ def _gallery(
     return _Gallery(cols, embeddings_T, copies, source[copies], by_id, gids[cols][by_id])
 
 
-def _chunks(cams: np.ndarray, gallery_rule: str, budget: int) -> list[tuple[int, np.ndarray]]:
+def _chunks(cams: np.ndarray, gallery_rule: str) -> list[tuple[int, np.ndarray]]:
     """(camera, query rows) of each chunk, camera block by camera block: as
-    many of the block's rows as fit in budget scores against its L
+    many of the block's rows as fit in _BLOCK_ELEMENTS scores against its L
     candidates, at least one. A block with no candidates has no chunk."""
     N = cams.size
     plan = []
@@ -215,7 +207,7 @@ def _chunks(cams: np.ndarray, gallery_rule: str, budget: int) -> list[tuple[int,
         queries = np.flatnonzero(cams == c)
         L = N - queries.size if gallery_rule == "camera" else N
         if L > 0:
-            step = max(1, budget // L)
+            step = max(1, _BLOCK_ELEMENTS // L)
             plan += [(c, queries[s : s + step]) for s in range(0, queries.size, step)]
     return plan
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ike_lab.datasets import (
-    MAX_PAIR_COS, CameraDataset, SyntheticSpec, generate, load_dataset, save_dataset,
+    MAX_PAIR_COS, CameraDataset, SyntheticSpec, TestSplit, generate, load_dataset, save_dataset,
 )
 from ike_lab.errors import ConfigError, DimensionMismatch, LabelOutOfRange, ParseError
 
@@ -136,6 +136,27 @@ class TestCameraDataset:
     def test_table_needs_one_entry_per_label(self, table):
         with pytest.raises(LabelOutOfRange):
             CameraDataset(0, np.eye(3), [1, 0, 1], 2, label_to_global=table)
+
+
+class TestTestSplit:
+    @pytest.mark.parametrize(
+        "tags",
+        [
+            {"global_ids": np.arange(37), "camera_ids": np.arange(37) % 3},
+            {"global_ids": np.arange(43), "camera_ids": np.arange(43) % 3},
+            {"camera_ids": np.arange(37) % 3},
+            {"global_ids": np.arange(40)[:, None]},
+            {"local_ids": np.arange(37)},
+        ],
+        ids=["short", "long", "short-cameras", "column", "short-local"],
+    )
+    def test_tags_need_one_entry_per_image(self, tags):
+        # Forty images, checked when the split is built. Unchecked, 37 tags
+        # each are scored silently under "camera" and fail with numpy's own
+        # errors under the other rules and at 43 tags.
+        kw = {"global_ids": np.arange(40), "camera_ids": np.arange(40) % 3, **tags}
+        with pytest.raises(DimensionMismatch):
+            TestSplit(np.zeros((40, 4)), **kw)
 
 
 class TestSaveLoad:

@@ -272,6 +272,37 @@ class TestEvaluateMap:
         monkeypatch.setattr(evaluation, "_block_aps", no_helper)
         assert evaluate_map(params, TestSplit(X, gids, cams), rule) == want
 
+    @pytest.mark.parametrize("rule", GALLERY_RULES)
+    def test_pipelined_and_inline_paths_run_the_same_gemms(self, monkeypatch, rng, rule):
+        # A gemm can round a row's scores differently with how many rows it
+        # holds, so both paths must give every gemm the same query rows.
+        # At 200 scores against galleries of 40 to 60 candidates, a chunk
+        # holds 3 to 5 rows, so a pipeline cutting at half the scores would
+        # give its gemms 1 or 2.
+        monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", 200)
+        params = init_encoder([5, 8, 8, 16], np.random.default_rng(1))
+        n = 60
+        split = TestSplit(rng.normal(size=(n, 5)), rng.integers(6, size=n), np.arange(n) % 3)
+        real = evaluation._scores_view
+        gemms = []
+
+        def recorded(buffer, rows, gallery):
+            gemms[-1].append(rows.tolist())
+            return real(buffer, rows, gallery)
+
+        monkeypatch.setattr(evaluation, "_scores_view", recorded)
+        maps = []
+        for worker in (False, True):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(evaluation, "_usable_cpus", lambda: 2)
+                patch.setattr(evaluation, "_started_by_multiprocessing", lambda: worker)
+                gemms.append([])
+                maps.append(evaluate_map(params, split, rule))
+        pipelined, inline = gemms
+        assert len(pipelined) > 2
+        assert pipelined == inline
+        assert maps[0] == maps[1]
+
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_pool_workers_rank_inline(self, method):
         # The harness's --jobs workers are forked; either way a worker is
@@ -282,7 +313,7 @@ class TestEvaluateMap:
 
     @pytest.mark.parametrize("fail_at", [None, 3])
     def test_no_thread_outlives_a_call(self, monkeypatch, rng, fail_at):
-        # On two CPUs at 40 scores per call, a call has many chunks, each
+        # On two CPUs at 40 scores per chunk, a call has many chunks, each
         # gemm but the first run by one helper thread while this thread ranks
         # the chunk before. The helper is gone when the call returns, and
         # when a ranking raises mid-call, the error reaching the caller.

@@ -357,11 +357,11 @@ class TestRun:
     def test_parallel_jobs_match_serial_with_several_chunks_per_evaluation(
         self, tmp_path, monkeypatch
     ):
-        # At 40 scores per call every evaluate_map call has several chunks.
+        # At 40 scores per chunk every evaluate_map call has several chunks.
         # This process pipelines them when it may use two CPUs; the pool
-        # workers, forked with the patched value, rank them inline with one
-        # buffer, so a gemm that overwrote the chunk being ranked would
-        # change their reports.
+        # workers, forked with the patched value, rank the same chunks
+        # inline with one buffer, so a gemm that overwrote the chunk being
+        # ranked would change their reports.
         monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", 40)
         self._serial_and_parallel_trees(tmp_path)
 
