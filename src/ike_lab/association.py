@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import EmptyMemory, LabelOutOfRange, MissingProvenance, ShapeMismatch, check_range
+from .errors import EmptyMemory, LabelOutOfRange, MissingProvenance, ShapeMismatch, index_array
 from .memory import NO_MATCH, IdentityMemory
 
 if TYPE_CHECKING:
@@ -65,9 +65,8 @@ def one_way_match(cur: IdentityMemory, hist: IdentityMemory) -> np.ndarray:
 def augment_dataset(dataset: "CameraDataset", assoc: np.ndarray) -> np.ndarray:
     """Per-sample historical labels: the match of each image's identity, or
     NO_MATCH, as an int64 array aligned with dataset.labels."""
-    assoc = np.asarray(assoc, dtype=np.int64)
-    check_range("label", dataset.labels, len(assoc), LabelOutOfRange)
-    return assoc[dataset.labels]
+    assoc = index_array("match target", assoc)
+    return assoc[index_array("label", dataset.labels, LabelOutOfRange, len(assoc))]
 
 
 @dataclass
@@ -87,13 +86,12 @@ def association_precision(
     """
     if cur_globals is None or hist_globals is None:
         raise MissingProvenance("association precision needs identity tags on both sides")
-    assoc = np.asarray(assoc, dtype=np.int64)
-    cur = np.asarray(cur_globals, dtype=np.int64)
-    hist = np.asarray(hist_globals, dtype=np.int64)
+    assoc = index_array("match target", assoc)
+    cur = index_array("current tag", cur_globals)
+    hist = index_array("historical tag", hist_globals)
     if cur.shape != (len(assoc),):
         raise ShapeMismatch(f"{cur.size} current tags vs {len(assoc)} association entries")
     found = np.flatnonzero(assoc != NO_MATCH)
-    targets = assoc[found]
-    check_range("match target", targets, hist.size, LabelOutOfRange)
+    targets = index_array("match target", assoc[found], LabelOutOfRange, hist.size)
     correct = int(np.sum(cur[found] == hist[targets]))
     return AssociationPrecision(correct / found.size if found.size else None, found.size, correct)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (
     DEGENERATE_NORM, ConfigError, DimensionMismatch, LabelOutOfRange, MissingProvenance,
-    ParseError, check_field_types, check_range, read_json_object, write_atomic,
+    ParseError, check_field_types, index_array, read_json_object, write_atomic,
 )
 from .memory import _unit
 
@@ -87,12 +87,11 @@ class CameraDataset:
 
     def __post_init__(self) -> None:
         self.X = np.asarray(self.X, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.X.shape[0] != self.labels.shape[0]:
+        if np.shape(self.labels)[:1] != self.X.shape[:1]:
             raise DimensionMismatch("sample count and label count differ")
-        check_range("label", self.labels, self.n_ids, LabelOutOfRange)
+        self.labels = index_array("label", self.labels, LabelOutOfRange, self.n_ids)
         if self.label_to_global is not None:
-            self.label_to_global = np.asarray(self.label_to_global, dtype=np.int64)
+            self.label_to_global = index_array("label_to_global tag", self.label_to_global)
             if self.label_to_global.shape != (self.n_ids,):
                 raise LabelOutOfRange(f"label_to_global needs one entry per label ({self.n_ids})")
 
@@ -114,10 +113,11 @@ class TestSplit:
 
     def __post_init__(self) -> None:
         self.X = np.asarray(self.X, dtype=np.float64)
-        self.global_ids = np.asarray(self.global_ids, dtype=np.int64)
-        self.camera_ids = np.asarray(self.camera_ids, dtype=np.int64)
+        self.global_ids = index_array("global tag", self.global_ids)
+        self.camera_ids = index_array("camera tag", self.camera_ids)
+        self.local_ids = None if self.local_ids is None else index_array("local tag", self.local_ids)
         for tags in (self.global_ids, self.camera_ids, self.local_ids):
-            if tags is not None and np.shape(tags) != self.X.shape[:1]:
+            if tags is not None and tags.shape != self.X.shape[:1]:
                 raise DimensionMismatch("every tag array needs one entry per test image")
 
     def __len__(self) -> int:
@@ -217,7 +217,8 @@ def _draw_images(
     base = np.repeat([A @ protos[g] for g in ids], per_id, axis=0)
     labels = np.repeat(np.arange(len(ids)), per_id)
     X = base + spec.noise * rng.normal(size=base.shape)
-    images = _unit(X, ids[labels], "noisy image", ConfigError)
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = _unit(X, ids[labels], "noisy image", ConfigError)
     # An overflowed norm divides its row to zeros, or to NaN where X holds inf.
     if not np.all(np.abs(images).max(axis=1) > 0):
         raise ConfigError(f"image norms overflow under camera_shift={spec.camera_shift!r} "

@@ -1,6 +1,6 @@
 """Exception types shared across the library, the degenerate-norm threshold,
 the one type rule for configuration fields and JSON files, the one write
-rule for output files, and the one range rule for identity indices."""
+rule for output files, and the one index rule for identity indices and tags."""
 
 import dataclasses
 import json
@@ -8,6 +8,8 @@ import numbers
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 # Norms below this cannot be normalized meaningfully.
 DEGENERATE_NORM = 1e-9
@@ -127,12 +129,26 @@ def write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def check_range(what: str, values, n: int, error: type[LabError]) -> None:
-    """Raise error naming the first entry of the integer array values that
-    lies outside [0, n)."""
-    if values.size and (values.min() < 0 or values.max() >= n):
-        bad = values[(values < 0) | (values >= n)][0]
+def index_array(what: str, values, error: type[LabError] = IndexOutOfRange, n=None) -> np.ndarray:
+    """values as an int64 array, what naming one entry ("label"). Float or
+    bool entries, a bool among ints included, and uint64 values beyond int64
+    raise ShapeMismatch naming what; with n given, an entry outside [0, n)
+    raises error naming it. An integer ndarray is not scanned for bools."""
+    array = np.asarray(values)
+    whats = what + ("es" if what.endswith("x") else "s")
+    if array.size and array.dtype.kind not in "iu":
+        raise ShapeMismatch(f"{whats} must be integers, got dtype {array.dtype}")
+    # numpy reads [0, True] as int64, so a sequence's bools are found by entry.
+    entries = () if isinstance(values, np.ndarray) else np.asarray(values, dtype=object).flat
+    if any(isinstance(v, (bool, np.bool_)) for v in entries):
+        raise ShapeMismatch(f"{whats} must be integers, got a bool")
+    if array.dtype == np.uint64 and array.size and array.max() > np.iinfo(np.int64).max:
+        raise ShapeMismatch(f"{what} {array.max()} does not fit in int64")
+    array = array.astype(np.int64, copy=False)
+    if n is not None and array.size and (array.min() < 0 or array.max() >= n):
+        bad = array[(array < 0) | (array >= n)][0]
         raise error(f"{what} {bad} outside [0, {n})")
+    return array
 
 
 def check_field_types(obj) -> None:

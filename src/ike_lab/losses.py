@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyBatch, EmptyMemory, LabelOutOfRange, ShapeMismatch, check_range
+from .errors import EmptyBatch, EmptyMemory, LabelOutOfRange, ShapeMismatch, index_array
 from .memory import NO_MATCH, IdentityMemory
 
 
@@ -51,15 +51,15 @@ def _contrastive(
 
 
 def _check_batch(
-    name: str, what: str, F: np.ndarray, labels: np.ndarray, memory: IdentityMemory
+    name: str, what: str, F: np.ndarray, labels, memory: IdentityMemory
 ) -> int:
     """The batch size B of F, once F holds a row per sample, labels is of
     shape (B,) and the memory rows are as wide as the features."""
     B = F.shape[0]
     if B == 0:
         raise EmptyBatch(f"{name} on an empty batch")
-    if labels.shape != (B,):
-        raise ShapeMismatch(f"{what} shape {labels.shape} vs batch {B}")
+    if np.shape(labels) != (B,):
+        raise ShapeMismatch(f"{what} shape {np.shape(labels)} vs batch {B}")
     if F.ndim != 2 or memory.dim != F.shape[1]:
         raise ShapeMismatch(f"memory shape {memory.rows.shape} vs features {F.shape}")
     return B
@@ -74,11 +74,10 @@ def loss_id(
     The memory receives no gradient.
     """
     F = np.asarray(F, dtype=np.float64)
-    labels = np.asarray(labels)
     B = _check_batch("loss_id", "labels", F, labels, memory)
     if len(memory) == 0:
         raise EmptyMemory("loss_id needs a nonempty memory")
-    check_range("label", labels, len(memory), LabelOutOfRange)
+    labels = index_array("label", labels, LabelOutOfRange, len(memory))
     return _contrastive(F, labels, memory.rows, tau, B)
 
 
@@ -89,14 +88,13 @@ def loss_id_hist(
     only samples with a matched historical label contribute. The sum of the
     matched terms is divided by the full batch size."""
     F = np.asarray(F, dtype=np.float64)
-    hist_labels = np.asarray(hist_labels)
     B = _check_batch("loss_id_hist", "hist_labels", F, hist_labels, hist)
+    hist_labels = index_array("historical label", hist_labels)
     grad = np.zeros_like(F)
     mask = hist_labels != NO_MATCH
     if len(hist) == 0 or not mask.any():
         return 0.0, grad
-    y = hist_labels[mask]
-    check_range("historical label", y, len(hist), LabelOutOfRange)
+    y = index_array("historical label", hist_labels[mask], LabelOutOfRange, len(hist))
     value, grad[mask] = _contrastive(F[mask], y, hist.rows, tau, B)
     return value, grad
 

@@ -22,13 +22,12 @@ from .errors import (
     DegenerateMean,
     DimensionMismatch,
     EmptyBatch,
-    IndexOutOfRange,
     LabError,
     MissingLabel,
     ParseError,
     ShapeMismatch,
     check_kind,
-    check_range,
+    index_array,
     read_json_object,
     write_atomic,
 )
@@ -50,9 +49,8 @@ class IdentityMemory:
 
     rows: (n, dim) float64 array, each row unit L2 norm.
     provenance: optional per-row ground-truth identity tags, stored as an
-        (n,) int64 array; tags of any integer dtype are taken. Float and
-        bool tags, a bool among int tags, and uint64 tags beyond int64 are
-        rejected. Diagnostics only; no algorithm reads them.
+        (n,) int64 array by errors.index_array's rule. Diagnostics only; no
+        algorithm reads them.
     """
 
     rows: np.ndarray
@@ -64,19 +62,9 @@ class IdentityMemory:
             raise ShapeMismatch(f"memory rows must be 2-D, got shape {rows.shape}")
         self.rows = rows
         if self.provenance is not None:
-            tags = np.asarray(self.provenance)
-            if tags.size and tags.dtype.kind not in "iu":
-                raise ShapeMismatch(f"provenance tags must be integers, got dtype {tags.dtype}")
-            # numpy reads [0, True] as int64, so a sequence's bools are found by entry.
-            if not isinstance(self.provenance, np.ndarray) and any(
-                isinstance(t, (bool, np.bool_)) for t in self.provenance
-            ):
-                raise ShapeMismatch("provenance tags must be integers, got a bool")
-            if tags.dtype == np.uint64 and tags.size and tags.max() > np.iinfo(np.int64).max:
-                raise ShapeMismatch(f"provenance tag {tags.max()} does not fit in int64")
+            self.provenance = tags = index_array("provenance tag", self.provenance)
             if tags.shape != (rows.shape[0],):
                 raise ShapeMismatch(f"provenance shape {tags.shape} != row count {rows.shape[0]}")
-            self.provenance = tags.astype(np.int64, copy=False)
 
     def __len__(self) -> int:
         return self.rows.shape[0]
@@ -119,7 +107,7 @@ def init_memory(params: "EncoderParams", dataset: "CameraDataset") -> IdentityMe
 
     if dataset.X.shape[0] == 0:
         raise EmptyBatch("cannot initialize a memory from an empty dataset")
-    labels = np.asarray(dataset.labels)
+    labels = dataset.labels
     counts = np.bincount(labels, minlength=int(dataset.n_ids))
     if not counts.all():
         raise MissingLabel(f"label {np.flatnonzero(counts == 0)[0]} has no images")
@@ -149,10 +137,9 @@ def momentum_update(
     result equals the one-row-at-a-time loop bit for bit. All other rows
     are untouched.
     """
-    idx = np.asarray(idx)
-    if idx.ndim != 1:
-        raise ShapeMismatch(f"identity indices must be 1-D, got shape {idx.shape}")
-    check_range("identity index", idx, len(memory), IndexOutOfRange)
+    if np.ndim(idx) != 1:
+        raise ShapeMismatch(f"identity indices must be 1-D, got shape {np.shape(idx)}")
+    idx = index_array("identity index", idx, n=len(memory))
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (idx.shape[0], memory.dim):
         raise ShapeMismatch(f"feature shape {f.shape} vs expected {(idx.shape[0], memory.dim)}")
@@ -205,7 +192,7 @@ def _association(
     """Check an association of cur's identities with hist's rows (equal
     widths, one entry per current identity, every target a historical row)
     and return (matches, the matched j, their targets)."""
-    matches = np.asarray(assoc, dtype=np.int64)
+    matches = index_array("match target", assoc)
     if hist.dim != cur.dim:
         raise ShapeMismatch(f"history dim {hist.dim} != current dim {cur.dim}")
     if matches.shape != (len(cur),):
@@ -213,8 +200,7 @@ def _association(
             f"association length {matches.shape} vs current identity count {len(cur)}"
         )
     matched = np.flatnonzero(matches != NO_MATCH)
-    targets = matches[matched]
-    check_range("match target", targets, len(hist), IndexOutOfRange)
+    targets = index_array("match target", matches[matched], n=len(hist))
     return matches, matched, targets
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,16 @@ class TestGenerate:
         # (or NaN) rather than to a unit image.
         for overrides in ({"camera_shift": 1e200}, {"camera_shift": 1e308}, {"noise": 1e160}):
             with np.errstate(over="ignore"), pytest.raises(ConfigError, match="image norms overflow"):
+                generate(small_spec(**overrides))
+
+    @pytest.mark.parametrize("overrides", [{"camera_shift": 1e200}, {"camera_shift": 1e308},
+                                           {"noise": 1e160}])
+    def test_overflowing_images_raise_only_config_error(self, overrides):
+        # numpy's overflow warning stays inside the generator, so a run under
+        # "python -W error" still fails with the config error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="image norms overflow"):
                 generate(small_spec(**overrides))
 
 

@@ -1,15 +1,17 @@
 """The shared rules for identity indices, identity tags and snapshot files:
-every "[0, n)" check goes through errors.check_range, memory tags are one
-int64 array, and both snapshot loaders name a malformed file."""
+every index or tag array goes through errors.index_array, which takes
+integers only, checks "[0, n)" where there is a range and returns one int64
+array, and both snapshot loaders name a malformed file."""
 
 import json
+import re
 import types
 
 import numpy as np
 import pytest
 
 from ike_lab.association import association_precision, augment_dataset
-from ike_lab.datasets import CameraDataset
+from ike_lab.datasets import CameraDataset, TestSplit
 from ike_lab.encoder import init_encoder, load_encoder, save_encoder
 from ike_lab.errors import IndexOutOfRange, LabelOutOfRange, ParseError, ShapeMismatch
 from ike_lab.losses import loss_id, loss_id_hist
@@ -48,6 +50,49 @@ def test_range_rule_at_every_site(site):
             call(bad)
     for good in (0, N - 1):
         call(good)
+
+
+# Each site of SITES takes a whole tag array where SITES varies one entry,
+# and the tag arrays with no range to check join them. The value is the
+# entry name the site's errors use.
+KIND_SITES = {
+    "CameraDataset": ("label", lambda t: CameraDataset(0, np.zeros((2, 4)), t, N)),
+    "momentum_update": ("identity index", lambda t: momentum_update(
+        IdentityMemory(MEM.copy()), t, FEATS, 0.1)),
+    "memory._association": ("match target", lambda t: iku_merge(
+        IdentityMemory(MEM), IdentityMemory(FEATS), t, 0.25)),
+    "augment_dataset": ("label", lambda t: augment_dataset(
+        types.SimpleNamespace(labels=t), np.arange(N))),
+    "association_precision": ("match target", lambda t: association_precision(
+        t, [5, 6], [5, 6, 7])),
+    "loss_id": ("label", lambda t: loss_id(FEATS, t, IdentityMemory(MEM), 0.05)),
+    "loss_id_hist": ("historical label", lambda t: loss_id_hist(
+        FEATS, t, IdentityMemory(MEM), 0.05)),
+    "association_precision-current": ("current tag", lambda t: association_precision(
+        np.array([0, 1]), t, [5, 6, 7])),
+    "association_precision-historical": ("historical tag", lambda t: association_precision(
+        np.array([0, 1]), [5, 6], t)),
+    "CameraDataset.label_to_global": ("label_to_global tag", lambda t: CameraDataset(
+        0, np.zeros((2, 4)), [0, 1], 2, t)),
+    "TestSplit.global_ids": ("global tag", lambda t: TestSplit(np.zeros((2, 4)), t, [0, 1])),
+    "TestSplit.camera_ids": ("camera tag", lambda t: TestSplit(np.zeros((2, 4)), [0, 1], t)),
+    "TestSplit.local_ids": ("local tag", lambda t: TestSplit(
+        np.zeros((2, 4)), [0, 1], [0, 1], t)),
+}
+
+
+@pytest.mark.parametrize("tags", [
+    [0.0, 1.5], np.array([0.0, 1.0]), np.array([True, False]), [0, True],
+    np.array([0, 2 ** 63 + 5], dtype=np.uint64),
+], ids=["float-list", "float64", "bool", "int-bool-list", "uint64-beyond-int64"])
+@pytest.mark.parametrize("site", sorted(SITES) + sorted(set(KIND_SITES) - set(SITES)))
+def test_kind_rule_at_every_site(site, tags):
+    # Unchecked, each of these is cast to other ids in silence, or reaches
+    # numpy's own IndexError.
+    what, call = KIND_SITES[site]
+    with pytest.raises(ShapeMismatch, match=rf"^{re.escape(what)}"):
+        call(tags)
+    call(np.array([0, 1], dtype=np.uint8))
 
 
 class TestProvenanceTags:
