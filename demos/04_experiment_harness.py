@@ -4,11 +4,10 @@ A config describes the dataset, camera orders, variants, seeds, and optional
 hyperparameter sweeps; the harness runs the whole grid deterministically and
 writes metrics, training logs, the final camera's snapshot, and an aggregate
 summary. Each run() reads or generates its dataset afresh, once for the
-whole grid. The same config can be driven from the command line, where
---seed, --axis and --preset replace the config's seeds, sweep and orders:
+whole grid. The same config, saved as JSON, can be driven from the command
+line; the file is the one description of the grid:
 
     ike-lab run --config cfg.json --out runs/demo --jobs 2
-    ike-lab run --config cfg.json --axis lambda=0,0.25,1.0 --seed 3
     ike-lab selftest
 """
 

@@ -1,11 +1,10 @@
 """Command-line front end.
 
-    ike-lab run --config cfg.json [--jobs N] [--out DIR] [--seed N]
-                [--axis lambda=0,0.25,0.5,0.75,1.0 ...] [--preset T1..T5]
+    ike-lab run --config cfg.json [--jobs N] [--out DIR]
     ike-lab selftest
 
---seed, --axis and --preset replace the config's seeds, sweep and orders
-before the config is checked. Each run command reads its dataset afresh.
+The config file is the one description of a grid: its orders, variants,
+seeds and sweep. Each run command reads its dataset afresh.
 
 Exit codes: 0 success, 1 runtime failure (any failed run), 2 invalid configuration.
 """
@@ -17,7 +16,7 @@ import sys
 
 from .errors import ConfigError, LabError
 from .checks import selftest
-from .harness import SWEEP_AXES, ExperimentConfig, expand_presets, run
+from .harness import ExperimentConfig, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -27,30 +26,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="experiment config (JSON)")
     p_run.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--seed", type=int, default=None, help="override the seed list with one seed")
-    p_run.add_argument(
-        "--axis", action="append", metavar="NAME=V0,V1,...",
-        help=f"override the sweep, one axis per --axis; names: {sorted(SWEEP_AXES)}",
-    )
-    p_run.add_argument("--preset", help="override the orders with presets: T1, T1,T3 or T1..T5")
     sub.add_parser("selftest", help="run the oracle suites and print max errors")
     return parser
-
-
-def _parse_axes(texts: list[str]) -> dict[str, list[float]]:
-    sweep: dict[str, list[float]] = {}
-    for text in texts:
-        name, sep, values = text.partition("=")
-        name = name.strip()
-        if not sep:
-            raise ConfigError(f"bad axis {text!r}; expected NAME=V0,V1,...")
-        if name in sweep:
-            raise ConfigError(f"sweep axis {name!r} given twice; list all its values in one --axis")
-        try:
-            sweep[name] = [float(v) for v in values.split(",") if v.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad values in axis {text!r}: {exc}") from exc
-    return sweep
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -61,15 +38,7 @@ def main(argv: list[str] | None = None) -> int:
             report = selftest()
             print(report.format_table())
             return 0 if report.passed else 1
-        # Overrides replace config keys before the config is checked.
-        overrides = {}
-        if args.seed is not None:
-            overrides["seeds"] = [args.seed]
-        if args.axis is not None:
-            overrides["sweep"] = _parse_axes(args.axis)
-        if args.preset is not None:
-            overrides["orders"] = expand_presets(args.preset)
-        config = ExperimentConfig.from_file(args.config, **overrides)
+        config = ExperimentConfig.from_file(args.config)
         outcome = run(config, out_dir=args.out, jobs=args.jobs)
         if outcome.out_dir is not None:
             print(f"wrote {len(outcome.reports)} runs under {outcome.out_dir}")

@@ -94,14 +94,26 @@ def check_kind(key: str, value, kind: str, error: type[LabError] = ConfigError) 
         raise error(f"{key} must be {'a finite float' if kind == 'float' else kind}, got {value!r}")
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json.loads's object_pairs_hook: the object as a dict, or ValueError
+    naming a key it gives twice, which json.loads would resolve silently."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def read_json_object(
     path: Path, what: str, kinds: dict[str, str], required: tuple[str, ...] = ()
 ) -> dict:
     """The JSON object in path. ParseError naming the file if it cannot be
-    read or is not an object, if an entry of kinds is neither null nor of
-    its kind, or if an entry of required is missing or null."""
+    read, is not an object or repeats a key in any object, if an entry of
+    kinds is neither null nor of its kind, or if an entry of required is
+    missing or null."""
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(), object_pairs_hook=unique_keys)
     except (OSError, ValueError) as exc:
         raise ParseError(f"{path.name}: cannot read {what}: {exc}") from exc
     if not isinstance(doc, dict):

@@ -5,7 +5,7 @@ A config describes a dataset, camera orders, variants, seeds, and optional
 sweep grids. ExperimentConfig is that document as one frozen record that
 checks itself when built, its grid of runs included; the manifest stores it
 whole, so it reads back as the same grid. The harness runs every
-combination, writes per-run artifacts (metrics.json/csv, training log, the
+combination, writes per-run artifacts (metrics.json, training log, the
 final camera's snapshot; RunSpec.files names where) plus an aggregate
 summary.csv and manifest.json, and stays bitwise deterministic per (config,
 seed). Each call to run checks every file the grid writes, then reads its
@@ -23,7 +23,7 @@ import numpy as np
 
 from .datasets import DatasetBundle, SyntheticSpec, generate, load_dataset
 from .encoder import save_encoder
-from .errors import ConfigError, LabError, check_kind, temporary_path, write_atomic
+from .errors import ConfigError, LabError, check_kind, temporary_path, unique_keys, write_atomic
 from .evaluation import GALLERY_RULES, MetricsReport, has_scorable_query
 from .losses import TERMS
 from .memory import save_memory
@@ -108,8 +108,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         """The config a JSON document describes: its objects become the
-        fields' types, a lone variant name a list of one, and encoder keys
-        it leaves out take their defaults."""
+        fields' types, and encoder keys it leaves out take their defaults."""
         if not isinstance(doc, dict):
             raise ConfigError(f"a config must be a JSON object, got {doc!r}")
         unknown = set(doc) - {f.name for f in fields(cls)}
@@ -121,20 +120,19 @@ class ExperimentConfig:
                 doc["hyperparams"] = Hyperparams(**doc["hyperparams"])
             except TypeError as exc:
                 raise ConfigError(f"bad hyperparams: {exc}") from exc
-        if isinstance(doc.get("variants"), str):
-            doc["variants"] = [doc["variants"]]
         if isinstance(doc.get("encoder"), dict):
             doc["encoder"] = _default_encoder() | doc["encoder"]
         return cls(**doc)
 
     @classmethod
-    def from_file(cls, path: str | Path, **overrides) -> "ExperimentConfig":
-        """The JSON file's config; overrides replace its keys before any check."""
+    def from_file(cls, path: str | Path) -> "ExperimentConfig":
+        """The JSON file's config, the one description of a grid. A key
+        given twice in any object is refused, not resolved to its last value."""
         try:
-            doc = json.loads(Path(path).read_text())
+            doc = json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(doc | overrides if isinstance(doc, dict) else doc)
+        return cls.from_dict(doc)
 
 
 def _int_list(key: str, value) -> list[int]:
@@ -157,20 +155,6 @@ def resolve_order(entry) -> tuple[str, list[int]]:
     return "o" + "".join(str(i) for i in order), order
 
 
-def expand_presets(text: str) -> list[str]:
-    """Preset selections: 'T2', 'T1,T3', or the range form 'T1..T5'."""
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        names = sorted(ORDER_PRESETS)
-        if lo not in ORDER_PRESETS or hi not in ORDER_PRESETS:
-            raise ConfigError(f"bad preset range {text!r}")
-        if names.index(hi) < names.index(lo):
-            raise ConfigError(f"preset range {text!r} runs backwards; write {hi}..{lo}")
-        return names[names.index(lo) : names.index(hi) + 1]
-    return [t.strip() for t in text.split(",") if t.strip()]
-
-
 @dataclass(frozen=True)
 class RunSpec:
     variant: str
@@ -190,7 +174,7 @@ class RunSpec:
         layout. The snapshot names the final step and its dataset index."""
         run_dir = out / "runs" / self.run_id
         snapshot = run_dir / "checkpoints" / f"step{len(self.order) - 1:02d}_cam{self.order[-1]}"
-        parents = {"metrics.json": run_dir, "metrics.csv": run_dir, "train_log.csv": run_dir,
+        parents = {"metrics.json": run_dir, "train_log.csv": run_dir,
                    "encoder.json": snapshot, "memory.json": snapshot}
         return {name: parent / name for name, parent in parents.items()}
 
@@ -297,20 +281,7 @@ def execute_run(
                "meta": {"run_id": spec.run_id, "order_name": spec.order_name,
                         "sweep": {a: v for a, v in spec.sweep}}}
         write_atomic(files["metrics.json"], json.dumps(doc, indent=2) + "\n")
-        write_atomic(files["metrics.csv"], _metrics_csv(spec, report))
     return report
-
-
-def _metrics_csv(spec: RunSpec, report: MetricsReport) -> str:
-    lines = ["run_id,variant,order,camera_step,map,nh,assoc_precision"]
-    for k in range(len(report.per_camera_map)):
-        prec = report.assoc_precision[k]
-        lines.append(",".join([
-            spec.run_id, spec.variant, spec.order_name, str(k + 1),
-            repr(report.per_camera_map[k]), str(report.nh_trajectory[k]),
-            "" if prec is None else repr(prec),
-        ]))
-    return "\n".join(lines) + "\n"
 
 
 def _run_one(payload: tuple) -> MetricsReport | str:
@@ -400,12 +371,13 @@ def run(config: ExperimentConfig, out_dir: str | Path | None = None, jobs: int =
 
 
 def summarize(specs: list[RunSpec], reports: dict[str, MetricsReport]) -> list[dict]:
-    """Mean and spread over seeds for each (variant, order, sweep point)."""
+    """Mean and spread over seeds for each (variant, order, sweep point),
+    in the order of specs: enumerate_runs gives the config's own order."""
     groups: dict[tuple, list[RunSpec]] = {}
     for spec in specs:
         groups.setdefault((spec.variant, spec.order_name, spec.sweep), []).append(spec)
     rows = []
-    for (variant, order_name, sweep), members in sorted(groups.items(), key=lambda kv: repr(kv[0])):
+    for (variant, order_name, sweep), members in groups.items():
         fmaps = [reports[m.run_id].fmap for m in members]
         means = [reports[m.run_id].mean_map for m in members]
         nhs = [reports[m.run_id].nh_trajectory[-1] for m in members]

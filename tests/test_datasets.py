@@ -355,6 +355,8 @@ class TestSaveLoad:
         ('{"train": "train.csv", "test": ["test.csv"]}', "test must be str"),
         ('{"train": "train.csv", "normalize": "false"}', "normalize must be bool"),
         ('{"train": "train.csv", "cameras": true}', "cameras must be int"),
+        # Read alone, the last train entry would win and load without error.
+        ('{"train": "missing.csv", "train": "train.csv"}', "cannot read manifest: repeated key 'train'"),
     ])
     def test_bad_manifest_names_the_manifest(self, tmp_path, text, match):
         (tmp_path / "train.csv").write_text("camera,local_id,global_id,f0,f1\n0,0,1,1.0,0.0\n")

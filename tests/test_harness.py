@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -28,7 +29,6 @@ from ike_lab.harness import (
     ExperimentConfig,
     derive_run_seed,
     enumerate_runs,
-    expand_presets,
     resolve_order,
     run,
 )
@@ -65,6 +65,7 @@ class TestConfigValidation:
         {"dataset": {"synthetic": {"n_global": 0}}},
         {"variants": ["NOPE"]},
         {"variants": []},
+        {"variants": "IKE"},
         {"seeds": []},
         {"seeds": [1, 1]},
         {"orders": []},
@@ -88,9 +89,9 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(tiny_config(**mutate))
 
     def test_manifest_config_reads_back_as_the_grid(self, tmp_path):
-        # A lone variant name and a partial encoder are written out whole,
-        # so the manifest's config is a complete config for the same runs.
-        doc = tiny_config(variants="IKE", orders=[[1, 0], [0, 1]], sweep={"lambda": [0.0, 0.5]},
+        # A partial encoder is written out whole, so the manifest's config
+        # is a complete config for the same runs.
+        doc = tiny_config(variants=["IKE"], orders=[[1, 0], [0, 1]], sweep={"lambda": [0.0, 0.5]},
                           encoder={"hidden": [8, 8]})
         cfg = ExperimentConfig.from_dict(doc)
         run(cfg, out_dir=tmp_path / "a")
@@ -172,9 +173,9 @@ class TestOrders:
         cfg_path = tmp_path / "cfg.json"
         doc = tiny_config()
         doc["dataset"]["synthetic"]["n_cameras"] = 3
-        cfg_path.write_text(json.dumps(doc))
+        cfg_path.write_text(json.dumps({**doc, "orders": ["T1"]}))
         out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out), "--preset", "T1"]) == 2
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert "order T1 is for 6 cameras, dataset has 3" in capsys.readouterr().err
         assert not out.exists()
         with pytest.raises(ConfigError, match="order o01 is for 2 cameras, dataset has 3"):
@@ -184,11 +185,6 @@ class TestOrders:
     def test_non_permutation_rejected(self):
         with pytest.raises(ConfigError):
             resolve_order([0, 0])
-
-    def test_expand_presets(self):
-        assert expand_presets("T2") == ["T2"]
-        assert expand_presets("T1,T3") == ["T1", "T3"]
-        assert expand_presets("T1..T5") == ["T1", "T2", "T3", "T4", "T5"]
 
 
 class TestSeeding:
@@ -219,16 +215,15 @@ class TestRun:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert len(manifest["runs"]) == 1
         run_dir = tmp_path / "out" / manifest["runs"][0]["path"]
-        assert (run_dir / "metrics.json").exists()
-        assert (run_dir / "metrics.csv").exists()
-        assert (run_dir / "train_log.csv").exists()
+        assert sorted(p.name for p in run_dir.iterdir()) == ["checkpoints", "metrics.json", "train_log.csv"]
         # One snapshot: the final camera's, step 1 of the order [0, 1].
         ckpts = list((run_dir / "checkpoints").iterdir())
         assert [c.name for c in ckpts] == ["step01_cam1"]
         assert sorted(p.name for p in ckpts[0].iterdir()) == ["encoder.json", "memory.json"]
-        # metrics.csv has one row per camera step
-        lines = (run_dir / "metrics.csv").read_text().strip().splitlines()
-        assert len(lines) == 3
+        # metrics.json has one entry per camera step in each per-step list
+        metrics = json.loads((run_dir / "metrics.json").read_text())
+        for key in ("per_camera_map", "nh_trajectory", "assoc_precision"):
+            assert len(metrics[key]) == 2, key
 
     def test_final_snapshot_encoder_rescores_fmap_bitwise(self, tmp_path):
         doc = tiny_config()
@@ -257,8 +252,9 @@ class TestRun:
         run(cfg, out_dir=tmp_path / "out")
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         run_dir = tmp_path / "out" / manifest["runs"][0]["path"]
-        lines = (run_dir / "metrics.csv").read_text().strip().splitlines()
-        assert len(lines) == 2
+        metrics = json.loads((run_dir / "metrics.json").read_text())
+        for key in ("per_camera_map", "nh_trajectory", "assoc_precision"):
+            assert len(metrics[key]) == 1, key
 
     def test_ablation_grid_covers_all_variants(self, tmp_path):
         doc = tiny_config(variants=["BASELINE", "IKE_D", "IKE_A", "IKE_U", "IKE_STAR", "IKE"])
@@ -352,7 +348,7 @@ class TestRun:
     def test_parallel_jobs_match_serial(self, tmp_path):
         # The reports, and the output trees file by file.
         trees = self._serial_and_parallel_trees(tmp_path)
-        assert len(trees[0]) == 2 + 4 * 5  # summary, manifest; per run 3 files and 1 snapshot
+        assert len(trees[0]) == 2 + 4 * 4  # summary, manifest; per run 2 files and 1 snapshot of 2
 
     def test_parallel_jobs_match_serial_with_several_chunks_per_evaluation(
         self, tmp_path, monkeypatch
@@ -421,7 +417,7 @@ class TestRun:
         out = tmp_path / "out"
         run(ExperimentConfig.from_dict(doc), out_dir=out)
         assert sorted(checked) == sorted(p for p in out.rglob("*") if p.is_file())
-        assert len(checked) == 2 + 2 * 5  # summary, manifest; per run 3 files and 1 snapshot
+        assert len(checked) == 2 + 2 * 4  # summary, manifest; per run 2 files and 1 snapshot of 2
 
     def test_no_output_dir(self):
         cfg = ExperimentConfig.from_dict(tiny_config())
@@ -439,10 +435,10 @@ class TestCli:
         assert (tmp_path / "out" / "summary.csv").exists()
         assert "fmAP" in capsys.readouterr().out
 
-    def test_run_seed_override(self, tmp_path):
+    def test_run_seeds_from_config(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(tiny_config(seeds=[0, 1, 2])))
-        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--seed", "7"])
+        cfg_path.write_text(json.dumps(tiny_config(seeds=[7])))
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert [r["seed"] for r in manifest["runs"]] == [7]
@@ -457,21 +453,33 @@ class TestCli:
     def test_missing_config_exit_2(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "none.json")]) == 2
 
-    def test_sweep_subcommand(self, tmp_path):
+    def test_run_sweep_from_config(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(tiny_config()))
-        rc = cli.main([
-            "run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
-            "--axis", "lambda=0,0.5,1.0",
-        ])
+        cfg_path.write_text(json.dumps(tiny_config(sweep={"lambda": [0, 0.5, 1.0]})))
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == 0
         summary = (tmp_path / "out" / "summary.csv").read_text().strip().splitlines()
         assert len(summary) == 4
 
-    def test_sweep_bad_axis_exit_2(self, tmp_path):
+    def test_unknown_sweep_axis_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(tiny_config()))
-        assert cli.main(["run", "--config", str(cfg_path), "--axis", "gamma=1"]) == 2
+        cfg_path.write_text(json.dumps(tiny_config(sweep={"gamma": [1]})))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "unknown sweep axis 'gamma'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_summary_rows_follow_the_config_order(self, tmp_path, capsys):
+        # Rows come in the grid's order, not sorted as text, where 10.0
+        # would come before 2.0.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(sweep={"tau": [2.0, 10.0]})))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        summary = (out / "summary.csv").read_text().strip().splitlines()
+        assert [line.split(",")[2] for line in summary[1:]] == ["2.0", "10.0"]
+        printed = [line for line in capsys.readouterr().out.splitlines() if "fmAP" in line]
+        assert [re.search(r"tau=(\S+):", line).group(1) for line in printed] == ["2", "10"]
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exit_2_before_any_work(self, tmp_path, capsys, jobs):
@@ -501,8 +509,7 @@ class TestCli:
 
     @pytest.mark.parametrize("name", [
         "summary.csv", "manifest.json", "summary.csv.tmp",
-        *(f"runs/IKE__o01__s0/{name}" for name in ("metrics.json", "metrics.csv", "train_log.csv",
-                                                   "metrics.json.tmp")),
+        *(f"runs/IKE__o01__s0/{name}" for name in ("metrics.json", "train_log.csv", "metrics.json.tmp")),
         *(f"runs/IKE__o01__s0/checkpoints/step01_cam1/{name}" for name in ("encoder.json", "memory.json")),
     ])
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -594,8 +601,8 @@ class TestCli:
         assert f"error: run {failed['run_id']} failed: NonFiniteLoss" in capsys.readouterr().err
 
     @settings(max_examples=40, deadline=None)
-    @given(data=st.data(), through_sweep_command=st.booleans())
-    def test_bad_sweep_point_exit_2_before_any_work(self, data, through_sweep_command):
+    @given(data=st.data())
+    def test_bad_sweep_point_exit_2_before_any_work(self, data):
         # A valid point comes first, so a grid checked run by run would
         # train it and write its artifacts before reaching the bad one.
         axis, good = data.draw(st.sampled_from([("lambda", 0.5), ("omega", 0.1), ("tau", 0.05)]))
@@ -605,20 +612,14 @@ class TestCli:
             out_of_range = st.floats().filter(lambda v: not 0.0 <= v <= 1.0)
         non_numeric = st.one_of(st.text(max_size=5), st.none(), st.booleans(),
                                 st.lists(st.integers(), max_size=2))
-        bad = data.draw(out_of_range if through_sweep_command else st.one_of(out_of_range, non_numeric))
+        bad = data.draw(st.one_of(out_of_range, non_numeric))
         with tempfile.TemporaryDirectory() as tmp:
             cfg_path = Path(tmp) / "cfg.json"
             out = Path(tmp) / "out"
-            if through_sweep_command:
-                cfg_path.write_text(json.dumps(tiny_config()))
-                argv = ["run", "--config", str(cfg_path), "--out", str(out),
-                        "--axis", f"{axis}={good!r},{bad!r}"]
-            else:
-                cfg_path.write_text(json.dumps(tiny_config(sweep={axis: [good, bad]})))
-                argv = ["run", "--config", str(cfg_path), "--out", str(out)]
+            cfg_path.write_text(json.dumps(tiny_config(sweep={axis: [good, bad]})))
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
-                rc = cli.main(argv)
+                rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
             assert rc == 2
             assert f"sweep axis {axis!r}: value {bad!r}" in err.getvalue()
             assert not out.exists() or not any(out.iterdir())
@@ -772,32 +773,12 @@ class TestCli:
                 "could be scored") in capsys.readouterr().err
         assert not out.exists()
 
-    def test_seed_axis_and_preset_are_config_overrides(self, tmp_path):
-        # Together the three flags give the runs of a config whose seeds,
-        # sweep and orders say the same.
-        doc = tiny_config(hyperparams={"epochs": 1, "batch_size": 8})
-        doc["dataset"]["synthetic"].update({"n_cameras": 6, "n_global": 24, "ids_per_camera": 6})
-        flags, keys = tmp_path / "flags.json", tmp_path / "keys.json"
-        flags.write_text(json.dumps(doc))
-        keys.write_text(json.dumps(
-            {**doc, "seeds": [7], "sweep": {"lambda": [0.0, 0.5]}, "orders": ["T1", "T2"]}
-        ))
-        assert cli.main(["run", "--config", str(flags), "--out", str(tmp_path / "a"), "--seed", "7",
-                         "--axis", "lambda=0,0.5", "--preset", "T1,T2"]) == 0
-        assert cli.main(["run", "--config", str(keys), "--out", str(tmp_path / "b")]) == 0
-        a, b = (json.loads((tmp_path / d / "manifest.json").read_text()) for d in "ab")
-        assert len(a["runs"]) == 4 and {r["seed"] for r in a["runs"]} == {7}
-        assert a["runs"] == b["runs"]
-
-    def test_orders_subcommand(self, tmp_path):
-        doc = tiny_config()
+    def test_run_orders_from_config(self, tmp_path):
+        doc = tiny_config(orders=["T1", "T2"])
         doc["dataset"]["synthetic"].update({"n_cameras": 6, "n_global": 24, "ids_per_camera": 6})
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
-        rc = cli.main([
-            "run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
-            "--preset", "T1,T2",
-        ])
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert {r["order"] for r in manifest["runs"]} == {"T1", "T2"}
@@ -828,34 +809,58 @@ class TestCli:
         assert err.startswith("config error: ") and f"{key}={value!r}" in err
         assert not out.exists()
 
-    def test_repeated_axis_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("given, repeated, key", [
+        ('"seeds": [0]', '"seeds": [0], "seeds": [1]', "seeds"),
+        ('"epochs": 2', '"epochs": 2, "epochs": 3', "epochs"),
+        ('"lambda": [0.0]', '"lambda": [0.0], "lambda": [0.5]', "lambda"),
+    ])
+    def test_repeated_config_key_exit_2_and_writes_nothing(self, tmp_path, capsys, given, repeated, key):
+        # json.loads alone keeps a repeated key's last value, so the grid
+        # would silently differ from what the file seems to say.
+        text = json.dumps(tiny_config(sweep={"lambda": [0.0]}))
+        assert text.count(given) == 1
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(tiny_config()))
+        cfg_path.write_text(text.replace(given, repeated))
         out = tmp_path / "out"
-        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out),
-                       "--axis", "lambda=0.1", "--axis", "lambda=0.9"])
-        assert rc == 2
-        assert "'lambda' given twice" in capsys.readouterr().err
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot read config {cfg_path}: repeated key {key!r}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("preset, message", [
-        ("T9", "unknown order preset 'T9'"), (",", "orders must be a nonempty list"),
+    @pytest.mark.parametrize("orders, message", [
+        (["T9"], "unknown order preset 'T9'"), ([], "orders must be a nonempty list"),
     ])
-    def test_bad_preset_exit_2_before_any_data(self, tmp_path, capsys, monkeypatch, preset, message):
+    def test_bad_orders_exit_2_before_any_data(self, tmp_path, capsys, monkeypatch, orders, message):
         monkeypatch.setattr(harness, "generate", lambda spec: pytest.fail("dataset generated"))
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(tiny_config()))
+        cfg_path.write_text(json.dumps(tiny_config(orders=orders)))
         out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out), "--preset", preset]) == 2
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_reversed_preset_range_exit_2(self, tmp_path, capsys):
-        doc = tiny_config()
-        doc["dataset"]["synthetic"].update({"n_cameras": 6, "n_global": 24, "ids_per_camera": 6})
+    @pytest.mark.parametrize("flag", [["--seed", "7"], ["--axis", "lambda=0"], ["--preset", "T1"]])
+    def test_removed_flag_exit_2_through_argparse(self, tmp_path, capsys, flag):
+        # The config is the one description of a grid, so a flag that would
+        # replace one of its keys is refused, never silently ignored.
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(doc))
+        cfg_path.write_text(json.dumps(tiny_config()))
         out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out), "--preset", "T5..T1"]) == 2
-        assert "'T5..T1' runs backwards" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", str(cfg_path), "--out", str(out), *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_documented_run_flags_are_the_parser_flags(self):
+        # The README's synopsis and the module's own name the flags that
+        # build_parser accepts, so no document advertises a refused flag.
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        parsed = {s for a in subparsers.choices["run"]._actions for s in a.option_strings} - {"-h", "--help"}
+        assert parsed == {"--config", "--jobs", "--out"}
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        synopsis = re.search(r"## Command line\n\n```bash\n(.*?)```", readme, re.DOTALL).group(1)
+        for doc in (synopsis, cli.__doc__):
+            run_synopsis = doc[doc.index("ike-lab run"):doc.index("ike-lab selftest")]
+            assert set(re.findall(r"--[a-z]+", run_synopsis)) == parsed

@@ -15,6 +15,7 @@ from ike_lab.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     MissingLabel,
+    ParseError,
     ShapeMismatch,
 )
 from ike_lab.memory import (
@@ -410,6 +411,15 @@ class TestSnapshotRoundTrip:
         path = tmp_path / "memory.json"
         save_memory(mem, path)
         assert load_memory(path).provenance is None
+
+    def test_repeated_key_names_the_snapshot(self, tmp_path):
+        # Read alone, the last provenance would win: a tagged memory would
+        # load untagged.
+        path = tmp_path / "memory.json"
+        path.write_text('{"dim": 2, "rows": [[1.0, 0.0]], "provenance": [5], "provenance": null}')
+        message = r"^memory\.json: cannot read memory snapshot: repeated key 'provenance'$"
+        with pytest.raises(ParseError, match=message):
+            load_memory(path)
 
     def test_dimension_check(self, tmp_path):
         path = tmp_path / "bad.json"
