@@ -2,25 +2,15 @@
 
 Evaluation is strict cross-camera retrieval by default: a query's gallery is
 every test image from other cameras, relevance is same global identity, and
-queries with no relevant item are skipped rather than scored zero. Queries
-are ranked one camera block at a time against the block's shared gallery,
-with one gemm score block per chunk of query rows. The chunks of all blocks
-form one pipeline: one helper thread runs the next chunk's gemm while the
-calling thread ranks the current one, unless the call has a single chunk or
-runs in a process that may use one CPU only or that multiprocessing
-started. The ranking reads only a row's relevant pairs, the few gallery
-items that share its identity, and the items scoring at or above the lowest
-of them, ordered by one stable sort per chunk. A relevant item's rank is the
-number of gallery items that score above it, plus those that tie with it at
-a lower gallery index; equal embeddings tie exactly. Each AP is summed over
-the prefix of its row's zero vector that holds its terms, which gives the
-bits of the whole vector's sum.
+queries with no relevant item are skipped rather than scored zero.
+evaluate_map says how queries are scored and ranked, on up to two threads.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -69,17 +59,16 @@ def evaluate_map(
     so their gallery is built once per call and scored against F.T. Each
     chunk of query rows, as many as fit in _BLOCK_ELEMENTS scores (at
     least one), is scored with one gemm, F[rows] @ F[candidates].T, so no
-    N x N matrix is built. The chunks of all blocks form one sequence: while
-    this thread ranks chunk k, one helper thread runs chunk k + 1's gemm
-    into the other of two buffers. Where no core is free for the helper,
-    calls rank inline with one buffer, each gemm run just before its chunk
-    is ranked: in a process that may use one CPU only, and in a process
-    that multiprocessing started, whose sibling processes already hold the
-    cores. So does a call with a single chunk. The helper thread lives only
-    for the call. Both paths cut the same chunks, so they run the same
-    gemms and give the same bits. A BLAS kernel can score equal embeddings
-    an ulp apart, so each copy of an embedding takes the score of its first
-    copy among the candidates: copies tie exactly.
+    N x N matrix is built. The chunks of all blocks form one queue: this
+    thread and one helper thread, which lives for the call, each take the
+    next chunk under a lock, score it into their own buffer and rank it. If
+    a ranking raises, no more chunks are taken, and the first error reaches
+    the caller once the helper is joined. With a single chunk, or in a
+    process that may use one CPU only or that multiprocessing started (its
+    siblings hold the cores), this thread drains the queue alone, running
+    the same gemms, so giving the same bits. A BLAS kernel can score equal
+    embeddings an ulp apart, so each copy of an embedding takes the score of
+    its first copy among the candidates: copies tie exactly.
 
     A row's relevant pairs are found without comparing identities across
     the chunk: a gallery's candidate identities are sorted once, and each
@@ -93,10 +82,8 @@ def evaluate_map(
     gallery items scoring above it plus those scoring the same at a lower
     gallery index, the order a stable sort on -score gives. Only items
     scoring at or above a row's lowest relevant score can precede a
-    relevant item, so one stable sort of those on a complex key, row plus
-    -score times i, gives every relevant rank of the chunk. Each row's AP
-    terms are summed over the prefix of its zero vector that numpy's
-    pairwise sum adds to the same bits as the whole vector.
+    relevant item, so _block_aps sorts only those, once per chunk, and sums
+    each AP to the bits average_precision gives.
 
     An embedding that is not finite raises DegenerateEmbedding.
     """
@@ -108,44 +95,43 @@ def evaluate_map(
     F = forward_batch(params, test.X).embeddings
     if not np.isfinite(F).all():
         raise DegenerateEmbedding("evaluation: an embedding is not finite")
-    # Adding 0.0 turns -0.0 into 0.0, so equal embeddings have equal bytes.
-    row_bytes = (F + 0.0).view(np.dtype((np.void, F.itemsize * F.shape[1])))[:, 0]
-    embedding_of = np.unique(row_bytes, return_inverse=True)[1]
+    embedding_of = _embedding_ids(F)
     gids, cams = test.global_ids, test.camera_ids
     plan = _chunks(cams, gallery_rule)
-    pipelined = len(plan) > 1 and _usable_cpus() > 1 and not _started_by_multiprocessing()
     chunks = _with_galleries(plan, F, embedding_of, gids, cams, gallery_rule)
     # A chunk holds at most max(_BLOCK_ELEMENTS, L) scores for L <= N
     # candidates, and never more than N x N.
     size = min(max(_BLOCK_ELEMENTS, N), N * N)
     aps = np.full(N, np.nan)
+    lock = threading.Lock()
+    failures: list[BaseException] = []
 
-    def rank(chunk, scores):
-        c, gallery, rows = chunk
-        aps[rows] = _chunk_aps(scores, rows, c, gallery, gids, cams, gallery_rule)
+    def take() -> tuple[int, _Gallery, np.ndarray] | None:
+        with lock:
+            return None if failures else next(chunks, None)
 
-    if pipelined:
-        # Imported on first use, so a process that never pipelines, such as
-        # a pool worker, does not hold the module in memory.
-        from concurrent.futures import ThreadPoolExecutor
-
-        buffers = (np.empty(size), np.empty(size))
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            previous = None
-            for k, chunk in enumerate(chunks):
-                _, gallery, rows = chunk
-                out = _scores_view(buffers[k % 2], rows, gallery)
-                gemm = helper.submit(np.matmul, F[rows], gallery.embeddings_T, out=out)
-                if previous is not None:
-                    rank(previous[0], previous[1].result())
-                previous = chunk, gemm
-            rank(previous[0], previous[1].result())
-    else:
+    def work() -> None:
         buffer = np.empty(size)
-        for chunk in chunks:
-            _, gallery, rows = chunk
-            out = _scores_view(buffer, rows, gallery)
-            rank(chunk, np.matmul(F[rows], gallery.embeddings_T, out=out))
+        try:
+            for c, gallery, rows in iter(take, None):
+                R, L = rows.size, gallery.cols.size
+                scores = np.matmul(F[rows], gallery.embeddings_T, out=buffer[: R * L].reshape(R, L))
+                aps[rows] = _chunk_aps(scores, rows, c, gallery, gids, cams, gallery_rule)
+        except BaseException as error:
+            with lock:
+                failures.append(error)
+
+    if len(plan) > 1 and _usable_cpus() > 1 and not _started_by_multiprocessing():
+        helper = threading.Thread(target=work, name="evaluate_map helper")
+        helper.start()
+        try:
+            work()
+        finally:
+            helper.join()
+    else:
+        work()
+    if failures:
+        raise failures[0]
     scored = aps[~np.isnan(aps)]
     if scored.size == 0:
         raise EmptyGallery("no query had a nonempty gallery with relevant items")
@@ -164,12 +150,12 @@ def has_scorable_query(test: TestSplit, gallery_rule: str = "camera") -> bool:
     return np.unique(pairs[:, 0]).size < len(pairs)
 
 
-# Scores per chunk buffer: 2 MB of float64. A call that ranks inline holds
-# one buffer, 2 MB of scores in flight; a pipelined call holds two, 4 MB, one
-# being ranked while the next chunk's gemm fills the other. A buffer grows to
-# one gallery row when a row is longer. The ranking's index arrays can reach
-# a few times a chunk's scores when relevant items score low.
+# Scores per chunk buffer: 2 MB of float64, one buffer in each thread that
+# drains a call's queue, so 4 MB in flight with the helper. A buffer grows to
+# one gallery row when a row is longer. A thread's ranking index arrays can
+# reach a few times a chunk's scores when relevant items score low.
 _BLOCK_ELEMENTS = 1 << 18
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd: 2**64 over the golden ratio
 
 
 class _Gallery(NamedTuple):
@@ -185,6 +171,22 @@ class _Gallery(NamedTuple):
     sources: np.ndarray
     by_id: np.ndarray
     sorted_ids: np.ndarray
+
+
+def _embedding_ids(F: np.ndarray) -> np.ndarray:
+    """An id per row of F, equal for rows of equal values, -0.0 and 0.0
+    alike: a 64-bit hash of the row's bits, the wrapping sum of entry j times
+    _HASH_MULTIPLIER ** (j + 1), checked against the first row of its hash;
+    on a collision, the rows' bytes grouped by np.unique."""
+    # Adding 0.0 turns -0.0 into 0.0, so equal embeddings have equal bits.
+    bits = (F + 0.0).view(np.uint64)
+    powers = np.cumprod(np.full(F.shape[1], _HASH_MULTIPLIER))
+    _, first, ids = np.unique(bits @ powers, return_index=True, return_inverse=True)
+    copies = np.flatnonzero(first[ids] != np.arange(ids.size))
+    if (bits[copies] == bits[first[ids[copies]]]).all():
+        return ids
+    row_bytes = bits.view(np.dtype((np.void, bits.itemsize * bits.shape[1])))[:, 0]
+    return np.unique(row_bytes, return_inverse=True)[1]
 
 
 def _gallery(
@@ -250,12 +252,6 @@ def _started_by_multiprocessing() -> bool:
     return mp is not None and mp.parent_process() is not None
 
 
-def _scores_view(buffer: np.ndarray, rows: np.ndarray, gallery: _Gallery) -> np.ndarray:
-    """The rows x candidates block at the start of buffer."""
-    R, L = rows.size, gallery.cols.size
-    return buffer[: R * L].reshape(R, L)
-
-
 def _chunk_aps(
     scores: np.ndarray,
     rows: np.ndarray,
@@ -300,9 +296,9 @@ def _block_aps(
     hold -inf. scores is overwritten: its buffer is reused for the AP sums.
 
     The cells scoring at or above a row's lowest relevant score are ranked
-    by one stable sort on the complex key row + i * (-score). Each AP sums
-    only the prefix of its row's zero vector that holds its terms, which
-    gives the bits average_precision gives over the whole vector."""
+    in (row, -score) order, ties in gallery order. Each AP sums only the
+    prefix of its row's zero vector that holds its terms, which gives the
+    bits average_precision gives over the whole vector."""
     R, L = scores.shape
     flat = scores.reshape(-1)
     cells = pair_rows * L + pair_cols
@@ -316,13 +312,16 @@ def _block_aps(
     # lowest, so each is found in it.
     relevant = np.zeros(at.size, dtype=bool)
     relevant[np.searchsorted(at, cells)] = True
-    # numpy sorts complex numbers by real part, then imaginary part, so one
-    # stable sort of (row, -score) orders the cells as a lexsort would, ties
-    # in gallery order since at is.
-    key = np.empty(at.size, dtype=np.complex128)
-    key.real = at_row
-    np.negative(flat[at], out=key.imag)
-    order = np.argsort(key, kind="stable")
+    # A quicksort on -score, then a stable (radix) sort on row, orders the
+    # cells by (row, -score), though cells of a row that tie may leave
+    # gallery order. If any tie, one stable sort of row + i * (-score), as
+    # numpy sorts complex numbers, keeps them in gallery order, as at is.
+    neg = -flat[at]
+    order = np.argsort(neg)
+    by_row = at_row[order].astype(np.uint16 if R <= 1 << 16 else int)
+    order = order[np.argsort(by_row, kind="stable")]
+    if (neg[order[1:]] == neg[order[:-1]])[np.diff(at_row[order]) == 0].any():
+        order = np.argsort(at_row + 1j * neg, kind="stable")
     hits = np.flatnonzero(relevant[order])
     row = at_row[order[hits]]
     rank = hits - (np.cumsum(counts) - counts)[row]

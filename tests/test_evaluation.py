@@ -1,6 +1,9 @@
 import json
 import multiprocessing
+import random
+import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -277,20 +280,22 @@ class TestEvaluateMap:
         # A gemm can round a row's scores differently with how many rows it
         # holds, so both paths must give every gemm the same query rows.
         # At 200 scores against galleries of 40 to 60 candidates, a chunk
-        # holds 3 to 5 rows, so a pipeline cutting at half the scores would
-        # give its gemms 1 or 2.
+        # holds 3 to 5 rows, so a path cutting at half the scores would
+        # give its gemms 1 or 2. Each chunk's scores reach _chunk_aps with
+        # the rows its gemm held.
         monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", 200)
         params = init_encoder([5, 8, 8, 16], np.random.default_rng(1))
         n = 60
         split = TestSplit(rng.normal(size=(n, 5)), rng.integers(6, size=n), np.arange(n) % 3)
-        real = evaluation._scores_view
+        real = evaluation._chunk_aps
         gemms = []
 
-        def recorded(buffer, rows, gallery):
+        def recorded(scores, rows, *args):
+            assert scores.shape[0] == rows.size
             gemms[-1].append(rows.tolist())
-            return real(buffer, rows, gallery)
+            return real(scores, rows, *args)
 
-        monkeypatch.setattr(evaluation, "_scores_view", recorded)
+        monkeypatch.setattr(evaluation, "_chunk_aps", recorded)
         maps = []
         for worker in (False, True):
             with pytest.MonkeyPatch.context() as patch:
@@ -298,10 +303,73 @@ class TestEvaluateMap:
                 patch.setattr(evaluation, "_started_by_multiprocessing", lambda: worker)
                 gemms.append([])
                 maps.append(evaluate_map(params, split, rule))
-        pipelined, inline = gemms
-        assert len(pipelined) > 2
-        assert pipelined == inline
+        two_threads, inline = gemms
+        assert len(two_threads) > 2
+        # The two threads may score the chunks in either order.
+        assert sorted(two_threads) == sorted(inline)
         assert maps[0] == maps[1]
+
+    @pytest.mark.parametrize("rule", GALLERY_RULES)
+    def test_random_ranking_delays_give_the_inline_bits(self, monkeypatch, rng, rule):
+        # Each thread sleeps 0-2 ms before ranking a chunk, and the
+        # interpreter switches threads every 10 us, so the two take chunks in
+        # an order that differs from call to call. Every row's AP still comes
+        # from the same gemm, and the mAP from the same sum.
+        monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", 200)
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+        params = init_encoder([5, 8, 8, 16], np.random.default_rng(1))
+        n = 120
+        split = TestSplit(rng.normal(size=(n, 5)), rng.integers(10, size=n), rng.integers(4, size=n))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluation, "_started_by_multiprocessing", lambda: True)
+            inline = evaluate_map(params, split, rule)
+        delays = random.Random(0)
+        ranked_by = set()
+        real = evaluation._chunk_aps
+
+        def delayed(*args):
+            ranked_by.add(threading.current_thread())
+            time.sleep(delays.uniform(0.0, 0.002))
+            return real(*args)
+
+        monkeypatch.setattr(evaluation, "_chunk_aps", delayed)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                ranked_by.clear()
+                assert evaluate_map(params, split, rule) == inline
+                assert len(ranked_by) == 2
+        finally:
+            sys.setswitchinterval(interval)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        dim=st.integers(1, 6),
+        n_copies=st.integers(0, 10),
+        collide=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_embedding_ids_group_rows_as_their_bytes_do(self, seed, n, dim, n_copies, collide):
+        # Entries drawn from a few values, -0.0 and 0.0 among them, make
+        # rows that are equal, rows that differ only in the sign of a zero,
+        # and planted copies. Rows share an id exactly when their bytes
+        # match once -0.0 is made 0.0. A hash multiplier of 0 hashes every
+        # row alike, so two rows that differ collide and the byte grouping
+        # decides.
+        rng = np.random.default_rng(seed)
+        values = np.array([-0.0, 0.0, 1.0, -0.5, rng.normal()])
+        F = rng.choice(values, size=(n, dim))
+        F = F[np.append(np.arange(n), rng.integers(n, size=n_copies))]
+        with pytest.MonkeyPatch.context() as patch:
+            if collide:
+                patch.setattr(evaluation, "_HASH_MULTIPLIER", np.uint64(0))
+            ids = evaluation._embedding_ids(F)
+        row_bytes = (F + 0.0).view(np.dtype((np.void, F.itemsize * dim)))[:, 0]
+        want = np.unique(row_bytes, return_inverse=True)[1]
+        assert ids.shape == want.shape
+        assert ((ids[:, None] == ids) == (want[:, None] == want)).all()
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_pool_workers_rank_inline(self, method):
@@ -311,38 +379,54 @@ class TestEvaluateMap:
         with multiprocessing.get_context(method).Pool(1) as pool:
             assert pool.apply(evaluation._started_by_multiprocessing)
 
-    @pytest.mark.parametrize("fail_at", [None, 3])
-    def test_no_thread_outlives_a_call(self, monkeypatch, rng, fail_at):
-        # On two CPUs at 40 scores per chunk, a call has many chunks, each
-        # gemm but the first run by one helper thread while this thread ranks
-        # the chunk before. The helper is gone when the call returns, and
-        # when a ranking raises mid-call, the error reaching the caller.
+    @pytest.mark.parametrize("failing", [None, "caller", "helper"])
+    def test_no_thread_outlives_a_call(self, monkeypatch, rng, failing):
+        # On two CPUs at 40 scores per chunk, a call has many chunks, which
+        # this thread and one helper thread take from one queue. The helper
+        # is gone when the call returns. When either thread's ranking
+        # raises, the other takes no more chunks, and that error reaches the
+        # caller. Each thread's first ranking waits at a barrier, so both
+        # threads rank a chunk before either fails.
         monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", 40)
         monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
         params = init_encoder([5, 8, 8, 16], np.random.default_rng(1))
         n = 60
         split = TestSplit(rng.normal(size=(n, 5)), rng.integers(6, size=n), rng.integers(3, size=n))
+        n_chunks = len(evaluation._chunks(split.camera_ids, "camera"))
         threads = threading.active_count()
+        caller = threading.current_thread()
+        both_ranking = threading.Barrier(2, timeout=10)
         seen = []
         real = evaluation._block_aps
 
         def ranked(*args):
-            seen.append((threading.current_thread(), threading.active_count()))
-            if len(seen) == fail_at:
-                raise RuntimeError("ranking failed")
+            me = threading.current_thread()
+            seen.append((me, threading.active_count()))
+            if [thread for thread, _ in seen].count(me) == 1:
+                both_ranking.wait()
+                if me is caller and failing == "helper":
+                    # The helper ends once it has recorded its error, and
+                    # then this thread takes no more chunks.
+                    helper = next(thread for thread, _ in seen if thread is not caller)
+                    helper.join(timeout=10)
+                    assert not helper.is_alive()
+                if failing == ("caller" if me is caller else "helper"):
+                    raise RuntimeError(f"{failing} ranking failed")
             return real(*args)
 
         monkeypatch.setattr(evaluation, "_block_aps", ranked)
-        if fail_at is None:
+        if failing is None:
             evaluate_map(params, split, "camera")
-            assert len(seen) > 2
+            assert len(seen) == n_chunks
         else:
-            with pytest.raises(RuntimeError, match="ranking failed"):
+            with pytest.raises(RuntimeError, match=f"{failing} ranking failed"):
                 evaluate_map(params, split, "camera")
-            assert len(seen) == fail_at
+            assert len(seen) < n_chunks
+        if failing == "helper":
+            assert len(seen) == 2
         assert threading.active_count() == threads
-        assert {thread for thread, _ in seen} == {threading.current_thread()}
-        assert {count for _, count in seen} == {threads + 1}
+        assert len({thread for thread, _ in seen}) == 2
+        assert max(count for _, count in seen) == threads + 1
 
     def test_block_rows_bitwise_equal_to_average_precision(self, rng):
         # Each row of a block, ranked with its excluded columns dropped, is
@@ -437,6 +521,18 @@ class TestEvaluateMap:
             ]
             got = evaluation._block_aps(scores, pair_rows, pair_cols, lengths)
             np.testing.assert_array_equal(got, want)
+
+    def test_more_rows_than_uint16_holds_rank_alike(self, rng):
+        # A gallery of 3 columns lets a chunk hold 87,381 rows, more than
+        # the 2**16 row numbers a uint16 sort key holds. With one relevant
+        # cell per row, its AP is 1 / (1 + the cells scoring above it).
+        R, L = (1 << 16) + 5, 3
+        scores = rng.normal(size=(R, L))
+        pair_rows, pair_cols = np.arange(R), rng.integers(L, size=R)
+        relevant = scores[pair_rows, pair_cols]
+        want = 1.0 / (1 + np.count_nonzero(scores > relevant[:, None], axis=1))
+        got = evaluation._block_aps(scores, pair_rows, pair_cols, np.full(R, L))
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("source", ["init_encoder", "load_encoder"])
     @pytest.mark.parametrize("rule", GALLERY_RULES)

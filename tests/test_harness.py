@@ -354,10 +354,10 @@ class TestRun:
         self, tmp_path, monkeypatch
     ):
         # At 40 scores per chunk every evaluate_map call has several chunks.
-        # This process pipelines them when it may use two CPUs; the pool
-        # workers, forked with the patched value, rank the same chunks
-        # inline with one buffer, so a gemm that overwrote the chunk being
-        # ranked would change their reports.
+        # This process scores and ranks them on two threads, each with its
+        # own buffer, when it may use two CPUs; the pool workers, forked with
+        # the patched value, rank the same chunks on one thread, so a thread
+        # that wrote into the other's buffer would change their reports.
         monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", 40)
         self._serial_and_parallel_trees(tmp_path)
 
