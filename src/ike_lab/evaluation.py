@@ -312,16 +312,17 @@ def _block_aps(
     # lowest, so each is found in it.
     relevant = np.zeros(at.size, dtype=bool)
     relevant[np.searchsorted(at, cells)] = True
-    # A quicksort on -score, then a stable (radix) sort on row, orders the
-    # cells by (row, -score), though cells of a row that tie may leave
-    # gallery order. If any tie, one stable sort of row + i * (-score), as
-    # numpy sorts complex numbers, keeps them in gallery order, as at is.
+    # A quicksort on -score leaves equal scores in any order. A second one,
+    # on the unique keys (rank among the distinct scores) * M + position in
+    # at, below M**2 for M cells, puts them in gallery order, as at is. A
+    # stable (radix) sort on row then orders the cells by (row, -score).
     neg = -flat[at]
     order = np.argsort(neg)
+    value = neg[order]
+    distinct = np.concatenate(([0], np.cumsum(value[1:] != value[:-1])))
+    order = np.sort(distinct * at.size + order) % at.size
     by_row = at_row[order].astype(np.uint16 if R <= 1 << 16 else int)
     order = order[np.argsort(by_row, kind="stable")]
-    if (neg[order[1:]] == neg[order[:-1]])[np.diff(at_row[order]) == 0].any():
-        order = np.argsort(at_row + 1j * neg, kind="stable")
     hits = np.flatnonzero(relevant[order])
     row = at_row[order[hits]]
     rank = hits - (np.cumsum(counts) - counts)[row]

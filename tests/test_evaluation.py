@@ -379,14 +379,16 @@ class TestEvaluateMap:
         with multiprocessing.get_context(method).Pool(1) as pool:
             assert pool.apply(evaluation._started_by_multiprocessing)
 
-    @pytest.mark.parametrize("failing", [None, "caller", "helper"])
+    @pytest.mark.parametrize("failing", [None, "caller", "helper", "both"])
     def test_no_thread_outlives_a_call(self, monkeypatch, rng, failing):
         # On two CPUs at 40 scores per chunk, a call has many chunks, which
         # this thread and one helper thread take from one queue. The helper
         # is gone when the call returns. When either thread's ranking
-        # raises, the other takes no more chunks, and that error reaches the
-        # caller. Each thread's first ranking waits at a barrier, so both
-        # threads rank a chunk before either fails.
+        # raises, the other takes no more chunks, and the first error
+        # reaches the caller. Each thread's first ranking waits at a
+        # barrier, so both threads rank a chunk before either fails. Under
+        # "both" the helper fails first, then this thread: the helper's
+        # error must be the one raised.
         monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", 40)
         monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
         params = init_encoder([5, 8, 8, 16], np.random.default_rng(1))
@@ -401,17 +403,18 @@ class TestEvaluateMap:
 
         def ranked(*args):
             me = threading.current_thread()
+            role = "caller" if me is caller else "helper"
             seen.append((me, threading.active_count()))
             if [thread for thread, _ in seen].count(me) == 1:
                 both_ranking.wait()
-                if me is caller and failing == "helper":
+                if me is caller and failing in ("helper", "both"):
                     # The helper ends once it has recorded its error, and
                     # then this thread takes no more chunks.
                     helper = next(thread for thread, _ in seen if thread is not caller)
                     helper.join(timeout=10)
                     assert not helper.is_alive()
-                if failing == ("caller" if me is caller else "helper"):
-                    raise RuntimeError(f"{failing} ranking failed")
+                if failing in (role, "both"):
+                    raise RuntimeError(f"{role} ranking failed")
             return real(*args)
 
         monkeypatch.setattr(evaluation, "_block_aps", ranked)
@@ -419,10 +422,11 @@ class TestEvaluateMap:
             evaluate_map(params, split, "camera")
             assert len(seen) == n_chunks
         else:
-            with pytest.raises(RuntimeError, match=f"{failing} ranking failed"):
+            first = "helper" if failing == "both" else failing
+            with pytest.raises(RuntimeError, match=f"^{first} ranking failed$"):
                 evaluate_map(params, split, "camera")
             assert len(seen) < n_chunks
-        if failing == "helper":
+        if failing in ("helper", "both"):
             assert len(seen) == 2
         assert threading.active_count() == threads
         assert len({thread for thread, _ in seen}) == 2
