@@ -6,6 +6,19 @@ knowledge from the frozen previous model, and merges or expands at every
 camera boundary. Retrieval quality is tracked as cross-camera mAP.
 """
 
+import os
+import sys
+
+# One BLAS thread per Python thread. Evaluation ranks on two threads and
+# `--jobs` runs a process per job; with OpenBLAS's default of a thread per
+# CPU in each, they oversubscribe the cores, and float results depend on the
+# core count. BLAS reads these variables when numpy loads, so a process that
+# imported numpy first is left as it is, as is a value the caller set.
+if "numpy" not in sys.modules:
+    for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_variable, "1")
+    del _variable
+
 from .association import (
     AssociationPrecision,
     all_unmatched,

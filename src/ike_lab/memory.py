@@ -34,7 +34,6 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .datasets import CameraDataset
-    from .encoder import EncoderParams
 
 # Sentinel for "no matching historical identity".
 NO_MATCH = -1
@@ -96,22 +95,23 @@ def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return M / np.linalg.norm(M, axis=1, keepdims=True)
 
 
-def init_memory(params: "EncoderParams", dataset: "CameraDataset") -> IdentityMemory:
-    """Build a memory from a dataset: row y = normalized mean embedding of
-    all images labelled y. Row order follows the label index. Each sum
-    starts from the identity's first row and adds the others in order of
-    occurrence, as feats[labels == y].mean(axis=0) does. An embedding that
-    is not finite (a model that diverged on its last step) raises
-    DegenerateEmbedding naming the camera."""
-    from .encoder import forward_batch
-
+def init_memory(feats: np.ndarray, dataset: "CameraDataset") -> IdentityMemory:
+    """Build a camera's memory from its embeddings feats, one row per image
+    of dataset: row y = normalized mean embedding of all images labelled y.
+    Row order follows the label index. Each sum starts from the identity's
+    first row and adds the others in order of occurrence, as
+    feats[labels == y].mean(axis=0) does. feats of another row count, or
+    not 2-D, raises ShapeMismatch; an embedding that is not finite (a model
+    that diverged on its last step) raises DegenerateEmbedding naming the
+    camera."""
     if dataset.X.shape[0] == 0:
         raise EmptyBatch("cannot initialize a memory from an empty dataset")
     labels = dataset.labels
     counts = np.bincount(labels, minlength=int(dataset.n_ids))
     if not counts.all():
         raise MissingLabel(f"label {np.flatnonzero(counts == 0)[0]} has no images")
-    feats = forward_batch(params, dataset.X).embeddings
+    if np.ndim(feats) != 2 or len(feats) != labels.size:
+        raise ShapeMismatch(f"embeddings shape {np.shape(feats)} vs {labels.size} images")
     if not np.isfinite(feats).all():
         raise DegenerateEmbedding(f"camera {dataset.camera_id}: an embedding is not finite")
     first = np.unique(labels, return_index=True)[1]

@@ -262,7 +262,12 @@ def train_camera(
     hist_params = state.encoder
     hist_memory = state.memory
     cur_params = hist_params.copy()
-    cur_memory = init_memory(hist_params, dataset)
+    X = dataset.X
+    # The historical model is frozen for the whole camera: forward it once.
+    # Its embeddings build the starting memory, and distillation hands each
+    # batch its rows of the same record; training holds nothing else of it.
+    frozen = forward_batch(hist_params, X)
+    cur_memory = init_memory(frozen.embeddings, dataset)
 
     assoc = _associate(policy, cur_memory, hist_memory)
     prec: float | None = None
@@ -270,16 +275,12 @@ def train_camera(
         prec = association_precision(
             assoc, dataset.label_to_global, hist_memory.provenance
         ).precision
-    X = dataset.X
     y = dataset.labels
     y_hist = augment_dataset(dataset, assoc)
-    # The historical model is frozen for the whole camera: forward it once
-    # and hand each batch its rows.
     hist_feats = None
     if policy.matcher is not None and len(hist_memory) > 0:
-        out_h = forward_batch(hist_params, X)
-        hist_feats = (out_h.embeddings, *out_h.middles)
-        del out_h
+        hist_feats = (frozen.embeddings, *frozen.middles)
+    del frozen
 
     opt = Adam(cur_params, WEIGHT_DECAY)
     N = len(dataset)
@@ -304,7 +305,7 @@ def train_camera(
         _check_finite(mean, dataset.camera_id, epoch)
         recorder.on_epoch(state.camera_index, dataset.camera_id, epoch, mean, lr)
 
-    final_memory = init_memory(cur_params, dataset)
+    final_memory = init_memory(forward_batch(cur_params, X).embeddings, dataset)
     if policy.merge:
         # The history was embedded by earlier models: rotate it into the
         # trained model's space through the identities trained as common,
@@ -396,14 +397,12 @@ def precision_matrix(
     for i in range(C):
         state = init_state(bundle.input_dim, hidden, embed_dim, hyper, seed)
         train_camera(state, bundle.cameras[i], Variant.IKE)
-        for j in range(C):
+        for j, cam in enumerate(bundle.cameras):
             if j == i:
                 continue
-            mem_j = init_memory(state.encoder, bundle.cameras[j])
+            mem_j = init_memory(forward_batch(state.encoder, cam.X).embeddings, cam)
             assoc = cycle_match(mem_j, state.memory)
-            res = association_precision(
-                assoc, bundle.cameras[j].label_to_global, state.memory.provenance
-            )
+            res = association_precision(assoc, cam.label_to_global, state.memory.provenance)
             if res.precision is not None:
                 P[i, j] = res.precision
     return P

@@ -7,6 +7,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -427,6 +429,27 @@ class TestRun:
 
 
 class TestCli:
+    BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    @pytest.mark.parametrize("imports, preset, want", [
+        ("ike_lab", {}, ["1", "1", "1"]),
+        ("ike_lab", {"OPENBLAS_NUM_THREADS": "3"}, ["3", "1", "1"]),
+        ("numpy, ike_lab", {}, [None, None, None]),
+    ], ids=["unset", "caller-set", "numpy-first"])
+    def test_import_pins_blas_before_numpy(self, imports, preset, want):
+        # The CLI imports the package before numpy, so its BLAS (and every
+        # --jobs worker's) runs one thread unless the caller chose otherwise.
+        env = {k: v for k, v in os.environ.items() if k not in self.BLAS_VARIABLES}
+        env.update(preset)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (f"import json, os; import {imports}; "
+                f"print(json.dumps([os.environ.get(v) for v in {self.BLAS_VARIABLES!r}]))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == want
+
     def test_run_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config()))

@@ -35,35 +35,39 @@ from builders import manual_camera
 class TestInitMemory:
     def test_single_image_row_equals_embedding(self, rng, small_encoder):
         cam = manual_camera(rng, n_ids=3, per_id=1, dim=4)
-        mem = init_memory(small_encoder, cam)
+        mem = init_memory(forward_batch(small_encoder, cam.X).embeddings, cam)
         for y in range(3):
             want = forward_batch(small_encoder, cam.X[y][None]).embeddings[0]
             assert np.allclose(mem.rows[y], want, atol=1e-12)
 
     def test_cancellation_degenerates(self, rng):
-        # Zero biases make the encoder odd, so opposite inputs cancel.
-        params = init_encoder([4, 8, 8, 6], rng)
-        x = rng.normal(size=4)
-        cam = CameraDataset(0, np.stack([x, -x]), np.array([0, 0]), 1)
+        f = unit_rows(rng, 1, 6)[0]
+        cam = CameraDataset(0, unit_rows(rng, 2, 4), np.array([0, 0]), 1)
         with pytest.raises(DegenerateMean):
-            init_memory(params, cam)
+            init_memory(np.stack([f, -f]), cam)
 
     def test_matches_group_mean_oracle(self, rng, small_encoder):
         cam = manual_camera(rng, n_ids=10, per_id=5, dim=4)
-        mem = init_memory(small_encoder, cam)
         feats = forward_batch(small_encoder, cam.X).embeddings
+        mem = init_memory(feats, cam)
         want = oracles.group_mean_rows_oracle(feats, cam.labels.tolist())
         assert np.max(np.abs(mem.rows - want)) <= 1e-12
 
-    def test_missing_label_rejected(self, rng, small_encoder):
+    def test_missing_label_rejected(self, rng):
         X = unit_rows(rng, 4, 4)
         cam = CameraDataset(0, X, np.array([0, 0, 2, 2]), 3)
         with pytest.raises(MissingLabel):
-            init_memory(small_encoder, cam)
+            init_memory(X, cam)
 
-    def test_provenance_follows_tags(self, rng, small_encoder):
+    @pytest.mark.parametrize("shape", [(7, 6), (9, 6), (8,)], ids=["fewer", "more", "1-D"])
+    def test_embeddings_one_per_image(self, rng, shape):
+        cam = manual_camera(rng, n_ids=4, per_id=2, dim=4)
+        with pytest.raises(ShapeMismatch, match="embeddings shape"):
+            init_memory(rng.normal(size=shape), cam)
+
+    def test_provenance_follows_tags(self, rng):
         cam = manual_camera(rng, n_ids=4, per_id=2, dim=4, globals_offset=10)
-        mem = init_memory(small_encoder, cam)
+        mem = init_memory(unit_rows(rng, len(cam), 6), cam)
         assert mem.provenance.tolist() == [10, 11, 12, 13]
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.integers(1, 48))
@@ -77,13 +81,12 @@ class TestInitMemory:
         raw = r.permutation(np.repeat(np.arange(n_ids), sizes))
         labels = np.unique(raw, return_index=True)[1].argsort().argsort()[raw]
         cam = CameraDataset(0, r.normal(size=(labels.size, dim)), labels, n_ids)
-        params = init_encoder([dim, 8, 8, embed], r)
-        feats = forward_batch(params, cam.X).embeddings
+        feats = forward_batch(init_encoder([dim, 8, 8, embed], r), cam.X).embeddings
         want = np.zeros((n_ids, embed))
         for y in range(n_ids):
             mean = feats[labels == y].mean(axis=0)
             want[y] = mean / float(np.linalg.norm(mean))
-        assert (init_memory(params, cam).rows == want).all()
+        assert (init_memory(feats, cam).rows == want).all()
 
 
 class TestMomentumUpdate:

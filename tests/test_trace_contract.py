@@ -62,14 +62,18 @@ def test_traced_run_counts_batches_and_forward_rows(perf):
     sizes = [len(bundle.cameras[c]) for c in order]
     batches = sum(hyper.epochs * -(-n // hyper.batch_size) for n in sizes)
     samples = hyper.epochs * sum(sizes)
-    # One momentum update per batch; the historical model forwards each
-    # camera once, and only from the second camera on.
+    # One momentum update per batch. The frozen historical model forwards
+    # each camera once, for its starting memory and its distillation
+    # features alike, and the trained model once, for its final memory.
+    # Evaluation forwards the test split after each camera.
+    train_rows = samples + 2 * sum(sizes)
     assert metrics["memory.momentum_update.calls"] == batches
     assert metrics["trainer.steps"] == batches
     assert metrics["trainer.samples"] == samples
     assert metrics["trainer.train_forward_rows_per_sample"] == pytest.approx(
-        (samples + sum(sizes[1:])) / samples
+        train_rows / samples
     )
+    assert metrics["encoder.forward_batch.rows"] == train_rows + len(order) * len(bundle.test)
     assert metrics["evaluation.evaluate_map.calls"] == len(order)
     assert np.isfinite(list(metrics.values())).all()
 

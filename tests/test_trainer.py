@@ -84,7 +84,7 @@ class TestTrainCamera:
         hyper = Hyperparams(epochs=0)
         state = init_state(6, [8, 8, 8], 8, hyper, seed=0)
         before = state.encoder.flat.copy()
-        expected_memory = init_memory(state.encoder, cam)
+        expected_memory = init_memory(forward_batch(state.encoder, cam.X).embeddings, cam)
         train_camera(state, cam, Variant.IKE)
         assert (state.encoder.flat == before).all()
         # memory evolved from the untouched encoder's means (pure expansion)
@@ -169,9 +169,9 @@ class TestPolicies:
         state = init_state(bundle.input_dim, [8, 8, 8], 8, FAST, seed=0)
         train_camera(state, bundle.cameras[0], Variant.IKE)
         cam = bundle.cameras[1]
-        cur_memory = init_memory(state.encoder, cam)
-        y_hist = cycle_match(cur_memory, state.memory)[cam.labels]
         out_h = forward_batch(state.encoder, cam.X)
+        cur_memory = init_memory(out_h.embeddings, cam)
+        y_hist = cycle_match(cur_memory, state.memory)[cam.labels]
         breakdown, _, _ = batch_loss_and_grads(
             POLICIES[variant], init_encoder(state.encoder.widths, rng),
             (out_h.embeddings, *out_h.middles), cam.X, cam.labels, y_hist,
@@ -192,11 +192,11 @@ class TestBatchLossAndGrads:
         train_camera(state, bundle.cameras[0], Variant.IKE)
         cam = bundle.cameras[1]
         hist_params, hist_memory = state.encoder, state.memory
-        cur_memory = init_memory(hist_params, cam)
+        whole = forward_batch(hist_params, cam.X)
+        cur_memory = init_memory(whole.embeddings, cam)
         y_hist = cycle_match(cur_memory, hist_memory)[cam.labels]
         assert (y_hist != NO_MATCH).any()
         cur_params = init_encoder(hist_params.widths, rng)
-        whole = forward_batch(hist_params, cam.X)
         for _ in range(5):
             perm = rng.permutation(len(cam))
             for start in range(0, len(cam), FAST.batch_size):
