@@ -2,8 +2,10 @@
 
 Evaluation is strict cross-camera retrieval by default: a query's gallery is
 every test image from other cameras, relevance is same global identity, and
-queries with no relevant item are skipped rather than scored zero.
-evaluate_map says how queries are scored and ranked, on up to two threads.
+queries with no relevant item are skipped rather than scored zero. Each AP
+is summed in rank order and the mAP in query order, one add at a time, as
+oracles.map_oracle walks them. evaluate_map says how queries are scored and
+ranked, on up to two threads.
 """
 
 from __future__ import annotations
@@ -25,20 +27,22 @@ GALLERY_RULES = ("camera", "camera-id", "none")
 
 def average_precision(relevance: np.ndarray, n_relevant: int) -> float:
     """AP of a ranked 0/1 relevance list: mean of precision@k over the ranks
-    k holding relevant items, normalized by n_relevant.
+    k holding relevant items, normalized by n_relevant. n_relevant counts
+    the relevant items left out of the list too, so it is never fewer than
+    the list holds.
 
     The k-th relevant item at 0-based rank r adds k / (r + 1). The terms are
-    written into a zero vector at their ranks and summed with numpy's
-    pairwise sum, as evaluate_map sums each of its rows, so the two agree
-    bit for bit.
+    summed in rank order, one add at a time, as oracles.ap_oracle sums them.
     """
     if n_relevant < 1:
         raise NoRelevant("average precision needs at least one relevant item")
-    relevance = np.asarray(relevance)
     ranks = np.flatnonzero(relevance)
-    terms = np.zeros(relevance.shape[0])
-    terms[ranks] = np.arange(1, ranks.size + 1) / (ranks + 1)
-    return float(terms.sum() / n_relevant)
+    if ranks.size > n_relevant:
+        raise ShapeMismatch(f"relevance holds {ranks.size} relevant items but n_relevant is {n_relevant}")
+    if ranks.size == 0:
+        return 0.0
+    # cumsum adds one term at a time; sum() would add them in another order.
+    return float(np.cumsum(np.arange(1, ranks.size + 1) / (ranks + 1))[-1] / n_relevant)
 
 
 def evaluate_map(
@@ -75,15 +79,15 @@ def evaluate_map(
     row's run of equal identities is a searchsorted range of them. The
     items a row excludes under "camera-id" and "none" are all among those
     pairs (same-camera same-identity items, or the query itself), so they
-    are marked by writing -inf at their cells and counting them out of the
-    row's gallery length.
+    are marked by writing -inf at their cells, where they never rank.
 
     No gallery is sorted in full. A relevant item's rank is the number of
     gallery items scoring above it plus those scoring the same at a lower
     gallery index, the order a stable sort on -score gives. Only items
     scoring at or above a row's lowest relevant score can precede a
-    relevant item, so _block_aps sorts only those, once per chunk, and sums
-    each AP to the bits average_precision gives.
+    relevant item, so _block_aps sorts only those, once per chunk. It sums
+    each AP in rank order, as average_precision does, and the mAP is the
+    scored queries' sum in query order over their count.
 
     An embedding that is not finite raises DegenerateEmbedding.
     """
@@ -135,7 +139,8 @@ def evaluate_map(
     scored = aps[~np.isnan(aps)]
     if scored.size == 0:
         raise EmptyGallery("no query had a nonempty gallery with relevant items")
-    return float(np.mean(scored))
+    # cumsum adds one AP at a time; np.mean would add them in another order.
+    return float(np.cumsum(scored)[-1] / scored.size)
 
 
 def has_scorable_query(test: TestSplit, gallery_rule: str = "camera") -> bool:
@@ -263,7 +268,7 @@ def _chunk_aps(
 ) -> np.ndarray:
     """AP of each query row of camera c against gallery, NaN for a row with
     nothing relevant, from its freshly computed scores, which it overwrites."""
-    R, L = scores.shape
+    R = scores.shape[0]
     cols = gallery.cols
     scores[:, gallery.copies] = scores[:, gallery.sources]
     # Row r's pairs are the columns by_id[lo[r] : lo[r] + n_pairs[r]], in
@@ -274,7 +279,6 @@ def _chunk_aps(
     pair_rows = np.repeat(np.arange(R), n_pairs)
     offsets = np.repeat(lo - (np.cumsum(n_pairs) - n_pairs), n_pairs)
     pair_cols = gallery.by_id[np.arange(pair_rows.size) + offsets]
-    lengths = np.full(R, L)
     if gallery_rule != "camera":
         if gallery_rule == "camera-id":
             excluded = cams[cols[pair_cols]] == c
@@ -282,23 +286,18 @@ def _chunk_aps(
             excluded = cols[pair_cols] == rows[pair_rows]
         # -inf lies below every relevant score, so these never rank.
         scores[pair_rows[excluded], pair_cols[excluded]] = -np.inf
-        lengths -= np.bincount(pair_rows[excluded], minlength=R)
         pair_rows, pair_cols = pair_rows[~excluded], pair_cols[~excluded]
-    return _block_aps(scores, pair_rows, pair_cols, lengths)
+    return _block_aps(scores, pair_rows, pair_cols)
 
 
-def _block_aps(
-    scores: np.ndarray, pair_rows: np.ndarray, pair_cols: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
+def _block_aps(scores: np.ndarray, pair_rows: np.ndarray, pair_cols: np.ndarray) -> np.ndarray:
     """AP of each C-contiguous score row against its gallery, NaN for a row
     with nothing relevant. (pair_rows, pair_cols) are the relevant cells, in
-    any order. A row's gallery is lengths[row] of its columns; the others
-    hold -inf. scores is overwritten: its buffer is reused for the AP sums.
+    any order. Columns outside a row's gallery hold -inf.
 
     The cells scoring at or above a row's lowest relevant score are ranked
-    in (row, -score) order, ties in gallery order. Each AP sums only the
-    prefix of its row's zero vector that holds its terms, which gives the
-    bits average_precision gives over the whole vector."""
+    in (row, -score) order, ties in gallery order. Each AP sums its terms in
+    rank order, which gives the bits average_precision gives."""
     R, L = scores.shape
     flat = scores.reshape(-1)
     cells = pair_rows * L + pair_cols
@@ -328,37 +327,12 @@ def _block_aps(
     rank = hits - (np.cumsum(counts) - counts)[row]
     k = np.arange(1, row.size + 1) - (np.cumsum(n_rel) - n_rel)[row]
     terms = k / (rank + 1)
-    # Each row's terms go into a zero vector as long as its gallery and are
-    # summed pairwise, as average_precision does, so AP does not depend on
-    # how the ranks were found. Rows are grouped by gallery length for that,
-    # and the prefix of each group's zero block that holds its terms is laid
-    # out in the scores' buffer.
-    aps = np.full(R, np.nan)
-    for length in np.unique(lengths[n_rel > 0]):
-        group = np.flatnonzero((lengths == length) & (n_rel > 0))
-        mine = lengths[row] == length
-        width = _summed_prefix(int(length), int(rank[mine].max()) + 1)
-        block = flat[: group.size * width].reshape(group.size, width)
-        block.fill(0.0)
-        block[np.searchsorted(group, row[mine]), rank[mine]] = terms[mine]
-        aps[group] = block.sum(axis=1) / n_rel[group]
-    return aps
-
-
-def _summed_prefix(length: int, depth: int) -> int:
-    """How many leading entries of a length-long vector whose nonzero
-    entries all lie in its first depth sum, pairwise, to the same bits as the
-    whole vector. numpy's pairwise sum splits a vector of more than 128
-    entries at half its length, rounded down to a multiple of 8, and adds the
-    halves' sums; a right half of zeros sums to exactly 0.0, so the left half
-    alone has the whole sum."""
-    width = length
-    while width > 128:
-        half = width // 2 - width // 2 % 8
-        if half < depth:
-            break
-        width = half
-    return width
+    # Row r's k-th term goes to [k - 1, r] of a zero array. Accumulating down
+    # the columns adds each row's terms one at a time in rank order; on a
+    # single row, sum(axis=0) would add them in another order.
+    sums = np.zeros((n_rel.max(initial=1), R))
+    sums[k - 1, row] = terms
+    return np.divide(np.cumsum(sums, axis=0)[-1], n_rel, out=np.full(R, np.nan), where=n_rel > 0)
 
 
 @dataclass

@@ -43,7 +43,8 @@ from builders import tiny_bundle
 def per_query_map(emb, gids, cams, rule):
     """Reference mAP: each query's own gallery under rule, ranked with a
     stable argsort of its scores and scored with average_precision, then
-    averaged in query order; None when no query is scorable."""
+    summed in query order over their count; None when no query is
+    scorable."""
     n = len(gids)
     aps = []
     for q in range(n):
@@ -58,7 +59,7 @@ def per_query_map(emb, gids, cams, rule):
         relevance = gids[gallery][order] == gids[q]
         if relevance.any():
             aps.append(average_precision(relevance, int(relevance.sum())))
-    return float(np.mean(aps)) if aps else None
+    return sum(aps) / len(aps) if aps else None
 
 
 class TestAveragePrecision:
@@ -78,15 +79,19 @@ class TestAveragePrecision:
         with pytest.raises(NoRelevant):
             average_precision(np.array([0, 0]), 0)
 
+    def test_fewer_relevant_than_the_list_holds_rejected(self):
+        # Three relevant items over n_relevant 1 would give an AP of 3.
+        with pytest.raises(ShapeMismatch, match="holds 3 relevant items but n_relevant is 1"):
+            average_precision(np.array([1, 1, 1]), 1)
+
     @given(st.lists(st.booleans(), min_size=1, max_size=300))
     @settings(max_examples=100, deadline=None)
     def test_equals_precision_at_k_sum_bitwise(self, flags):
-        # The textbook form: precision@k at every rank, masked to the
-        # relevant ranks, summed over the whole list.
+        # The oracle walks the list in rank order and adds precision@k at
+        # each relevant rank; equal scores keep the list's order.
         rel = np.array(flags, dtype=np.float64)
-        n_rel = max(int(rel.sum()), 1)
-        want = float((np.cumsum(rel) / np.arange(1, rel.size + 1) * rel).sum() / n_rel)
-        assert average_precision(rel, n_rel) == want
+        want = oracles.ap_oracle([0.0] * rel.size, flags)
+        assert average_precision(rel, max(int(rel.sum()), 1)) == (0.0 if want is None else want)
 
 
 class TestEvaluateMap:
@@ -156,7 +161,7 @@ class TestEvaluateMap:
                 with pytest.raises(EmptyGallery):
                     evaluate_map(params, split, rule)
                 continue
-            assert evaluate_map(params, split, rule) == pytest.approx(want, abs=1e-12)
+            assert evaluate_map(params, split, rule) == want
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(6, 40), n_copies=st.integers(1, 20))
     @settings(max_examples=60, deadline=None)
@@ -435,9 +440,9 @@ class TestEvaluateMap:
     def test_block_rows_bitwise_equal_to_average_precision(self, rng):
         # Each row of a block, ranked with its excluded columns dropped, is
         # the AP of its own gallery bit for bit: same ranks, ties toward the
-        # lower index, and a sum over a zero vector of the row's own gallery
-        # length. Excluded columns reach the helper as -inf cells counted out
-        # of the row's length, and relevant ones as (row, column) pairs.
+        # lower index, and the terms summed in rank order. Excluded columns
+        # reach the helper as -inf cells, and relevant ones as (row, column)
+        # pairs.
         # Scores on a 0.05 grid tie often; about a quarter of the columns are
         # relevant, so a row's terms spread over its whole length.
         for trial in range(20):
@@ -454,17 +459,15 @@ class TestEvaluateMap:
                 if relevance.any():
                     want[r] = average_precision(relevance, int(relevance.sum()))
             given_scores = np.where(excluded, -np.inf, scores)
-            lengths = L - np.count_nonzero(excluded, axis=1)
             pair_rows, pair_cols = np.nonzero(same_id & keep)
-            got = evaluation._block_aps(given_scores, pair_rows, pair_cols, lengths)
+            got = evaluation._block_aps(given_scores, pair_rows, pair_cols)
             np.testing.assert_array_equal(got, want)
 
     def test_long_rows_with_shallow_ranks_bitwise_equal_to_average_precision(self, rng):
         # As above, but galleries up to 3,000 long with a few relevant items
-        # scoring near the top, so each row's terms fill only a short prefix
-        # of its zero vector and the sum is cut at several levels of the
-        # pairwise tree. The 0.05 grid makes relevant items tie with
-        # irrelevant ones, so the sort's tie order decides ranks too.
+        # scoring near the top, so each row ranks only a short head of its
+        # gallery. The 0.05 grid makes relevant items tie with irrelevant
+        # ones, so the sort's tie order decides ranks too.
         for trial in range(20):
             R, L = 12, int(rng.integers(130, 3000))
             scores = np.round(rng.uniform(-1, 1, size=(R, L)) * 20) / 20
@@ -482,49 +485,21 @@ class TestEvaluateMap:
                 if relevance.any():
                     want[r] = average_precision(relevance, int(relevance.sum()))
             given_scores = np.where(excluded, -np.inf, scores)
-            lengths = L - np.count_nonzero(excluded, axis=1)
             pair_rows, pair_cols = np.nonzero(same_id & keep)
-            got = evaluation._block_aps(given_scores, pair_rows, pair_cols, lengths)
+            got = evaluation._block_aps(given_scores, pair_rows, pair_cols)
             np.testing.assert_array_equal(got, want)
 
-    def test_prefix_sums_bitwise_equal_to_full_length_sums(self, rng):
-        # _block_aps sums the rows of one gallery length over the shortest
-        # prefix that numpy's pairwise sum adds up to the same bits as the
-        # whole rows, given the deepest term. If numpy ever splits its sums
-        # differently, this fails here instead of the mAP drifting. Every
-        # gallery length from 1 to 2,100 is checked with the deepest term at
-        # the top, at the bottom, at random and either side of each split
-        # above the 128-entry leaves; terms above it fill a quarter of the
-        # ranks. A call holds one depth per length, so each length's row is
-        # cut at that depth; the columns past a row's length hold -inf.
-        slots = {}
-        for length in range(1, 2101):
-            depths = {1, length, int(rng.integers(1, length + 1))}
-            width = length
-            while width > 128:
-                width = width // 2 - width // 2 % 8
-                depths |= {width, width + 1, width + 3}
-            for slot, depth in enumerate(sorted(depths)):
-                slots.setdefault(slot, []).append((length, depth))
-        # Lengths go 100 to a call, so little of a call is padding.
-        for cases in (c[i : i + 100] for c in slots.values() for i in range(0, len(c), 100)):
-            lengths = np.array([length for length, _ in cases])
-            R, L = lengths.size, lengths.max()
-            # Row r's column j ranks at ranks[r, j]; its padding ranks at L.
-            ranks = np.full((R, L), L)
-            relevance = np.zeros((R, L + 1), dtype=bool)
-            for r, (length, depth) in enumerate(cases):
-                ranks[r, :length] = rng.permutation(length)
-                relevance[r, :depth] = rng.random(depth) < 0.25
-                relevance[r, depth - 1] = True
-            scores = np.where(ranks < L, -ranks.astype(float), -np.inf)
-            pair_rows, pair_cols = np.nonzero(np.take_along_axis(relevance, ranks, axis=1))
-            want = [
-                average_precision(rel[:length], int(rel.sum()))
-                for rel, length in zip(relevance, lengths)
-            ]
-            got = evaluation._block_aps(scores, pair_rows, pair_cols, lengths)
-            np.testing.assert_array_equal(got, want)
+    @pytest.mark.parametrize("cols", [[0, 5, 9, 13], list(range(0, 24, 3))], ids=["4", "8"])
+    def test_block_row_bitwise_equal_to_ap_oracle(self, cols):
+        # A one-row block whose relevant items sit at the given ranks of a
+        # 24-long gallery. The oracle adds the terms left to right, 1 + 2/6
+        # + 3/10 + 4/14 for the first, and so must the row's sum; summing
+        # the whole gallery's zero-padded terms, or eight terms down a
+        # single column with sum(), adds them in another order.
+        scores = -np.arange(24.0)[None, :]
+        relevance = np.isin(np.arange(24), cols).tolist()
+        got = evaluation._block_aps(scores.copy(), np.zeros(len(cols), dtype=int), np.array(cols))
+        assert got[0] == oracles.ap_oracle(scores[0].tolist(), relevance)
 
     def test_more_rows_than_uint16_holds_rank_alike(self, rng):
         # A gallery of 3 columns lets a chunk hold 87,381 rows, more than
@@ -535,7 +510,7 @@ class TestEvaluateMap:
         pair_rows, pair_cols = np.arange(R), rng.integers(L, size=R)
         relevant = scores[pair_rows, pair_cols]
         want = 1.0 / (1 + np.count_nonzero(scores > relevant[:, None], axis=1))
-        got = evaluation._block_aps(scores, pair_rows, pair_cols, np.full(R, L))
+        got = evaluation._block_aps(scores, pair_rows, pair_cols)
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("source", ["init_encoder", "load_encoder"])

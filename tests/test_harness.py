@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import io
@@ -449,6 +450,18 @@ class TestCli:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == want
+
+    def test_tests_run_one_blas_thread(self):
+        # conftest.py pins BLAS before numpy loads. Loading numpy's bundled
+        # OpenBLAS again returns the library numpy already loaded, so its
+        # thread count is the one the tests run with.
+        libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+        blas = ctypes.CDLL(str(libs[0])) if libs else None
+        if not hasattr(blas, "scipy_openblas_get_num_threads64_"):
+            pytest.skip("numpy bundles no scipy-openblas64 library")
+        get_num_threads = blas.scipy_openblas_get_num_threads64_
+        get_num_threads.argtypes, get_num_threads.restype = [], ctypes.c_int
+        assert get_num_threads() == 1
 
     def test_run_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
