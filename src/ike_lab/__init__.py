@@ -51,25 +51,18 @@ from .errors import (
     ConfigError,
     DegenerateEmbedding,
     DegenerateMean,
-    DimensionMismatch,
     EmptyBatch,
     EmptyGallery,
     EmptyMemory,
     IndexOutOfRange,
-    LabelOutOfRange,
     LabError,
     MissingLabel,
     MissingProvenance,
-    NoRelevant,
     NonFiniteLoss,
     ParseError,
     ShapeMismatch,
 )
-from .evaluation import (
-    MetricsReport,
-    average_precision,
-    evaluate_map,
-)
+from .evaluation import MetricsReport, evaluate_map
 from .checks import SelftestReport, selftest
 from .harness import (
     ORDER_PRESETS,

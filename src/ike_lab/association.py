@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import EmptyMemory, LabelOutOfRange, MissingProvenance, ShapeMismatch, index_array
+from .errors import EmptyMemory, MissingProvenance, ShapeMismatch, index_array
 from .memory import NO_MATCH, IdentityMemory
 
 if TYPE_CHECKING:
@@ -66,7 +66,7 @@ def augment_dataset(dataset: "CameraDataset", assoc: np.ndarray) -> np.ndarray:
     """Per-sample historical labels: the match of each image's identity, or
     NO_MATCH, as an int64 array aligned with dataset.labels."""
     assoc = index_array("match target", assoc)
-    return assoc[index_array("label", dataset.labels, LabelOutOfRange, len(assoc))]
+    return assoc[index_array("label", dataset.labels, len(assoc))]
 
 
 @dataclass
@@ -92,6 +92,6 @@ def association_precision(
     if cur.shape != (len(assoc),):
         raise ShapeMismatch(f"{cur.size} current tags vs {len(assoc)} association entries")
     found = np.flatnonzero(assoc != NO_MATCH)
-    targets = index_array("match target", assoc[found], LabelOutOfRange, hist.size)
+    targets = index_array("match target", assoc[found], hist.size)
     correct = int(np.sum(cur[found] == hist[targets]))
     return AssociationPrecision(correct / found.size if found.size else None, found.size, correct)

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    DEGENERATE_NORM, ConfigError, DimensionMismatch, LabelOutOfRange, MissingProvenance,
-    ParseError, check_field_types, index_array, read_json_object, write_atomic,
+    DEGENERATE_NORM, ConfigError, MissingProvenance, ParseError, ShapeMismatch,
+    check_field_types, index_array, read_json_object, write_atomic,
 )
 from .memory import _unit
 
@@ -88,12 +88,12 @@ class CameraDataset:
     def __post_init__(self) -> None:
         self.X = np.asarray(self.X, dtype=np.float64)
         if np.shape(self.labels)[:1] != self.X.shape[:1]:
-            raise DimensionMismatch("sample count and label count differ")
-        self.labels = index_array("label", self.labels, LabelOutOfRange, self.n_ids)
+            raise ShapeMismatch("sample count and label count differ")
+        self.labels = index_array("label", self.labels, self.n_ids)
         if self.label_to_global is not None:
             self.label_to_global = index_array("label_to_global tag", self.label_to_global)
             if self.label_to_global.shape != (self.n_ids,):
-                raise LabelOutOfRange(f"label_to_global needs one entry per label ({self.n_ids})")
+                raise ShapeMismatch(f"label_to_global needs one entry per label ({self.n_ids})")
 
     @property
     def global_ids(self) -> np.ndarray | None:
@@ -118,7 +118,7 @@ class TestSplit:
         self.local_ids = None if self.local_ids is None else index_array("local tag", self.local_ids)
         for tags in (self.global_ids, self.camera_ids, self.local_ids):
             if tags is not None and tags.shape != self.X.shape[:1]:
-                raise DimensionMismatch("every tag array needs one entry per test image")
+                raise ShapeMismatch("every tag array needs one entry per test image")
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -298,13 +298,13 @@ def _parse_feature_csv(
     try:
         header, *rows = path.read_text().split("\n")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read feature file {path}: {exc}") from exc
+        raise ParseError(f"{path.name}: cannot read feature file: {exc}") from exc
     cols = header.split(",")
     if cols[:3] != CSV_HEADER_PREFIX or len(cols) < 4:
         raise ParseError(f"{path.name}:1: header must be {','.join(CSV_HEADER_PREFIX)},f0,...")
     dim = len(cols) - 3
     if dim_hint is not None and dim_hint != dim:
-        raise DimensionMismatch(f"{path.name} has {dim} feature columns, expected {dim_hint}")
+        raise ParseError(f"{path.name}:1: {dim} feature columns, expected {dim_hint}")
     tags, feats, lines = [], [], []
     for lineno, line in enumerate(rows, start=2):
         parts = line.strip().split(",")
@@ -374,27 +374,32 @@ def load_dataset(path: str | Path) -> DatasetBundle:
 
     Accepts a manifest.json, a directory containing one, or a bare train
     CSV (in which case a sidecar <stem>.manifest.json is honored when
-    present and the test split is empty otherwise). A manifest that is not
-    a JSON object of the entries in MANIFEST_KINDS, or a test row without a
-    global id (below 0), raises ParseError.
+    present and the test split is empty otherwise). A malformed file raises
+    ParseError naming it: among others, a manifest that is not a JSON
+    object of the entries in MANIFEST_KINDS or whose cameras entry is not
+    the train file's camera count, a CSV whose feature columns disagree
+    with the manifest's dim or with the train file's, and a test row
+    without a global id (below 0).
     """
     path = Path(path)
     if path.is_dir():
         path = path / "manifest.json"
     if path.suffix == ".json":
+        mpath = path
         manifest = read_json_object(path, "manifest", MANIFEST_KINDS, required=("train",))
         train_path = path.parent / manifest["train"]
     else:
         train_path = path
-        sidecar = path.with_name(path.stem + ".manifest.json")
-        manifest = read_json_object(sidecar, "manifest", MANIFEST_KINDS) if sidecar.exists() else {}
+        mpath = path.with_name(path.stem + ".manifest.json")
+        manifest = read_json_object(mpath, "manifest", MANIFEST_KINDS) if mpath.exists() else {}
     normalize = bool(manifest.get("normalize"))
     tags, X, lines = _parse_feature_csv(train_path, manifest.get("dim"), normalize)
     if not len(X):
         raise ParseError(f"{train_path.name}: no samples")
     cameras = _build_cameras(train_path, tags, X, lines)
     if manifest.get("cameras") not in (None, len(cameras)):
-        raise DimensionMismatch(f"manifest lists {manifest['cameras']} cameras, file has {len(cameras)}")
+        raise ParseError(f"{mpath.name}: lists {manifest['cameras']} cameras, "
+                         f"{train_path.name} has {len(cameras)}")
     if manifest.get("test"):
         test_path = path.parent / manifest["test"]
         t, Xt, test_lines = _parse_feature_csv(test_path, X.shape[1], normalize)

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    DEGENERATE_NORM, ConfigError, DegenerateEmbedding, DimensionMismatch, ParseError,
-    ShapeMismatch, check_kind, read_json_object, write_atomic,
+    DEGENERATE_NORM, ConfigError, DegenerateEmbedding, ParseError, ShapeMismatch,
+    check_kind, read_json_object, write_atomic,
 )
 
 # Blocks whose outputs are exposed as middle features.
@@ -257,10 +257,9 @@ ENCODER_KINDS = {"widths": "list", "blocks": "list"}
 
 
 def load_encoder(path: str | Path) -> EncoderParams:
-    """Read a snapshot that save_encoder wrote. A block whose W disagrees
-    with widths raises DimensionMismatch. Any other malformed file raises
+    """Read a snapshot that save_encoder wrote. A malformed file raises
     ParseError naming it, including one whose widths do not outnumber its
-    blocks by exactly one."""
+    blocks by exactly one or whose block W disagrees with widths."""
     path = Path(path)
     doc = read_json_object(path, "encoder snapshot", ENCODER_KINDS, required=tuple(ENCODER_KINDS))
     widths, blocks = doc["widths"], doc["blocks"]
@@ -276,7 +275,7 @@ def load_encoder(path: str | Path) -> EncoderParams:
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path.name}: block {l + 1}: {exc!r}") from exc
         if W.shape != (widths[l + 1], widths[l]):
-            raise DimensionMismatch(f"block {l + 1} shape {W.shape} disagrees with widths")
+            raise ParseError(f"{path.name}: block {l + 1} shape {W.shape} disagrees with widths")
         weights.append(W)
         biases.append(b)
     try:

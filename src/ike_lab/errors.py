@@ -1,6 +1,7 @@
-"""Exception types shared across the library, the degenerate-norm threshold,
-the one type rule for configuration fields and JSON files, the one write
-rule for output files, and the one index rule for identity indices and tags."""
+"""Exception types shared across the library, one type per fault, the
+degenerate-norm threshold, the one type rule for configuration fields and
+JSON files, the one write rule for output files, the one index rule for
+identity indices and tags, and the one order for adding floats."""
 
 import dataclasses
 import json
@@ -32,15 +33,11 @@ class MissingLabel(LabError):
 
 
 class IndexOutOfRange(LabError, IndexError):
-    """An identity index fell outside the memory."""
+    """An identity index or label fell outside the structure it indexes."""
 
 
 class ShapeMismatch(LabError):
     """Array shapes, dtypes or embedding dimensions disagree."""
-
-
-class LabelOutOfRange(LabError, IndexError):
-    """A dataset label does not index the structure it must index."""
 
 
 class MissingProvenance(LabError):
@@ -61,11 +58,8 @@ class ConfigError(LabError):
 
 
 class ParseError(LabError):
-    """A data file could not be parsed; message names the offending line."""
-
-
-class DimensionMismatch(LabError):
-    """Feature dimensionality disagrees between file, manifest, or arrays."""
+    """A data file is malformed; the message names the file, and the
+    offending line where there is one."""
 
 
 class NonFiniteLoss(LabError):
@@ -75,10 +69,6 @@ class NonFiniteLoss(LabError):
 
 class EmptyGallery(LabError):
     """Retrieval evaluation found no scorable query."""
-
-
-class NoRelevant(LabError):
-    """Average precision is undefined when a query has no relevant items."""
 
 
 _KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool, "list": list}
@@ -141,11 +131,12 @@ def write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def index_array(what: str, values, error: type[LabError] = IndexOutOfRange, n=None) -> np.ndarray:
+def index_array(what: str, values, n=None) -> np.ndarray:
     """values as an int64 array, what naming one entry ("label"). Float or
     bool entries, a bool among ints included, and uint64 values beyond int64
     raise ShapeMismatch naming what; with n given, an entry outside [0, n)
-    raises error naming it. An integer ndarray is not scanned for bools."""
+    raises IndexOutOfRange naming it. An integer ndarray is not scanned for
+    bools."""
     array = np.asarray(values)
     whats = what + ("es" if what.endswith("x") else "s")
     if array.size and array.dtype.kind not in "iu":
@@ -159,8 +150,17 @@ def index_array(what: str, values, error: type[LabError] = IndexOutOfRange, n=No
     array = array.astype(np.int64, copy=False)
     if n is not None and array.size and (array.min() < 0 or array.max() >= n):
         bad = array[(array < 0) | (array >= n)][0]
-        raise error(f"{what} {bad} outside [0, {n})")
+        raise IndexOutOfRange(f"{what} {bad} outside [0, {n})")
     return array
+
+
+def ordered_sum(values) -> float:
+    """values added left to right, one add at a time. From Python 3.12,
+    sum() of floats is compensated, so its bits depend on the version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def check_field_types(obj) -> None:

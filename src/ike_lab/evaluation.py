@@ -19,30 +19,10 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .datasets import TestSplit
-from .errors import ConfigError, DegenerateEmbedding, EmptyGallery, NoRelevant, ShapeMismatch
+from .errors import ConfigError, DegenerateEmbedding, EmptyGallery, ShapeMismatch, ordered_sum
 from .encoder import EncoderParams, forward_batch
 
 GALLERY_RULES = ("camera", "camera-id", "none")
-
-
-def average_precision(relevance: np.ndarray, n_relevant: int) -> float:
-    """AP of a ranked 0/1 relevance list: mean of precision@k over the ranks
-    k holding relevant items, normalized by n_relevant. n_relevant counts
-    the relevant items left out of the list too, so it is never fewer than
-    the list holds.
-
-    The k-th relevant item at 0-based rank r adds k / (r + 1). The terms are
-    summed in rank order, one add at a time, as oracles.ap_oracle sums them.
-    """
-    if n_relevant < 1:
-        raise NoRelevant("average precision needs at least one relevant item")
-    ranks = np.flatnonzero(relevance)
-    if ranks.size > n_relevant:
-        raise ShapeMismatch(f"relevance holds {ranks.size} relevant items but n_relevant is {n_relevant}")
-    if ranks.size == 0:
-        return 0.0
-    # cumsum adds one term at a time; sum() would add them in another order.
-    return float(np.cumsum(np.arange(1, ranks.size + 1) / (ranks + 1))[-1] / n_relevant)
 
 
 def evaluate_map(
@@ -86,13 +66,12 @@ def evaluate_map(
     gallery index, the order a stable sort on -score gives. Only items
     scoring at or above a row's lowest relevant score can precede a
     relevant item, so _block_aps sorts only those, once per chunk. It sums
-    each AP in rank order, as average_precision does, and the mAP is the
+    each AP in rank order, as oracles.ap_oracle does, and the mAP is the
     scored queries' sum in query order over their count.
 
     An embedding that is not finite raises DegenerateEmbedding.
     """
-    if gallery_rule not in GALLERY_RULES:
-        raise ConfigError(f"gallery_rule must be one of {GALLERY_RULES}")
+    check_gallery_rule(gallery_rule)
     N = len(test)
     if N == 0:
         raise EmptyGallery("empty test split")
@@ -148,11 +127,19 @@ def has_scorable_query(test: TestSplit, gallery_rule: str = "camera") -> bool:
     EmptyGallery, read from the tags alone: under "camera" and "camera-id" a
     query's relevant items are its identity's images in other cameras, so
     some identity must appear in two cameras; under "none" they are its
-    identity's other images, so some identity must appear twice."""
+    identity's other images, so some identity must appear twice. An unknown
+    gallery_rule raises ConfigError, as in evaluate_map."""
+    check_gallery_rule(gallery_rule)
     if gallery_rule == "none":
         return np.unique(test.global_ids).size < len(test)
     pairs = np.unique(np.stack([test.global_ids, test.camera_ids], axis=1), axis=0)
     return np.unique(pairs[:, 0]).size < len(pairs)
+
+
+def check_gallery_rule(gallery_rule: str) -> None:
+    """ConfigError unless gallery_rule is one of GALLERY_RULES."""
+    if gallery_rule not in GALLERY_RULES:
+        raise ConfigError(f"gallery_rule must be one of {GALLERY_RULES}")
 
 
 # Scores per chunk buffer: 2 MB of float64, one buffer in each thread that
@@ -297,7 +284,7 @@ def _block_aps(scores: np.ndarray, pair_rows: np.ndarray, pair_cols: np.ndarray)
 
     The cells scoring at or above a row's lowest relevant score are ranked
     in (row, -score) order, ties in gallery order. Each AP sums its terms in
-    rank order, which gives the bits average_precision gives."""
+    rank order, which gives the bits oracles.ap_oracle gives."""
     R, L = scores.shape
     flat = scores.reshape(-1)
     cells = pair_rows * L + pair_cols
@@ -359,8 +346,8 @@ class MetricsReport:
 
     @property
     def mean_map(self) -> float:
-        """Arithmetic mean of the per-camera mAPs."""
-        return sum(self.per_camera_map) / len(self.per_camera_map)
+        """Arithmetic mean of the per-camera mAPs, summed in camera order."""
+        return ordered_sum(self.per_camera_map) / len(self.per_camera_map)
 
     def to_dict(self) -> dict:
         return {

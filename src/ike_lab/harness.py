@@ -24,7 +24,7 @@ import numpy as np
 from .datasets import DatasetBundle, SyntheticSpec, generate, load_dataset
 from .encoder import save_encoder
 from .errors import ConfigError, LabError, check_kind, temporary_path, unique_keys, write_atomic
-from .evaluation import GALLERY_RULES, MetricsReport, has_scorable_query
+from .evaluation import MetricsReport, check_gallery_rule, has_scorable_query
 from .losses import TERMS
 from .memory import save_memory
 from .trainer import Hyperparams, RunRecorder, Variant, VARIANT_NAMES, run_sequence
@@ -101,8 +101,7 @@ class ExperimentConfig:
                     raise ConfigError(f"unknown sweep axis {axis!r}; choose from {sorted(SWEEP_AXES)}")
                 if not isinstance(values, list) or not values:
                     raise ConfigError(f"sweep axis {axis!r} needs a nonempty value list")
-        if self.gallery_rule not in GALLERY_RULES:
-            raise ConfigError(f"gallery_rule must be one of {GALLERY_RULES}")
+        check_gallery_rule(self.gallery_rule)
         enumerate_runs(self)
 
     @classmethod

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyBatch, EmptyMemory, LabelOutOfRange, ShapeMismatch, index_array
+from .errors import EmptyBatch, EmptyMemory, ShapeMismatch, index_array, ordered_sum
 from .memory import NO_MATCH, IdentityMemory
 
 
@@ -28,7 +28,7 @@ class LossBreakdown:
 
     @property
     def total(self) -> float:
-        return sum(getattr(self, term) for term in TERMS)
+        return ordered_sum(getattr(self, term) for term in TERMS)
 
     def as_row(self) -> tuple[float, ...]:
         return (*(getattr(self, term) for term in TERMS), self.total)
@@ -77,7 +77,7 @@ def loss_id(
     B = _check_batch("loss_id", "labels", F, labels, memory)
     if len(memory) == 0:
         raise EmptyMemory("loss_id needs a nonempty memory")
-    labels = index_array("label", labels, LabelOutOfRange, len(memory))
+    labels = index_array("label", labels, len(memory))
     return _contrastive(F, labels, memory.rows, tau, B)
 
 
@@ -94,7 +94,7 @@ def loss_id_hist(
     mask = hist_labels != NO_MATCH
     if len(hist) == 0 or not mask.any():
         return 0.0, grad
-    y = index_array("historical label", hist_labels[mask], LabelOutOfRange, len(hist))
+    y = index_array("historical label", hist_labels[mask], len(hist))
     value, grad[mask] = _contrastive(F[mask], y, hist.rows, tau, B)
     return value, grad
 

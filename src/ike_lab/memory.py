@@ -20,7 +20,6 @@ from .errors import (
     DEGENERATE_NORM,
     DegenerateEmbedding,
     DegenerateMean,
-    DimensionMismatch,
     EmptyBatch,
     LabError,
     MissingLabel,
@@ -258,16 +257,16 @@ MEMORY_KINDS = {"dim": "int", "rows": "list", "provenance": "list"}
 
 
 def load_memory(path: str | Path) -> IdentityMemory:
-    """Read a snapshot that save_memory wrote. A row of another width than
-    dim raises DimensionMismatch. Any other malformed file raises ParseError
-    naming it, including one with a tag that is not an integer."""
+    """Read a snapshot that save_memory wrote. A malformed file raises
+    ParseError naming it, including one with a row of another width than
+    dim or a tag that is not an integer."""
     path = Path(path)
     doc = read_json_object(path, "memory snapshot", MEMORY_KINDS, required=("dim", "rows"))
     dim, rows, prov = doc["dim"], doc["rows"], doc.get("provenance")
     for i, row in enumerate(rows):
         check_kind(f"{path.name}: rows[{i}]", row, "list", ParseError)
         if len(row) != dim:
-            raise DimensionMismatch(f"row {i} has {len(row)} values, expected {dim}")
+            raise ParseError(f"{path.name}: row {i} has {len(row)} values, expected {dim}")
     for i, tag in enumerate(prov or ()):
         check_kind(f"{path.name}: provenance[{i}]", tag, "int", ParseError)
     try:

@@ -84,7 +84,10 @@ def map_oracle(embeddings: np.ndarray, global_ids, camera_ids, gallery_rule: str
             aps.append(ap)
     if not aps:
         raise ValueError("no scorable query")
-    return sum(aps) / len(aps)
+    total = 0.0
+    for ap in aps:  # in query order: sum() of floats is compensated from Python 3.12
+        total += ap
+    return total / len(aps)
 
 
 def group_mean_rows_oracle(features: np.ndarray, labels) -> np.ndarray:

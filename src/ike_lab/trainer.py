@@ -30,7 +30,7 @@ from .association import (
 )
 from .datasets import CameraDataset, DatasetBundle
 from .encoder import Adam, EncoderParams, forward_batch, init_encoder
-from .errors import ConfigError, NonFiniteLoss, check_field_types
+from .errors import ConfigError, NonFiniteLoss, check_field_types, ordered_sum
 from .evaluation import MetricsReport, evaluate_map
 from .losses import TERMS, LossBreakdown, loss_id, loss_id_hist, loss_kd, loss_mkd
 from .memory import (
@@ -182,7 +182,7 @@ def _associate(policy: Policy, cur: IdentityMemory, hist: IdentityMemory) -> np.
 
 def _mean_breakdown(items: list[LossBreakdown]) -> LossBreakdown:
     n = len(items)
-    return LossBreakdown(**{term: sum(getattr(b, term) for b in items) / n for term in TERMS})
+    return LossBreakdown(**{term: ordered_sum(getattr(b, term) for b in items) / n for term in TERMS})
 
 
 def _check_finite(mean: LossBreakdown, camera_id: int, epoch: int) -> None:

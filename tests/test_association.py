@@ -13,7 +13,7 @@ from ike_lab.association import (
 )
 from ike_lab.checks import check_cycle_match
 from ike_lab.datasets import CameraDataset
-from ike_lab.errors import EmptyMemory, LabelOutOfRange, MissingProvenance, ShapeMismatch
+from ike_lab.errors import EmptyMemory, IndexOutOfRange, MissingProvenance, ShapeMismatch
 from ike_lab.memory import NO_MATCH, IdentityMemory, empty_memory, unit_rows
 
 from builders import manual_camera
@@ -115,7 +115,7 @@ class TestAugmentDataset:
 
     def test_label_out_of_range(self, rng):
         cam = manual_camera(rng, n_ids=4, per_id=2, dim=5)
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(IndexOutOfRange):
             augment_dataset(cam, all_unmatched(2))
 
 
@@ -146,7 +146,7 @@ class TestAssociationPrecision:
     def test_tag_count_and_target_range_checked(self):
         with pytest.raises(ShapeMismatch):
             association_precision(all_unmatched(2), [1, 2, 3], [1])
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(IndexOutOfRange):
             association_precision(np.array([0, 2]), [1, 2], [1, 2])
 
     @settings(max_examples=100, deadline=None)

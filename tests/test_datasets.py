@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ike_lab.datasets import (
     MAX_PAIR_COS, CameraDataset, SyntheticSpec, TestSplit, generate, load_dataset, save_dataset,
 )
-from ike_lab.errors import ConfigError, DimensionMismatch, LabelOutOfRange, ParseError
+from ike_lab.errors import ConfigError, ParseError, ShapeMismatch
 
 
 def small_spec(**overrides) -> SyntheticSpec:
@@ -143,9 +143,13 @@ class TestCameraDataset:
     def test_no_table_no_global_ids(self):
         assert CameraDataset(0, np.eye(2), [0, 1], 2).global_ids is None
 
+    def test_one_label_per_sample(self):
+        with pytest.raises(ShapeMismatch, match="^sample count and label count differ$"):
+            CameraDataset(0, np.eye(3), [1, 0], 2)
+
     @pytest.mark.parametrize("table", [[7], [7, 4, 5], [[7, 4]]])
     def test_table_needs_one_entry_per_label(self, table):
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(ShapeMismatch, match=r"^label_to_global needs one entry per label \(2\)$"):
             CameraDataset(0, np.eye(3), [1, 0, 1], 2, label_to_global=table)
 
 
@@ -166,7 +170,7 @@ class TestTestSplit:
         # each are scored silently under "camera" and fail with numpy's own
         # errors under the other rules and at 43 tags.
         kw = {"global_ids": np.arange(40), "camera_ids": np.arange(40) % 3, **tags}
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch, match="^every tag array needs one entry per test image$"):
             TestSplit(np.zeros((40, 4)), **kw)
 
 
@@ -297,11 +301,27 @@ class TestSaveLoad:
         csv.write_text("camera,local_id,global_id,f0,f1\n0,0,1,1.0,0.0\n")
         sidecar = tmp_path / "feat.manifest.json"
         sidecar.write_text('{"dim": 3}')
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ParseError, match=r"^feat\.csv:1: 2 feature columns, expected 3$"):
             load_dataset(csv)
 
+    def test_test_columns_against_train(self, tmp_path):
+        (tmp_path / "train.csv").write_text("camera,local_id,global_id,f0,f1\n0,0,1,1.0,0.0\n")
+        (tmp_path / "test.csv").write_text("camera,local_id,global_id,f0\n0,0,1,1.0\n")
+        (tmp_path / "manifest.json").write_text('{"train": "train.csv", "test": "test.csv"}')
+        with pytest.raises(ParseError, match=r"^test\.csv:1: 1 feature columns, expected 2$"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("manifest", ["manifest.json", "feat.manifest.json"])
+    def test_camera_count_against_manifest(self, tmp_path, manifest):
+        csv = tmp_path / "feat.csv"
+        csv.write_text("camera,local_id,global_id,f0,f1\n0,0,1,1.0,0.0\n")
+        (tmp_path / manifest).write_text('{"train": "feat.csv", "cameras": 2}')
+        message = rf"^{manifest.replace('.', '[.]')}: lists 2 cameras, feat\.csv has 1$"
+        with pytest.raises(ParseError, match=message):
+            load_dataset(tmp_path / manifest if manifest == "manifest.json" else csv)
+
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"^nope\.csv: cannot read feature file: "):
             load_dataset(tmp_path / "nope.csv")
 
     def test_bad_header(self, tmp_path):

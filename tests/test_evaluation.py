@@ -24,13 +24,11 @@ from ike_lab.errors import (
     ConfigError,
     DegenerateEmbedding,
     EmptyGallery,
-    NoRelevant,
     ShapeMismatch,
 )
 from ike_lab.evaluation import (
     GALLERY_RULES,
     MetricsReport,
-    average_precision,
     evaluate_map,
     has_scorable_query,
 )
@@ -41,10 +39,9 @@ from builders import tiny_bundle
 
 
 def per_query_map(emb, gids, cams, rule):
-    """Reference mAP: each query's own gallery under rule, ranked with a
-    stable argsort of its scores and scored with average_precision, then
-    summed in query order over their count; None when no query is
-    scorable."""
+    """Reference mAP: each query's own gallery under rule, scored with one
+    product and ranked and averaged by oracles.ap_oracle, then summed in
+    query order over their count; None when no query is scorable."""
     n = len(gids)
     aps = []
     for q in range(n):
@@ -55,43 +52,41 @@ def per_query_map(emb, gids, cams, rule):
         else:
             keep = np.arange(n) != q
         gallery = np.flatnonzero(keep)
-        order = np.argsort(-(emb[gallery] @ emb[q]), kind="stable")
-        relevance = gids[gallery][order] == gids[q]
-        if relevance.any():
-            aps.append(average_precision(relevance, int(relevance.sum())))
-    return sum(aps) / len(aps) if aps else None
+        ap = oracles.ap_oracle((emb[gallery] @ emb[q]).tolist(), (gids[gallery] == gids[q]).tolist())
+        if ap is not None:
+            aps.append(ap)
+    total = 0.0
+    for ap in aps:
+        total += ap
+    return total / len(aps) if aps else None
 
 
 class TestAveragePrecision:
     def test_all_relevant_first(self):
-        assert average_precision(np.array([1, 1, 0, 0]), 2) == 1.0
+        assert oracles.ap_oracle([4.0, 3.0, 2.0, 1.0], [1, 1, 0, 0]) == 1.0
 
     def test_single_relevant_at_rank_r(self):
         for r in range(1, 6):
-            rel = np.zeros(6)
+            rel = [0] * 6
             rel[r - 1] = 1
-            assert average_precision(rel, 1) == pytest.approx(1.0 / r)
+            assert oracles.ap_oracle([-k for k in range(6)], rel) == pytest.approx(1.0 / r)
 
     def test_hand_case(self):
-        assert average_precision(np.array([1, 0, 1]), 2) == pytest.approx((1.0 + 2 / 3) / 2)
-
-    def test_no_relevant_rejected(self):
-        with pytest.raises(NoRelevant):
-            average_precision(np.array([0, 0]), 0)
-
-    def test_fewer_relevant_than_the_list_holds_rejected(self):
-        # Three relevant items over n_relevant 1 would give an AP of 3.
-        with pytest.raises(ShapeMismatch, match="holds 3 relevant items but n_relevant is 1"):
-            average_precision(np.array([1, 1, 1]), 1)
+        assert oracles.ap_oracle([0.9, 0.5, 0.1], [1, 0, 1]) == pytest.approx((1.0 + 2 / 3) / 2)
 
     @given(st.lists(st.booleans(), min_size=1, max_size=300))
     @settings(max_examples=100, deadline=None)
     def test_equals_precision_at_k_sum_bitwise(self, flags):
         # The oracle walks the list in rank order and adds precision@k at
-        # each relevant rank; equal scores keep the list's order.
-        rel = np.array(flags, dtype=np.float64)
-        want = oracles.ap_oracle([0.0] * rel.size, flags)
-        assert average_precision(rel, max(int(rel.sum()), 1)) == (0.0 if want is None else want)
+        # each relevant rank; equal scores keep the list's order, in a
+        # one-row block as in the oracle.
+        want = oracles.ap_oracle([0.0] * len(flags), flags)
+        cols = np.flatnonzero(flags)
+        got = evaluation._block_aps(np.zeros((1, len(flags))), np.zeros(cols.size, dtype=int), cols)
+        if want is None:
+            assert np.isnan(got[0])
+        else:
+            assert got[0] == want
 
 
 class TestEvaluateMap:
@@ -190,8 +185,8 @@ class TestEvaluateMap:
     @pytest.mark.parametrize("block_elements", [1, 500, evaluation._BLOCK_ELEMENTS])
     @pytest.mark.parametrize("rule", GALLERY_RULES)
     def test_bitwise_equal_to_per_query_loop(self, monkeypatch, rng, rule, block_elements):
-        # The reference ranks each query's own gallery with a stable argsort
-        # and scores it with average_precision. Random embeddings leave no
+        # The reference ranks and scores each query's own gallery with
+        # oracles.ap_oracle. Random embeddings leave no
         # near-ties, so the ranks, and with them the AP bits, must agree for
         # every chunk size: one query row per chunk, a few, or whole blocks.
         # "camera-id" galleries differ in length from row to row.
@@ -216,7 +211,7 @@ class TestEvaluateMap:
         self, seed, n, n_cams, block_elements
     ):
         # The saturated encoder of the tie test above scores exactly, so the
-        # per-query stable argsort sees the same ties as evaluate_map, and
+        # per-query reference sees the same ties as evaluate_map, and
         # every mAP must agree bit for bit. Row 1 copies row 0's image,
         # identity and camera, and row 2 copies its image under a drawn
         # identity. The last row's identity 9 has nothing relevant, and it
@@ -437,7 +432,7 @@ class TestEvaluateMap:
         assert len({thread for thread, _ in seen}) == 2
         assert max(count for _, count in seen) == threads + 1
 
-    def test_block_rows_bitwise_equal_to_average_precision(self, rng):
+    def test_block_rows_bitwise_equal_to_ap_oracle(self, rng):
         # Each row of a block, ranked with its excluded columns dropped, is
         # the AP of its own gallery bit for bit: same ranks, ties toward the
         # lower index, and the terms summed in rank order. Excluded columns
@@ -454,16 +449,15 @@ class TestEvaluateMap:
             keep = ~excluded
             want = np.full(R, np.nan)
             for r in range(R):
-                order = np.argsort(-scores[r, keep[r]], kind="stable")
-                relevance = same_id[r, keep[r]][order]
-                if relevance.any():
-                    want[r] = average_precision(relevance, int(relevance.sum()))
+                ap = oracles.ap_oracle(scores[r, keep[r]].tolist(), same_id[r, keep[r]].tolist())
+                if ap is not None:
+                    want[r] = ap
             given_scores = np.where(excluded, -np.inf, scores)
             pair_rows, pair_cols = np.nonzero(same_id & keep)
             got = evaluation._block_aps(given_scores, pair_rows, pair_cols)
             np.testing.assert_array_equal(got, want)
 
-    def test_long_rows_with_shallow_ranks_bitwise_equal_to_average_precision(self, rng):
+    def test_long_rows_with_shallow_ranks_bitwise_equal_to_ap_oracle(self, rng):
         # As above, but galleries up to 3,000 long with a few relevant items
         # scoring near the top, so each row ranks only a short head of its
         # gallery. The 0.05 grid makes relevant items tie with irrelevant
@@ -480,10 +474,9 @@ class TestEvaluateMap:
             keep = ~excluded
             want = np.full(R, np.nan)
             for r in range(R):
-                order = np.argsort(-scores[r, keep[r]], kind="stable")
-                relevance = same_id[r, keep[r]][order]
-                if relevance.any():
-                    want[r] = average_precision(relevance, int(relevance.sum()))
+                ap = oracles.ap_oracle(scores[r, keep[r]].tolist(), same_id[r, keep[r]].tolist())
+                if ap is not None:
+                    want[r] = ap
             given_scores = np.where(excluded, -np.inf, scores)
             pair_rows, pair_cols = np.nonzero(same_id & keep)
             got = evaluation._block_aps(given_scores, pair_rows, pair_cols)
@@ -552,12 +545,8 @@ class TestEvaluateMap:
         rel = (rng.random(12) < 0.4).astype(float)
         if rel.sum() == 0:
             rel[0] = 1
-        order = np.argsort(-scores, kind="stable")
-        ap1 = average_precision(rel[order], int(rel.sum()))
         warped = np.tanh(2.5 * scores)  # strictly monotone
-        order2 = np.argsort(-warped, kind="stable")
-        ap2 = average_precision(rel[order2], int(rel.sum()))
-        assert ap1 == ap2
+        assert oracles.ap_oracle(scores.tolist(), rel) == oracles.ap_oracle(warped.tolist(), rel)
 
     def test_single_camera_split_rejected(self, rng):
         params = init_encoder([4, 6, 6, 4], rng)
@@ -570,6 +559,13 @@ class TestEvaluateMap:
         split = TestSplit(rng.normal(size=(4, 4)), np.arange(4), np.array([0, 0, 1, 1]))
         with pytest.raises(ConfigError):
             evaluate_map(params, split, gallery_rule="nope")
+
+    def test_scorable_query_rule_validation(self, rng):
+        # An unknown rule raises, as in evaluate_map, rather than being
+        # read as "camera".
+        split = TestSplit(rng.normal(size=(4, 4)), np.arange(4), np.array([0, 0, 1, 1]))
+        with pytest.raises(ConfigError, match="gallery_rule must be one of"):
+            has_scorable_query(split, "nope")
 
     def test_junk_rule_keeps_same_camera_distractors(self, rng):
         # Under the junk-style rule, same-camera different-id items stay in

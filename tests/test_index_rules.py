@@ -1,7 +1,8 @@
 """The shared rules for identity indices, identity tags and snapshot files:
 every index or tag array goes through errors.index_array, which takes
-integers only, checks "[0, n)" where there is a range and returns one int64
-array, and both snapshot loaders name a malformed file."""
+integers only, checks "[0, n)" where there is a range, raising
+IndexOutOfRange, and returns one int64 array, and both snapshot loaders name
+a malformed file."""
 
 import json
 import re
@@ -13,7 +14,7 @@ import pytest
 from ike_lab.association import association_precision, augment_dataset
 from ike_lab.datasets import CameraDataset, TestSplit
 from ike_lab.encoder import init_encoder, load_encoder, save_encoder
-from ike_lab.errors import IndexOutOfRange, LabelOutOfRange, ParseError, ShapeMismatch
+from ike_lab.errors import IndexOutOfRange, ParseError, ShapeMismatch
 from ike_lab.losses import loss_id, loss_id_hist
 from ike_lab.memory import IdentityMemory, iku_merge, load_memory, momentum_update, unit_rows
 
@@ -25,28 +26,28 @@ FEATS = unit_rows(_draw, 2, 4)
 # Each site reads the pair [0, v] against an index range of N entries. Where
 # -1 is NO_MATCH, and so not an index, the value below the range is -2.
 SITES = {
-    "CameraDataset": (LabelOutOfRange, -1, lambda v: CameraDataset(
+    "CameraDataset": (-1, lambda v: CameraDataset(
         0, np.zeros((2, 4)), np.array([0, v]), N)),
-    "momentum_update": (IndexOutOfRange, -1, lambda v: momentum_update(
+    "momentum_update": (-1, lambda v: momentum_update(
         IdentityMemory(MEM.copy()), np.array([0, v]), FEATS, 0.1)),
-    "memory._association": (IndexOutOfRange, -2, lambda v: iku_merge(
+    "memory._association": (-2, lambda v: iku_merge(
         IdentityMemory(MEM), IdentityMemory(FEATS), np.array([0, v]), 0.25)),
-    "augment_dataset": (LabelOutOfRange, -1, lambda v: augment_dataset(
+    "augment_dataset": (-1, lambda v: augment_dataset(
         types.SimpleNamespace(labels=np.array([0, v])), np.arange(N))),
-    "association_precision": (LabelOutOfRange, -2, lambda v: association_precision(
+    "association_precision": (-2, lambda v: association_precision(
         np.array([0, v]), [5, 6], [5, 6, 7])),
-    "loss_id": (LabelOutOfRange, -1, lambda v: loss_id(
+    "loss_id": (-1, lambda v: loss_id(
         FEATS, np.array([0, v]), IdentityMemory(MEM), 0.05)),
-    "loss_id_hist": (LabelOutOfRange, -2, lambda v: loss_id_hist(
+    "loss_id_hist": (-2, lambda v: loss_id_hist(
         FEATS, np.array([0, v]), IdentityMemory(MEM), 0.05)),
 }
 
 
 @pytest.mark.parametrize("site", sorted(SITES))
 def test_range_rule_at_every_site(site):
-    error, below, call = SITES[site]
+    below, call = SITES[site]
     for bad in (below, N):
-        with pytest.raises(error, match=rf"(^|\s){bad} outside \[0, {N}\)$"):
+        with pytest.raises(IndexOutOfRange, match=rf"(^|\s){bad} outside \[0, {N}\)$"):
             call(bad)
     for good in (0, N - 1):
         call(good)
@@ -168,10 +169,13 @@ MEMORY_DOC = {"dim": 2, "rows": [[1.0, 0.0], [0.0, 1.0]], "provenance": [4, 9]}
     ]}, load_encoder, "block 2 has inconsistent shapes"),
     ("encoder.json", lambda doc: {"widths": doc["widths"][:3], "blocks": doc["blocks"][:2]}, load_encoder,
      "encoder needs at least 3 blocks"),
+    ("encoder.json", lambda doc: {**doc, "widths": [2, 3, 4, 2]}, load_encoder,
+     r"block 2 shape \(3, 3\) disagrees with widths$"),
 ], ids=["memory-bad-json", "memory-not-object", "memory-no-dim", "memory-no-rows",
         "memory-float-tag", "memory-bool-tag", "memory-tag-count", "memory-bad-value",
         "encoder-bad-json", "encoder-no-widths", "encoder-few-widths", "encoder-many-widths",
-        "encoder-float-width", "encoder-no-bias", "encoder-short-bias", "encoder-two-blocks"])
+        "encoder-float-width", "encoder-no-bias", "encoder-short-bias", "encoder-two-blocks",
+        "encoder-block-shape"])
 def test_malformed_snapshot_named(tmp_path, name, text, load, match):
     if callable(text):
         text = json.dumps(text(_encoder_doc(tmp_path)))

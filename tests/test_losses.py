@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ike_lab.encoder import grad_check
-from ike_lab.errors import EmptyBatch, EmptyMemory, LabelOutOfRange, ShapeMismatch
+from ike_lab.errors import EmptyBatch, EmptyMemory, IndexOutOfRange, ShapeMismatch
 from ike_lab.losses import LossBreakdown, loss_id, loss_id_hist, loss_kd, loss_mkd
 from ike_lab.memory import NO_MATCH, IdentityMemory, empty_memory, unit_rows
 
@@ -41,7 +41,7 @@ class TestLossId:
         mem = IdentityMemory(unit_rows(rng, 3, 4))
         with pytest.raises(EmptyBatch):
             loss_id(np.zeros((0, 4)), np.zeros(0, dtype=int), mem, tau=0.05)
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(IndexOutOfRange, match=r"^label 3 outside \[0, 3\)$"):
             loss_id(unit_rows(rng, 2, 4), np.array([0, 3]), mem, tau=0.05)
         with pytest.raises(EmptyMemory):
             loss_id(unit_rows(rng, 2, 4), np.array([0, 0]), empty_memory(4), tau=0.05)

@@ -12,7 +12,6 @@ from ike_lab.datasets import CameraDataset
 from ike_lab.encoder import forward_batch, init_encoder
 from ike_lab.errors import (
     DegenerateMean,
-    DimensionMismatch,
     IndexOutOfRange,
     MissingLabel,
     ParseError,
@@ -427,5 +426,5 @@ class TestSnapshotRoundTrip:
     def test_dimension_check(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"dim": 3, "rows": [[1.0, 0.0]], "provenance": null}')
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ParseError, match=r"^bad\.json: row 0 has 2 values, expected 3$"):
             load_memory(path)
