@@ -13,7 +13,7 @@ from ike_lab import SyntheticSpec, generate
 from ike_lab.trainer import Hyperparams, Variant, run_sequence, train_joint_upperbound
 
 spec = SyntheticSpec(
-    n_global=60, latent_dim=8, obs_dim=8, n_cameras=4, ids_per_camera=30,
+    n_global=60, latent_dim=8, n_cameras=4, ids_per_camera=30,
     images_per_id=6, test_images_per_id=2, seed=3,
 )
 bundle = generate(spec)

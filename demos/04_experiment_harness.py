@@ -20,7 +20,7 @@ from ike_lab.datasets import generate, load_dataset, save_dataset, SyntheticSpec
 
 config = ExperimentConfig.from_dict({
     "dataset": {"synthetic": {
-        "n_global": 40, "latent_dim": 6, "obs_dim": 6, "n_cameras": 3,
+        "n_global": 40, "latent_dim": 6, "n_cameras": 3,
         "ids_per_camera": 20, "images_per_id": 4, "test_images_per_id": 1,
         "seed": 12,
     }},
@@ -46,7 +46,7 @@ with tempfile.TemporaryDirectory() as tmp:
             print("  ", p.relative_to(out))
 
     # Datasets round-trip through the feature-CSV format bit-faithfully.
-    bundle = generate(SyntheticSpec(n_global=10, latent_dim=5, obs_dim=5, n_cameras=2,
+    bundle = generate(SyntheticSpec(n_global=10, latent_dim=5, n_cameras=2,
                                     ids_per_camera=5, images_per_id=2, test_images_per_id=1))
     bench = Path(tmp) / "bench"
     save_dataset(bundle, bench)

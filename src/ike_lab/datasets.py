@@ -22,6 +22,7 @@ from .errors import (
 from .memory import _unit
 
 CSV_HEADER_PREFIX = ["camera", "local_id", "global_id"]
+FORMAT = "ike-lab-features-v1"
 
 # Distortion rows are unit-displacement normalized and then scaled by this
 # gain, calibrated so the default shift strength (0.3) lands in the regime
@@ -38,7 +39,6 @@ class SyntheticSpec:
 
     n_global: int = 300
     latent_dim: int = 8
-    obs_dim: int = 8
     n_cameras: int = 6
     ids_per_camera: int = 150
     images_per_id: int = 8
@@ -60,8 +60,8 @@ class SyntheticSpec:
             )
         if self.images_per_id < 1 or self.test_images_per_id < 0:
             raise ConfigError("images_per_id >= 1 and test_images_per_id >= 0 required")
-        if self.latent_dim < 1 or self.obs_dim < self.latent_dim:
-            raise ConfigError("need obs_dim >= latent_dim >= 1")
+        if self.latent_dim < 1:
+            raise ConfigError(f"latent_dim={self.latent_dim} must be at least 1")
         if self.camera_shift < 0 or self.noise < 0:
             raise ConfigError("camera_shift and noise must be nonnegative")
         if not 0.0 <= self.overlap_bias <= 1.0:
@@ -80,7 +80,7 @@ class CameraDataset:
     """
 
     camera_id: int
-    X: np.ndarray                      # (N, obs_dim)
+    X: np.ndarray                      # (N, dim)
     labels: np.ndarray                 # (N,) int64 in [0, n_ids)
     n_ids: int
     label_to_global: np.ndarray | None = None   # (n_ids,) int64
@@ -170,15 +170,12 @@ def _sample_prototypes(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndar
 
 
 def _camera_matrix(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
-    # Rectangular identity embeds latent space into observation space. The
-    # random part is row-rescaled so one unit of input is displaced by about
-    # camera_shift * DISTORTION_GAIN, independent of the dimensions.
-    A = np.zeros((spec.obs_dim, spec.latent_dim))
-    np.fill_diagonal(A, 1.0)
-    R = rng.normal(size=(spec.obs_dim, spec.latent_dim))
+    # The random part is row-normalized so one unit of input is displaced by
+    # about camera_shift * DISTORTION_GAIN, independent of the dimension.
+    d = spec.latent_dim
+    R = rng.normal(size=(d, d))
     R /= np.linalg.norm(R, axis=1, keepdims=True)
-    R *= DISTORTION_GAIN * np.sqrt(spec.latent_dim / spec.obs_dim)
-    return A + spec.camera_shift * R
+    return np.eye(d) + spec.camera_shift * (R * DISTORTION_GAIN)
 
 
 def _choose_identities(
@@ -250,8 +247,8 @@ def generate(spec: SyntheticSpec) -> DatasetBundle:
 # Feature CSV format: header camera,local_id,global_id,f0,...,f{D-1}; one
 # sample per row. A local id has one global id within its camera, and -1 on
 # any train row means the camera has no tags; every test row needs a global
-# id. A sidecar JSON manifest records camera count, dimension, the
-# normalize-on-load flag, and the train/test file names.
+# id. A manifest.json beside them names the train and test files and may
+# record the format, camera count, dimension and normalize-on-load flag.
 # ---------------------------------------------------------------------------
 
 
@@ -276,7 +273,7 @@ def save_dataset(bundle: DatasetBundle, out_dir: str | Path) -> Path:
     test_tags = np.column_stack([t.camera_ids, local, t.global_ids])
     write_atomic(out / "test.csv", _csv_text(test_tags, t.X))
     manifest = {
-        "format": "ike-lab-features-v1",
+        "format": FORMAT,
         "cameras": bundle.n_cameras,
         "dim": bundle.input_dim,
         "normalize": False,
@@ -365,50 +362,49 @@ def _build_cameras(
     return cameras
 
 
+def _require_global_ids(path: Path, tags: np.ndarray, lines: np.ndarray, least: int, rule: str) -> None:
+    """ParseError naming path, the line and the value of the first global id below least."""
+    low = np.flatnonzero(tags[:, 2] < least)
+    if low.size:
+        raise ParseError(f"{path.name}:{lines[low[0]]}: {rule}, got {tags[low[0], 2]}")
+
+
 # Manifest entries and their kinds; a null entry counts as absent.
-MANIFEST_KINDS = {"train": "str", "test": "str", "dim": "int", "cameras": "int", "normalize": "bool"}
+MANIFEST_KINDS = {"format": "str", "train": "str", "test": "str", "dim": "int", "cameras": "int",
+                  "normalize": "bool"}
 
 
 def load_dataset(path: str | Path) -> DatasetBundle:
-    """Load a feature dataset.
-
-    Accepts a manifest.json, a directory containing one, or a bare train
-    CSV (in which case a sidecar <stem>.manifest.json is honored when
-    present and the test split is empty otherwise). A malformed file raises
-    ParseError naming it: among others, a manifest that is not a JSON
-    object of the entries in MANIFEST_KINDS or whose cameras entry is not
-    the train file's camera count, a CSV whose feature columns disagree
-    with the manifest's dim or with the train file's, and a test row
-    without a global id (below 0).
+    """Load the feature dataset that a manifest.json, or the directory
+    holding one, names; without a test entry the test split is empty.
+    A malformed file raises ParseError naming it: among others, a manifest
+    that is not a JSON object of entries in MANIFEST_KINDS, whose format is
+    not FORMAT or whose cameras entry is not the train file's camera count,
+    a CSV whose feature columns disagree with the manifest's dim or with
+    the train file's, a train row whose global id is below -1 and a test
+    row without a global id (below 0).
     """
     path = Path(path)
     if path.is_dir():
         path = path / "manifest.json"
-    if path.suffix == ".json":
-        mpath = path
-        manifest = read_json_object(path, "manifest", MANIFEST_KINDS, required=("train",))
-        train_path = path.parent / manifest["train"]
-    else:
-        train_path = path
-        mpath = path.with_name(path.stem + ".manifest.json")
-        manifest = read_json_object(mpath, "manifest", MANIFEST_KINDS) if mpath.exists() else {}
+    manifest = read_json_object(path, "manifest", MANIFEST_KINDS, required=("train",))
+    if manifest.get("format") not in (None, FORMAT):
+        raise ParseError(f"{path.name}: format {manifest['format']!r} is not {FORMAT!r}")
+    train_path = path.parent / manifest["train"]
     normalize = bool(manifest.get("normalize"))
     tags, X, lines = _parse_feature_csv(train_path, manifest.get("dim"), normalize)
     if not len(X):
         raise ParseError(f"{train_path.name}: no samples")
+    _require_global_ids(train_path, tags, lines, -1, "a train row needs a global id >= 0, or -1")
     cameras = _build_cameras(train_path, tags, X, lines)
     if manifest.get("cameras") not in (None, len(cameras)):
-        raise ParseError(f"{mpath.name}: lists {manifest['cameras']} cameras, "
+        raise ParseError(f"{path.name}: lists {manifest['cameras']} cameras, "
                          f"{train_path.name} has {len(cameras)}")
     if manifest.get("test"):
         test_path = path.parent / manifest["test"]
         t, Xt, test_lines = _parse_feature_csv(test_path, X.shape[1], normalize)
         # Relevance is equal global ids, so untagged rows would all be one identity.
-        untagged = np.flatnonzero(t[:, 2] < 0)
-        if untagged.size:
-            k = untagged[0]
-            raise ParseError(f"{test_path.name}:{test_lines[k]}: a test row needs a global id "
-                             f">= 0, got {t[k, 2]}")
+        _require_global_ids(test_path, t, test_lines, 0, "a test row needs a global id >= 0")
         test = TestSplit(Xt, t[:, 2], t[:, 0], t[:, 1])
     else:
         test = TestSplit(np.zeros((0, X.shape[1])), np.zeros(0, np.int64), np.zeros(0, np.int64))

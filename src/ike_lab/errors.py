@@ -99,18 +99,20 @@ def read_json_object(
     path: Path, what: str, kinds: dict[str, str], required: tuple[str, ...] = ()
 ) -> dict:
     """The JSON object in path. ParseError naming the file if it cannot be
-    read, is not an object or repeats a key in any object, if an entry of
-    kinds is neither null nor of its kind, or if an entry of required is
-    missing or null."""
+    read, is not an object or repeats a key in any object, if it has an
+    entry outside kinds, if an entry of kinds is neither null nor of its
+    kind, or if an entry of required is missing or null."""
     try:
         doc = json.loads(path.read_text(), object_pairs_hook=unique_keys)
     except (OSError, ValueError) as exc:
         raise ParseError(f"{path.name}: cannot read {what}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path.name}: a {what} must be a JSON object")
-    for key, kind in kinds.items():
-        if doc.get(key) is not None:
-            check_kind(f"{path.name}: {key}", doc[key], kind, ParseError)
+    for key, value in doc.items():
+        if key not in kinds:
+            raise ParseError(f"{path.name}: unknown {what} entry {key!r}; entries are {list(kinds)}")
+        if value is not None:
+            check_kind(f"{path.name}: {key}", value, kinds[key], ParseError)
     for key in required:
         if doc.get(key) is None:
             raise ParseError(f"{path.name}: no {key} entry")

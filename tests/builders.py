@@ -12,7 +12,6 @@ def tiny_bundle(seed: int = 7, **overrides) -> DatasetBundle:
     kw = dict(
         n_global=24,
         latent_dim=6,
-        obs_dim=6,
         n_cameras=3,
         ids_per_camera=12,
         images_per_id=4,

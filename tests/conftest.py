@@ -1,18 +1,12 @@
-import os
-
-# One BLAS thread per Python thread, as importing ike_lab first gives the CLI.
-# BLAS reads these when numpy loads, and this file loads before any test
-# module, so the tests see the CLI's bits whatever the core count. A value
-# the caller set is kept.
-for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_variable, "1")
-del _variable
+# ike_lab pins BLAS to one thread per Python thread when it loads before
+# numpy, as the CLI imports it. This file loads before any test module, so
+# importing ike_lab first gives the tests the CLI's bits whatever the core
+# count.
+from ike_lab.datasets import TestSplit
+from ike_lab.encoder import EncoderParams, init_encoder
 
 import numpy as np
 import pytest
-
-from ike_lab.datasets import TestSplit
-from ike_lab.encoder import EncoderParams, init_encoder
 
 # Not a test class despite the name.
 TestSplit.__test__ = False

@@ -152,7 +152,7 @@ class TestCriterion7MemoryGrowth:
             for r in table["IKE"]
         )
         spec = SyntheticSpec(
-            n_global=120, latent_dim=16, obs_dim=16, ids_per_camera=120,
+            n_global=120, latent_dim=16, ids_per_camera=120,
             overlap_bias=1.0, camera_shift=0.0, noise=0.0,
             images_per_id=4, test_images_per_id=1,
         )

@@ -17,11 +17,24 @@ from ike_lab.errors import ConfigError, ParseError, ShapeMismatch
 
 def small_spec(**overrides) -> SyntheticSpec:
     kw = dict(
-        n_global=20, latent_dim=6, obs_dim=6, n_cameras=3, ids_per_camera=10,
+        n_global=20, latent_dim=6, n_cameras=3, ids_per_camera=10,
         images_per_id=3, test_images_per_id=1, camera_shift=0.2, noise=0.05, seed=5,
     )
     kw.update(overrides)
     return SyntheticSpec(**kw)
+
+
+def write_features(directory: Path, train: str, test: str | None = None, **entries) -> Path:
+    """train.csv, test.csv when test is given, and a manifest.json in
+    directory that names them and holds entries; returns the manifest."""
+    (directory / "train.csv").write_text(train)
+    manifest = {"train": "train.csv", **entries}
+    if test is not None:
+        (directory / "test.csv").write_text(test)
+        manifest["test"] = "test.csv"
+    path = directory / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    return path
 
 
 class TestGenerate:
@@ -86,7 +99,7 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             generate(small_spec(overlap_bias=1.5))
         with pytest.raises(ConfigError):
-            generate(small_spec(obs_dim=4))
+            generate(small_spec(latent_dim=0))
         with pytest.raises(ConfigError, match="seed=-1 must be nonnegative"):
             generate(small_spec(seed=-1))
         # Each image's norm overflows to inf, which would divide it to zeros
@@ -221,60 +234,64 @@ class TestSaveLoad:
         loaded = load_dataset(tmp_path / "bench")
         assert loaded.n_cameras == bundle.n_cameras
 
-    def test_bare_csv_without_manifest(self, tmp_path):
+    def test_manifest_without_test_gives_an_empty_split(self, tmp_path):
         bundle = generate(small_spec())
-        save_dataset(bundle, tmp_path / "bench")
-        loaded = load_dataset(tmp_path / "bench" / "train.csv")
+        manifest = save_dataset(bundle, tmp_path / "bench")
+        doc = json.loads(manifest.read_text())
+        del doc["test"]
+        manifest.write_text(json.dumps(doc))
+        loaded = load_dataset(manifest)
         assert loaded.n_cameras == bundle.n_cameras
-        assert len(loaded.test) == 0
+        assert loaded.test.X.shape == (0, bundle.input_dim)
+
+    def test_a_csv_is_not_a_manifest(self, tmp_path):
+        save_dataset(generate(small_spec()), tmp_path)
+        with pytest.raises(ParseError, match=r"^train\.csv: cannot read manifest: "):
+            load_dataset(tmp_path / "train.csv")
 
     def test_label_remap_from_arbitrary_ids(self, tmp_path):
-        csv = tmp_path / "train.csv"
-        csv.write_text(
+        loaded = load_dataset(write_features(
+            tmp_path,
             "camera,local_id,global_id,f0,f1\n"
             "0,17,5,1.0,0.0\n"
             "0,42,6,0.0,1.0\n"
             "0,17,5,0.6,0.8\n"
-        )
-        loaded = load_dataset(csv)
+        ))
         cam = loaded.cameras[0]
         assert cam.labels.tolist() == [0, 1, 0]
         assert cam.label_to_global.tolist() == [5, 6]
 
     def test_unknown_globals_disable_tags(self, tmp_path):
-        csv = tmp_path / "train.csv"
-        csv.write_text(
+        manifest = write_features(
+            tmp_path,
             "camera,local_id,global_id,f0,f1\n"
             "0,0,-1,1.0,0.0\n"
             "0,1,3,0.0,1.0\n"
         )
-        cam = load_dataset(csv).cameras[0]
+        cam = load_dataset(manifest).cameras[0]
         assert cam.global_ids is None
         assert cam.label_to_global is None
 
     def test_normalize_on_load_flag(self, tmp_path):
-        csv = tmp_path / "feat.csv"
-        csv.write_text("camera,local_id,global_id,f0,f1\n0,0,1,3.0,4.0\n")
-        sidecar = tmp_path / "feat.manifest.json"
-        sidecar.write_text('{"dim": 2, "normalize": true}')
-        cam = load_dataset(csv).cameras[0]
+        manifest = write_features(tmp_path, "camera,local_id,global_id,f0,f1\n0,0,1,3.0,4.0\n",
+                                  dim=2, normalize=True)
+        cam = load_dataset(manifest).cameras[0]
         assert cam.X[0] == pytest.approx([0.6, 0.8], abs=1e-15)
 
     def test_parse_error_names_line(self, tmp_path):
-        csv = tmp_path / "train.csv"
-        csv.write_text(
+        manifest = write_features(
+            tmp_path,
             "camera,local_id,global_id,f0,f1\n"
             "0,0,1,1.0,0.0\n"
             "0,1,2,0.5\n"
         )
         with pytest.raises(ParseError, match=r"train\.csv:3"):
-            load_dataset(csv)
+            load_dataset(manifest)
 
     def test_non_numeric_value_names_line(self, tmp_path):
-        csv = tmp_path / "train.csv"
-        csv.write_text("camera,local_id,global_id,f0,f1\n0,0,1,abc,0.0\n")
+        manifest = write_features(tmp_path, "camera,local_id,global_id,f0,f1\n0,0,1,abc,0.0\n")
         with pytest.raises(ParseError, match=r"train\.csv:2"):
-            load_dataset(csv)
+            load_dataset(manifest)
 
     @pytest.mark.parametrize("bad_file", ["train.csv", "test.csv"])
     @pytest.mark.parametrize("values, normalize", [
@@ -282,57 +299,46 @@ class TestSaveLoad:
         ("nan,0.5", True), ("inf,0.5", True), ("0.5,-inf", True), ("0.0,0.0", True),
     ])
     def test_unusable_feature_values_name_file_and_line(self, tmp_path, bad_file, values, normalize):
-        header = "camera,local_id,global_id,f0,f1\n"
-        for name in ("train.csv", "test.csv"):
-            row = values if name == bad_file else "0.6,0.8"
-            (tmp_path / name).write_text(header + "0,0,1,1.0,0.0\n" + f"0,1,2,{row}\n")
-        manifest = {"dim": 2, "normalize": normalize, "train": "train.csv", "test": "test.csv"}
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        text = {name: "camera,local_id,global_id,f0,f1\n0,0,1,1.0,0.0\n0,1,2,"
+                      + (values if name == bad_file else "0.6,0.8") + "\n"
+                for name in ("train.csv", "test.csv")}
+        write_features(tmp_path, text["train.csv"], text["test.csv"], dim=2, normalize=normalize)
         with pytest.raises(ParseError, match=rf"{bad_file.replace('.', '[.]')}:3:"):
             load_dataset(tmp_path)
 
     def test_zero_row_loads_without_normalize(self, tmp_path):
-        csv = tmp_path / "feat.csv"
-        csv.write_text("camera,local_id,global_id,f0,f1\n0,0,1,0.0,0.0\n")
-        assert (load_dataset(csv).cameras[0].X == 0).all()
+        manifest = write_features(tmp_path, "camera,local_id,global_id,f0,f1\n0,0,1,0.0,0.0\n")
+        assert (load_dataset(manifest).cameras[0].X == 0).all()
 
     def test_dimension_mismatch_against_manifest(self, tmp_path):
-        csv = tmp_path / "feat.csv"
-        csv.write_text("camera,local_id,global_id,f0,f1\n0,0,1,1.0,0.0\n")
-        sidecar = tmp_path / "feat.manifest.json"
-        sidecar.write_text('{"dim": 3}')
-        with pytest.raises(ParseError, match=r"^feat\.csv:1: 2 feature columns, expected 3$"):
-            load_dataset(csv)
+        manifest = write_features(tmp_path, "camera,local_id,global_id,f0,f1\n0,0,1,1.0,0.0\n", dim=3)
+        with pytest.raises(ParseError, match=r"^train\.csv:1: 2 feature columns, expected 3$"):
+            load_dataset(manifest)
 
     def test_test_columns_against_train(self, tmp_path):
-        (tmp_path / "train.csv").write_text("camera,local_id,global_id,f0,f1\n0,0,1,1.0,0.0\n")
-        (tmp_path / "test.csv").write_text("camera,local_id,global_id,f0\n0,0,1,1.0\n")
-        (tmp_path / "manifest.json").write_text('{"train": "train.csv", "test": "test.csv"}')
+        write_features(tmp_path, "camera,local_id,global_id,f0,f1\n0,0,1,1.0,0.0\n",
+                       "camera,local_id,global_id,f0\n0,0,1,1.0\n")
         with pytest.raises(ParseError, match=r"^test\.csv:1: 1 feature columns, expected 2$"):
             load_dataset(tmp_path)
 
-    @pytest.mark.parametrize("manifest", ["manifest.json", "feat.manifest.json"])
-    def test_camera_count_against_manifest(self, tmp_path, manifest):
-        csv = tmp_path / "feat.csv"
-        csv.write_text("camera,local_id,global_id,f0,f1\n0,0,1,1.0,0.0\n")
-        (tmp_path / manifest).write_text('{"train": "feat.csv", "cameras": 2}')
-        message = rf"^{manifest.replace('.', '[.]')}: lists 2 cameras, feat\.csv has 1$"
-        with pytest.raises(ParseError, match=message):
-            load_dataset(tmp_path / manifest if manifest == "manifest.json" else csv)
+    def test_camera_count_against_manifest(self, tmp_path):
+        write_features(tmp_path, "camera,local_id,global_id,f0,f1\n0,0,1,1.0,0.0\n", cameras=2)
+        with pytest.raises(ParseError, match=r"^manifest\.json: lists 2 cameras, train\.csv has 1$"):
+            load_dataset(tmp_path)
 
     def test_missing_file(self, tmp_path):
+        (tmp_path / "manifest.json").write_text('{"train": "nope.csv"}')
         with pytest.raises(ParseError, match=r"^nope\.csv: cannot read feature file: "):
-            load_dataset(tmp_path / "nope.csv")
+            load_dataset(tmp_path)
 
     def test_bad_header(self, tmp_path):
-        csv = tmp_path / "train.csv"
-        csv.write_text("cam,lid,gid,f0\n0,0,1,1.0\n")
+        manifest = write_features(tmp_path, "cam,lid,gid,f0\n0,0,1,1.0\n")
         with pytest.raises(ParseError, match=":1"):
-            load_dataset(csv)
+            load_dataset(manifest)
 
     def test_inconsistent_tags_name_file_and_line(self, tmp_path):
-        csv = tmp_path / "train.csv"
-        csv.write_text(
+        manifest = write_features(
+            tmp_path,
             "camera,local_id,global_id,f0,f1\n"
             "0,17,5,1.0,0.0\n"
             "0,42,6,0.0,1.0\n"
@@ -340,30 +346,45 @@ class TestSaveLoad:
             "0,17,6,0.6,0.8\n"
         )
         with pytest.raises(ParseError, match=r"^train\.csv:5: local id 17 of camera 0 has global id 6"):
-            load_dataset(csv)
+            load_dataset(manifest)
 
     @pytest.mark.parametrize("ids", ["0,9223372036854775808,1", "-9223372036854775809,0,1"])
     def test_ids_beyond_64_bits_name_file_and_line(self, tmp_path, ids):
-        csv = tmp_path / "train.csv"
-        csv.write_text(f"camera,local_id,global_id,f0\n0,-9223372036854775808,1,1.0\n{ids},1.0\n")
+        manifest = write_features(
+            tmp_path, f"camera,local_id,global_id,f0\n0,-9223372036854775808,1,1.0\n{ids},1.0\n"
+        )
         with pytest.raises(ParseError, match=r"^train\.csv:3: ids must be 64-bit integers"):
-            load_dataset(csv)
+            load_dataset(manifest)
 
     def test_untagged_row_drops_the_camera_tags_only(self, tmp_path):
         # A -1 row means the camera has no tags, so its other rows are not
         # checked against each other; another camera keeps its table.
-        csv = tmp_path / "train.csv"
-        csv.write_text(
+        manifest = write_features(
+            tmp_path,
             "camera,local_id,global_id,f0,f1\n"
             "0,17,5,1.0,0.0\n"
             "0,17,-1,0.0,1.0\n"
             "0,17,6,0.6,0.8\n"
             "1,3,9,1.0,0.0\n"
         )
-        cam0, cam1 = load_dataset(csv).cameras
+        cam0, cam1 = load_dataset(manifest).cameras
         assert cam0.labels.tolist() == [0, 0, 0]
         assert cam0.label_to_global is None
         assert cam1.label_to_global.tolist() == [9]
+
+    @pytest.mark.parametrize("gid", [-2, -7, -(2**63)])
+    def test_train_global_id_below_minus_one_names_file_line_and_value(self, tmp_path, gid):
+        # Only -1 means untagged; any lower id is a malformed row, which
+        # would otherwise drop the camera's tags as -1 does.
+        manifest = write_features(
+            tmp_path,
+            "camera,local_id,global_id,f0,f1\n"
+            "0,17,5,1.0,0.0\n"
+            f"0,42,{gid},0.0,1.0\n"
+        )
+        message = rf"^train\.csv:3: a train row needs a global id >= 0, or -1, got {gid}$"
+        with pytest.raises(ParseError, match=message):
+            load_dataset(manifest)
 
     @pytest.mark.parametrize("text, match", [
         ("{nope", "cannot read manifest"),
@@ -375,6 +396,11 @@ class TestSaveLoad:
         ('{"train": "train.csv", "test": ["test.csv"]}', "test must be str"),
         ('{"train": "train.csv", "normalize": "false"}', "normalize must be bool"),
         ('{"train": "train.csv", "cameras": true}', "cameras must be int"),
+        # Read as absent, the misspelled flag would load raw rows.
+        ('{"train": "train.csv", "normalise": true}', "unknown manifest entry 'normalise'"),
+        ('{"train": "train.csv", "format": 1}', "format must be str"),
+        ('{"train": "train.csv", "format": "ike-lab-features-v2"}',
+         "format 'ike-lab-features-v2' is not 'ike-lab-features-v1'"),
         # Read alone, the last train entry would win and load without error.
         ('{"train": "missing.csv", "train": "train.csv"}', "cannot read manifest: repeated key 'train'"),
     ])
@@ -384,27 +410,19 @@ class TestSaveLoad:
         with pytest.raises(ParseError, match=f"manifest\\.json.*{match}"):
             load_dataset(tmp_path)
 
-    def test_bad_sidecar_names_the_sidecar(self, tmp_path):
-        csv = tmp_path / "feat.csv"
-        csv.write_text("camera,local_id,global_id,f0,f1\n0,0,1,1.0,0.0\n")
-        (tmp_path / "feat.manifest.json").write_text('{"dim": "2"}')
-        with pytest.raises(ParseError, match=r"feat\.manifest\.json: dim must be int"):
-            load_dataset(csv)
-
     def test_undecodable_file_names_the_file(self, tmp_path):
-        csv = tmp_path / "train.csv"
-        csv.write_bytes(b"camera,local_id,global_id,f0\n0,0,1,1.0\n0,1,2,\xff\n")
+        manifest = write_features(tmp_path, "")
+        (tmp_path / "train.csv").write_bytes(b"camera,local_id,global_id,f0\n0,0,1,1.0\n0,1,2,\xff\n")
         with pytest.raises(ParseError, match=r"train\.csv"):
-            load_dataset(csv)
+            load_dataset(manifest)
 
     def test_untagged_test_row_names_file_and_line(self, tmp_path):
         # Retrieval relevance is equal global ids: untagged test rows would
         # all count as one identity and score mAP 1.0.
-        (tmp_path / "train.csv").write_text("camera,local_id,global_id,f0,f1\n0,0,1,1.0,0.0\n")
-        (tmp_path / "test.csv").write_text(
-            "camera,local_id,global_id,f0,f1\n0,0,1,1.0,0.0\n\n1,4,-1,0.0,1.0\n1,5,-1,0.6,0.8\n"
+        write_features(
+            tmp_path, "camera,local_id,global_id,f0,f1\n0,0,1,1.0,0.0\n",
+            "camera,local_id,global_id,f0,f1\n0,0,1,1.0,0.0\n\n1,4,-1,0.0,1.0\n1,5,-1,0.6,0.8\n",
         )
-        (tmp_path / "manifest.json").write_text('{"train": "train.csv", "test": "test.csv"}')
         with pytest.raises(ParseError, match=r"^test\.csv:4: a test row needs a global id >= 0, got -1$"):
             load_dataset(tmp_path)
 
@@ -423,7 +441,8 @@ _FEATURE = st.one_of(st.just(0.0), st.floats(1e-100, 1e6), st.floats(-1e6, -1e-1
 def feature_files(draw):
     """Train and test rows (camera, local_id, global_id, features) with
     arbitrary ids, several cameras in shuffled order, tagged cameras with
-    one global id per local id, and untagged cameras with -1 on some rows."""
+    one global id per local id, and untagged cameras with -1 on some rows.
+    Now and then one train row carries a global id below -1."""
     dim = draw(st.integers(1, 4))
     row = st.lists(_FEATURE, min_size=dim, max_size=dim).map(
         lambda x: x if any(x) else [1.0] + x[1:]
@@ -438,6 +457,10 @@ def feature_files(draw):
             gid = table[local] if tagged else draw(st.sampled_from([-1, table[local], 99]))
             train.append((camera, local, -1 if not tagged and k == 0 else gid, draw(row)))
     train = draw(st.permutations(train))
+    if draw(st.integers(0, 7)) == 0:
+        k = draw(st.integers(0, len(train) - 1))
+        camera, local, _, x = train[k]
+        train[k] = (camera, local, draw(st.integers(-(2**63), -2)), x)
     test = draw(st.lists(
         st.tuples(st.integers(-5, 50), st.integers(-1, 50), st.integers(-1, 50), row), max_size=6,
     ))
@@ -479,10 +502,13 @@ class TestLoaderAgainstReference:
 
         with tempfile.TemporaryDirectory() as tmp:
             d = Path(tmp)
-            (d / "train.csv").write_text(text(train))
-            (d / "test.csv").write_text(text(test))
-            manifest = {"dim": dim, "normalize": normalize, "train": "train.csv", "test": "test.csv"}
-            (d / "manifest.json").write_text(json.dumps(manifest))
+            write_features(d, text(train), text(test), dim=dim, normalize=normalize)
+            low = [k for k, r in enumerate(train) if r[2] < -1]
+            if low:
+                message = rf"^train\.csv:{low[0] + 2}: .*, got {train[low[0]][2]}$"
+                with pytest.raises(ParseError, match=message):
+                    load_dataset(d)
+                return
             untagged = [k for k, r in enumerate(test) if r[2] < 0]
             if untagged:
                 with pytest.raises(ParseError, match=rf"^test\.csv:{untagged[0] + 2}: "):

@@ -42,7 +42,7 @@ from ike_lab.trainer import Hyperparams
 def tiny_config(**overrides) -> dict:
     doc = {
         "dataset": {"synthetic": {
-            "n_global": 16, "latent_dim": 5, "obs_dim": 5, "n_cameras": 2,
+            "n_global": 16, "latent_dim": 5, "n_cameras": 2,
             "ids_per_camera": 8, "images_per_id": 3, "test_images_per_id": 1,
             "camera_shift": 0.2, "noise": 0.03, "seed": 11,
         }},
@@ -452,9 +452,9 @@ class TestCli:
         assert json.loads(proc.stdout) == want
 
     def test_tests_run_one_blas_thread(self):
-        # conftest.py pins BLAS before numpy loads. Loading numpy's bundled
-        # OpenBLAS again returns the library numpy already loaded, so its
-        # thread count is the one the tests run with.
+        # conftest.py imports ike_lab, which pins BLAS, before numpy loads.
+        # Loading numpy's bundled OpenBLAS again returns the library numpy
+        # already loaded, so its thread count is the one the tests run with.
         libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
         blas = ctypes.CDLL(str(libs[0])) if libs else None
         if not hasattr(blas, "scipy_openblas_get_num_threads64_"):

@@ -154,6 +154,9 @@ MEMORY_DOC = {"dim": 2, "rows": [[1.0, 0.0], [0.0, 1.0]], "provenance": [4, 9]}
     ("memory.json", json.dumps({**MEMORY_DOC, "provenance": [4]}), load_memory, "provenance shape"),
     ("memory.json", json.dumps({**MEMORY_DOC, "rows": [[1.0, "x"], [0.0, 1.0]]}), load_memory,
      "could not convert"),
+    # Read as absent, the misspelled tags would load an untagged memory.
+    ("memory.json", json.dumps({"dim": 2, "rows": MEMORY_DOC["rows"], "provenence": [4, 9]}),
+     load_memory, "unknown memory snapshot entry 'provenence'"),
     ("encoder.json", "{not json", load_encoder, "cannot read encoder snapshot"),
     ("encoder.json", lambda doc: {**doc, "widths": None}, load_encoder, "no widths entry"),
     ("encoder.json", lambda doc: {**doc, "widths": doc["widths"][:3]}, load_encoder,
@@ -173,6 +176,7 @@ MEMORY_DOC = {"dim": 2, "rows": [[1.0, 0.0], [0.0, 1.0]], "provenance": [4, 9]}
      r"block 2 shape \(3, 3\) disagrees with widths$"),
 ], ids=["memory-bad-json", "memory-not-object", "memory-no-dim", "memory-no-rows",
         "memory-float-tag", "memory-bool-tag", "memory-tag-count", "memory-bad-value",
+        "memory-unknown-entry",
         "encoder-bad-json", "encoder-no-widths", "encoder-few-widths", "encoder-many-widths",
         "encoder-float-width", "encoder-no-bias", "encoder-short-bias", "encoder-two-blocks",
         "encoder-block-shape"])
